@@ -10,18 +10,17 @@ non-integer exponent.
 
 import numpy as np
 
-from fathartogs import DomainSpec, QuadratureSpec, critical_range, divergence_scan
+from fathartogs import DomainSpec, critical_range, divergence_scan
 
 for k in (1, 2, 5, 40):
     rng = critical_range(DomainSpec(k))
     print(f"k={k:3}: bounded exactly for p in ({rng.p_low}, {rng.p_high})")
 
-quad = QuadratureSpec()
 deltas = np.geomspace(1e-2, 1e-10, 9)
 for k in (1.0, 2.0, 1.5):
     d = DomainSpec(k)
     p_c = 2 + 2 / k
-    rep = divergence_scan(d, [p_c - 0.5, p_c, p_c + 1.0], deltas, quad)
+    rep = divergence_scan(d, [p_c - 0.5, p_c, p_c + 1.0], deltas)
     print(f"\nk={k}: predicted critical p = {p_c:.4f}, "
           f"measured {rep.parameters['p_critical_empirical']:.4f} "
           f"({rep.parameters['p_critical_rel_err']:.2%} off)")

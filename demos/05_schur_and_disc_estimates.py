@@ -41,7 +41,7 @@ for k in (1, 2, 3):
 print("\nSchur verification on the k=2 domain (this takes ~1 min):")
 d = DomainSpec(2)
 for eps in (0.75, 1.1):
-    rep = verify_schur(d, SchurConfig(eps=eps, ladder_levels=6, quad=quad))
+    rep = verify_schur(d, SchurConfig(eps=eps, ladder_levels=6))
     tag = "expected" if rep.expected_violation else "stated-window"
     print(f"  eps={eps}: verdict {rep.verdict}"
           + (f" (bound constant ~ {rep.bound_constant:.2f})"

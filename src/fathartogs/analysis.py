@@ -40,12 +40,10 @@ from .projection import MonomialInput, project_monomial
 from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
+    _join,
     angle_rule,
     disc_kernel_moment,
-    gauss_rule,
-    graded_breaks,
-    jacobi_right_rule,
-    panel_rule,
+    graded_rule,
     radial_moment,
 )
 
@@ -128,14 +126,15 @@ class RangeReport:
 def critical_range(d: DomainSpec) -> RangeReport:
     """The sharp interval ((2k+2)/(k+2), (2k+2)/k) of L^p boundedness.
 
-    Exact rational endpoints for integer k; the formula extends to real
-    exponents, where it bounds the possible range from outside.
+    The paper proves this interval for integer k, where the endpoints are
+    exact rationals (source ``theorem_formula``).  For real k the same
+    formula is only extrapolated (source ``extrapolated_formula``).
     """
     if d.integer_exponent:
-        k = Fraction(int(d.exponent))
-        return RangeReport((2 * k + 2) / (k + 2), (2 * k + 2) / k, "theorem_formula")
-    k = d.exponent
-    return RangeReport((2 * k + 2) / (k + 2), (2 * k + 2) / k, "theorem_formula")
+        k, source = Fraction(int(d.exponent)), "theorem_formula"
+    else:
+        k, source = d.exponent, "extrapolated_formula"
+    return RangeReport((2 * k + 2) / (k + 2), (2 * k + 2) / k, source)
 
 
 def schur_range(a, b) -> RangeReport:
@@ -225,69 +224,55 @@ _PSI_ORDER = 8
 _N_THETA1 = 32
 
 
-def _u_factor(k: int, delta: float, *, cut: Optional[float] = None, order: int = _U_ORDER) -> float:
-    """int_0^(1 or 1-cut) u (1 - u^(2k))^(-delta) du."""
+def _u_rule(k: int, delta: float, *, floor: float):
+    """Nodes/weights on (0, 1) with u (1 - u^(2k))^(-delta) folded in; the
+    rim is a Jacobi sliver of width ``floor``."""
+    u, w = graded_rule(0.0, 1.0, _U_ORDER, toward="upper", floor=floor, edge=-delta)
     # (1-u^(2k))/(1-u) is the degree 2k-1 geometric polynomial, smooth on [0,1]
-    geom = np.ones(2 * k)
+    return u, w * u * np.real(_horner(np.ones(2 * k), u)) ** (-delta)
 
+
+def _u_factor(k: int, delta: float, *, cut: Optional[float] = None) -> float:
+    """int_0^(1 or 1-cut) u (1 - u^(2k))^(-delta) du."""
     if cut is not None:
         top = 1.0 - cut
-        breaks = np.concatenate(([0.0], graded_breaks(0.0, top, toward="upper",
-                                                      floor=min(cut, top / 4), ratio=4.0)[1:]))
-        u, w = panel_rule(breaks, order)
+        u, w = graded_rule(0.0, top, _U_ORDER, toward="upper", floor=min(cut, top / 4))
         return float(np.sum(w * u * (1.0 - u ** (2 * k)) ** (-delta)))
     if delta >= 1.0:
         raise DivergentIntegralError(
             "inner-boundary edge integral diverges: need edge exponent "
             f"delta < 1 for (1-u^(2k))^(-delta) to be integrable, got delta = {delta}"
         )
-    cap = 1e-3
-    breaks = np.concatenate(([0.0], graded_breaks(0.0, 1.0 - cap, toward="upper",
-                                                  floor=1e-4, ratio=4.0)[1:]))
-    u, w = panel_rule(breaks, order)
-    total = float(np.sum(w * u * (1.0 - u ** (2 * k)) ** (-delta)))
-    uj, wj = jacobi_right_rule(1.0 - cap, 1.0, -delta, order)
-    smooth = uj * np.real(_horner(geom, uj)) ** (-delta)
-    return total + float(np.sum(wj * smooth))
+    return float(np.sum(_u_rule(k, delta, floor=1e-3)[1]))
 
 
 def _v_axis(k: float, eps: float, delta: float, y: float, v0: float, *,
-            cut: Optional[float] = None, order: int = _U_ORDER):
+            cut: Optional[float] = None):
     """Radial nodes/weights on (v0, 1) with v^(1+2/k-2eps) (1-v^2)^(-delta)
     folded in (Jacobi rim rule unless a cut is requested)."""
     power = 1.0 + 2.0 / k - 2.0 * eps
-    segs = []
-    lo = graded_breaks(v0, 0.5, toward="lower", floor=3.0 * v0, ratio=4.0)
-    vlo, wlo = panel_rule(lo, order)
-    segs.append((vlo, wlo * vlo**power * (1.0 - vlo**2) ** (-delta)))
+    vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
     if cut is not None:
         top = 1.0 - cut
-        hi = graded_breaks(0.5, top, toward="upper", floor=min(cut, (top - 0.5) / 4), ratio=4.0)
-        vhi, whi = panel_rule(hi, order)
-        segs.append((vhi, whi * vhi**power * (1.0 - vhi**2) ** (-delta)))
-    else:
-        if delta >= 1.0:
-            raise DivergentIntegralError(
-                "outer-boundary edge integral diverges: need edge exponent "
-                f"delta < 1 for (1-v^2)^(-delta) to be integrable, got delta = {delta}"
-            )
-        f_v = max(min((1.0 - y) / 8.0, 1e-3), 1e-13)
-        hi = graded_breaks(0.5, 1.0 - f_v, toward="upper", floor=f_v, ratio=4.0)
-        vhi, whi = panel_rule(hi, order)
-        segs.append((vhi, whi * vhi**power * (1.0 - vhi**2) ** (-delta)))
-        vj, wj = jacobi_right_rule(1.0 - f_v, 1.0, -delta, order)
-        segs.append((vj, wj * vj**power * (1.0 + vj) ** (-delta)))
-    v = np.concatenate([s[0] for s in segs])
-    w = np.concatenate([s[1] for s in segs])
-    return v, w
+        v, w = _join((vlo, wlo), graded_rule(0.5, top, _U_ORDER, toward="upper",
+                                             floor=min(cut, (top - 0.5) / 4)))
+        return v, w * v**power * (1.0 - v**2) ** (-delta)
+    if delta >= 1.0:
+        raise DivergentIntegralError(
+            "outer-boundary edge integral diverges: need edge exponent "
+            f"delta < 1 for (1-v^2)^(-delta) to be integrable, got delta = {delta}"
+        )
+    f_v = max(min((1.0 - y) / 8.0, 1e-3), 1e-13)
+    vhi, whi = graded_rule(0.5, 1.0, _U_ORDER, toward="upper", floor=f_v, edge=-delta)
+    v, w = _join((vlo, wlo * (1.0 - vlo) ** (-delta)), (vhi, whi))
+    return v, w * v**power * (1.0 + v) ** (-delta)
 
 
-def _psi_axis(scale: float, order: int = _PSI_ORDER):
+def _psi_axis(scale: float):
     """Panels on [0, pi] graded toward the aligned angle, weights doubled
     for the even symmetry of the theta1-averaged integrand."""
     floor = max(scale / 16.0, 1e-8)
-    breaks = graded_breaks(0.0, math.pi, toward="lower", floor=floor, ratio=4.0)
-    psi, w = panel_rule(breaks, max(order, 4))
+    psi, w = graded_rule(0.0, math.pi, _PSI_ORDER, toward="lower", floor=floor)
     return psi, 2.0 * w
 
 
@@ -312,18 +297,7 @@ def _schur_value_full(d: DomainSpec, x: float, y: float, eps: float, delta: floa
     """I(z) for z1 != 0: 4-d tensor over (u, v, theta1, psi)."""
     k = d.k_int()
     gap = 1.0 - x**k / y
-    # u axis with the edge density folded in; Jacobi rim for the (1-u)^(-delta) edge
-    f_u = max(gap / 16.0, 1e-9)
-    u_breaks = np.concatenate(([0.0], graded_breaks(0.0, 1.0 - f_u, toward="upper",
-                                                    floor=f_u, ratio=4.0)[1:]))
-    u, wu = panel_rule(u_breaks, _U_ORDER)
-    wu_eff = wu * u * (1.0 - u ** (2 * k)) ** (-delta)
-    uj, wj = jacobi_right_rule(1.0 - f_u, 1.0, -delta, _U_ORDER)
-    geom = np.ones(2 * k)
-    wj_eff = wj * uj * np.real(_horner(geom, uj)) ** (-delta)
-    u = np.concatenate((u, uj))
-    wu_eff = np.concatenate((wu_eff, wj_eff))
-
+    u, wu_eff = _u_rule(k, delta, floor=max(gap / 16.0, 1e-9))
     v, wv_eff = _v_axis(k, eps, delta, y, v0)
     th1, wth1 = angle_rule(_N_THETA1)
     psi, wpsi = _psi_axis(gap)
@@ -373,7 +347,6 @@ class SchurConfig:
     a: float = 0.5
     b: Optional[float] = None
     ladder_levels: int = 6
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
     tolerance: float = 0.02
 
     def __post_init__(self) -> None:
@@ -455,7 +428,6 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
         expected_violation=not in_stated_range,
     )
 
-    probe_y = float(abs(_PROBE_POINT.z2))
     if delta >= _EDGE_CUT_LEVEL:
         # the (1-u^(2k))^(-delta) and (1-v^2)^(-delta) edge factors are at
         # or beyond integrability: demonstrate with an edge-cut ladder
@@ -619,15 +591,12 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
 # ----------------------------------------------------------------------
 # divergence scan (sharpness half; valid for real exponents)
 
-def _z2_power_mass(d: DomainSpec, p: float, delta: float, order: int = 8) -> float:
-    """int over the domain cut at |z2| > delta of |z2|^(-p), by nested
-    radial quadrature (angles are exact by symmetry)."""
-    breaks = graded_breaks(delta, 1.0, toward="lower", floor=3.0 * delta, ratio=4.0)
-    r2, w2 = panel_rule(breaks, order)
-    # inner integral of r1 over [0, r2^(1/k)] at Gauss nodes (exact: linear)
-    x, wx = gauss_rule(0.0, 1.0, 4)
-    upper = r2 ** (1.0 / d.k)
-    inner = (upper**2) * float(np.sum(wx * x))  # = upper^2 / 2
+def _z2_power_mass(d: DomainSpec, p: float, delta: float) -> float:
+    """int over the domain cut at |z2| > delta of |z2|^(-p), by radial
+    quadrature in r2 (angles are exact by symmetry)."""
+    r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
+    # the inner integral of r1 dr1 over [0, r2^(1/k)]
+    inner = (r2 ** (1.0 / d.k)) ** 2 / 2.0
     vals = inner * r2 ** (1.0 - p)
     return 4.0 * math.pi**2 * float(np.sum(w2 * vals))
 
@@ -638,7 +607,7 @@ def _classify_deltas(values: Sequence[float], deltas: Sequence[float]) -> tuple[
 
 
 def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
-                    delta_grid: Sequence[float], quad: QuadratureSpec) -> VerificationReport:
+                    delta_grid: Sequence[float]) -> VerificationReport:
     """Measure where the projection of conj(z2) leaves L^p.
 
     The projected function is a constant times 1/z2, so its p-th power
@@ -705,8 +674,8 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
 # ----------------------------------------------------------------------
 # operator norm probes on monomial families
 
-def norm_ratio_probe(d: DomainSpec, p: float, family: Sequence[MonomialInput],
-                     quad: QuadratureSpec) -> VerificationReport:
+def norm_ratio_probe(d: DomainSpec, p: float,
+                     family: Sequence[MonomialInput]) -> VerificationReport:
     """Finite-sample lower bounds on the L^p operator norm over a family.
 
     Norms of monomials are exact through the radial moments.  Family

@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, persist machine-readable reports.
 
-Every run writes a JSON report containing the fully resolved
-configuration (seeds and defaults included) plus the experiment outcome,
+Every run writes a JSON report containing the parsed flags (defaults
+included) plus the experiment outcome,
 and optionally a flat CSV of the sample rows for external plotting.
 Reports are deterministic for a fixed configuration; wall-clock data
 lives in a separate ``metadata`` block.  Exit codes: 0 when the verdict
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -100,32 +101,20 @@ def write_csv(path: Path, rows: list[dict]) -> None:
         for key in row:
             if key not in keys:
                 keys.append(key)
-    lines = []
-    buf = []
-    writer_target = buf
-
-    class _Sink:
-        def write(self, s):
-            writer_target.append(s)
-            return len(s)
-
-    w = csv.writer(_Sink())
+    buf = io.StringIO()
+    w = csv.writer(buf)
     w.writerow(keys)
     for row in rows:
         w.writerow([_fmt(row.get(k, "")) for k in keys])
-    lines = "".join(buf)
-    _atomic_write(path, lines)
+    _atomic_write(path, buf.getvalue())
 
 
 def _quad_from_args(args) -> quadrature.QuadratureSpec:
-    return quadrature.QuadratureSpec(
-        radial_nodes=args.radial_nodes,
-        angular_nodes=args.angular_nodes,
-        boundary_offset=args.boundary_offset,
-        strategy=args.strategy,
-        mc_samples=args.mc_samples,
-        seed=args.seed,
-    )
+    """The spec of the quadrature flags the command takes; defaults elsewhere."""
+    given = vars(args)
+    return quadrature.QuadratureSpec(**{f.name: given[f.name]
+                                        for f in dataclasses.fields(quadrature.QuadratureSpec)
+                                        if f.name in given})
 
 
 def _parse_deltas(text: str) -> list[float]:
@@ -159,18 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_k:
             p.add_argument("--k", type=float, required=True,
                            help="domain exponent (integer for kernel paths)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--radial-nodes", type=int, default=10)
-        p.add_argument("--angular-nodes", type=int, default=24)
-        p.add_argument("--boundary-offset", type=float, default=1e-6)
-        p.add_argument("--strategy", choices=["tensor_polar", "monte_carlo",
-                                              "stratified_mc"],
-                       default="tensor_polar")
-        p.add_argument("--mc-samples", type=int, default=200_000)
         p.add_argument("--output-dir", type=Path,
                        default=Path(os.environ.get(OUTPUT_DIR_ENV, ".")))
         p.add_argument("--format", choices=["json", "csv"], default="json",
                        help="'csv' additionally writes the flat sample table")
+
+    # quadrature flags go only to the commands that read them
+    def node_counts(p):
+        p.add_argument("--radial-nodes", type=int, default=10)
+        p.add_argument("--angular-nodes", type=int, default=24)
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
@@ -188,12 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calculus1", help="weighted disc-integral plateau check")
     common(p, needs_k=False)
+    node_counts(p)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--levels", type=int, default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
     common(p, needs_k=False)
+    node_counts(p)
     p.add_argument("--levels", type=int, default=12)
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")
@@ -211,6 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="project one monomial both ways")
     common(p)
+    node_counts(p)
+    p.add_argument("--boundary-offset", type=float, default=1e-6)
+    p.add_argument("--strategy", choices=["tensor_polar", "monte_carlo", "stratified_mc"],
+                   default="tensor_polar")
+    p.add_argument("--mc-samples", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--f", type=str, default="0,0:0,1",
                    help="monomial input 'a1,a2:b1,b2'")
     p.add_argument("--z", type=str, default="0.1,0.5",
@@ -219,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_kernel_check(args, quad) -> tuple[dict, list[dict], str, bool]:
+def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
     d = geometry.DomainSpec(args.k)
     k = d.k_int()
     n_rad, n_ang = args.grid, 8
@@ -248,13 +242,13 @@ def _run_kernel_check(args, quad) -> tuple[dict, list[dict], str, bool]:
     return params, rows, verdict, False
 
 
-def _run_project(args, quad) -> tuple[dict, list[dict], str, bool]:
+def _run_project(args) -> tuple[dict, list[dict], str, bool]:
     d = geometry.DomainSpec(args.k)
     m = _parse_monomial(args.f)
     x1, x2 = (float(v) for v in args.z.split(","))
     z = geometry.Point2(complex(x1), complex(x2))
     exact = projection.project_monomial(d, m)
-    numeric = projection.project_numeric(d, m.integrand(), z, quad)
+    numeric = projection.project_numeric(d, m.integrand(), z, _quad_from_args(args))
     if exact is None:
         agreement = abs(numeric)
         exact_val = 0j
@@ -274,9 +268,8 @@ def _run_project(args, quad) -> tuple[dict, list[dict], str, bool]:
 
 
 def _dispatch(args) -> tuple[dict, int]:
-    quad = _quad_from_args(args)
     if args.command == "kernel-check":
-        params, rows, verdict, expected = _run_kernel_check(args, quad)
+        params, rows, verdict, expected = _run_kernel_check(args)
         body = {"experiment": "kernel_check", "parameters": params,
                 "samples": rows, "verdict": verdict,
                 "expected_violation": expected}
@@ -300,49 +293,38 @@ def _dispatch(args) -> tuple[dict, int]:
     elif args.command == "schur":
         d = geometry.DomainSpec(args.k)
         cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels,
-                                   quad=quad, tolerance=args.tolerance)
+                                   tolerance=args.tolerance)
         rep = analysis.verify_schur(d, cfg)
         body = dataclasses.asdict(rep)
     elif args.command == "calculus1":
-        rep = analysis.verify_calculus1(args.eps, args.beta, args.levels, quad)
+        rep = analysis.verify_calculus1(args.eps, args.beta, args.levels,
+                                        _quad_from_args(args))
         body = dataclasses.asdict(rep)
     elif args.command == "disc-log":
-        rep = analysis.verify_disc_log(args.levels, quad)
+        rep = analysis.verify_disc_log(args.levels, _quad_from_args(args))
         body = dataclasses.asdict(rep)
     elif args.command == "divergence":
         d = geometry.DomainSpec(args.k)
         p_default = 2.0 + 2.0 / d.k
         p_grid = ([float(x) for x in args.p_grid.split(",") if x.strip()]
                   if args.p_grid else [p_default - 1.0, p_default, p_default + 1.0])
-        rep = analysis.divergence_scan(d, p_grid, _parse_deltas(args.deltas), quad)
+        rep = analysis.divergence_scan(d, p_grid, _parse_deltas(args.deltas))
         body = dataclasses.asdict(rep)
     elif args.command == "probe":
         d = geometry.DomainSpec(args.k)
         family = [_parse_monomial(tok) for tok in args.family.split(";") if tok.strip()]
-        rep = analysis.norm_ratio_probe(d, args.p, family, quad)
+        rep = analysis.norm_ratio_probe(d, args.p, family)
         body = dataclasses.asdict(rep)
     elif args.command == "project":
-        params, rows, verdict, expected = _run_project(args, quad)
+        params, rows, verdict, expected = _run_project(args)
         body = {"experiment": "project", "parameters": params, "samples": rows,
                 "verdict": verdict, "expected_violation": expected}
     else:  # pragma: no cover - argparse prevents this
         raise SystemExit(EXIT_USAGE)
 
     body["command"] = args.command
-    body["config"] = {
-        "seed": args.seed,
-        "radial_nodes": quad.radial_nodes,
-        "angular_nodes": quad.angular_nodes,
-        "boundary_offset": quad.boundary_offset,
-        "strategy": quad.strategy,
-        "mc_samples": quad.mc_samples,
-        "format": args.format,
-        **{k: v for k, v in vars(args).items()
-           if k not in {"command", "output_dir", "seed", "radial_nodes",
-                        "angular_nodes", "boundary_offset", "strategy",
-                        "mc_samples", "format"}
-           and not isinstance(v, Path)},
-    }
+    body["config"] = {k: v for k, v in vars(args).items()
+                      if k not in {"command", "output_dir"}}
     code = verdict_exit_code(body.get("verdict", analysis.VERDICT_CONSISTENT),
                              bool(body.get("expected_violation", False)))
     return body, code

@@ -80,10 +80,6 @@ class KernelArgs:
     def from_points(cls, z: Point2, w: Point2) -> "KernelArgs":
         return cls(z.z1 * np.conj(w.z1), z.z2 * np.conj(w.z2))
 
-    def interior_pair(self, d: DomainSpec) -> bool:
-        """Whether (s, t) satisfies |s|^k < |t| < 1 (holds for interior z, w)."""
-        return abs(self.s) ** d.k < abs(self.t) < 1.0
-
 
 @dataclass(frozen=True)
 class MultiIndex:

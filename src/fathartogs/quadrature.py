@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
@@ -42,6 +42,7 @@ __all__ = [
     "gauss_rule",
     "panel_rule",
     "graded_breaks",
+    "graded_rule",
     "jacobi_left_rule",
     "jacobi_right_rule",
     "angle_rule",
@@ -106,14 +107,15 @@ def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a + (b - a) * x, (b - a) * w
 
 
+def _join(*rules: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """One rule from rules on consecutive intervals."""
+    xs, ws = zip(*rules)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
 def panel_rule(breaks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule over consecutive panels."""
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        x, w = gauss_rule(float(a), float(b), n)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    return _join(*(gauss_rule(float(a), float(b), n) for a, b in zip(breaks[:-1], breaks[1:])))
 
 
 def graded_breaks(a: float, b: float, *, toward: str, floor: float, ratio: float = 4.0) -> np.ndarray:
@@ -164,6 +166,23 @@ def jacobi_right_rule(a: float, b: float, expo: float, n: int) -> tuple[np.ndarr
     return a + h * (x + 1.0), w * h ** (expo + 1.0)
 
 
+def graded_rule(a: float, b: float, n: int, *, toward: str, floor: float,
+                ratio: float = 4.0, edge: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss rule on [a, b] over panels graded toward one end.
+
+    Without ``edge`` this is ``panel_rule(graded_breaks(a, b, ...), n)``.
+    With ``edge=expo`` the graded panels stop at ``b - floor`` and a
+    Gauss-Jacobi sliver [b - floor, b] closes the rule; the weight
+    (b-x)^expo is folded into every returned weight, so the caller
+    multiplies only the smooth remainder of its density.
+    """
+    if edge is None:
+        return panel_rule(graded_breaks(a, b, toward=toward, floor=floor, ratio=ratio), n)
+    top = b - floor
+    x, w = panel_rule(graded_breaks(a, top, toward=toward, floor=floor, ratio=ratio), n)
+    return _join((x, w * (b - x) ** edge), jacobi_right_rule(top, b, edge, n))
+
+
 def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Periodic trapezoid rule on [0, 2pi), spectrally accurate for
     periodic integrands."""
@@ -202,19 +221,12 @@ def _core_axes(d: DomainSpec, spec: QuadratureSpec, order: int, n_ang: int):
     # there); the u -> 1 and v -> 1 gradings stop at 1e-4, enough for the
     # integrable edge behavior the operation contracts cover
     delta = spec.boundary_offset
-    u_breaks = np.concatenate(
-        ([0.0, 0.75], graded_breaks(0.75, 1.0 - delta, toward="upper",
-                                    floor=max(delta, 1e-4), ratio=8.0)[1:])
-    )
-    lo = graded_breaks(delta, 0.5, toward="lower", floor=delta * 8.0, ratio=16.0)
-    hi = graded_breaks(0.5, 1.0 - delta, toward="upper",
-                       floor=max(delta * 8.0, 1e-4), ratio=8.0)
-    v_breaks = np.concatenate((lo, hi[1:]))
-    u, wu = panel_rule(u_breaks, order)
-    v, wv = panel_rule(v_breaks, order)
-    th1, w1 = angle_rule(n_ang)
-    th2, w2 = angle_rule(n_ang)
-    return (u, wu), (v, wv), (th1, w1), (th2, w2)
+    top = 1.0 - delta
+    u = _join(gauss_rule(0.0, 0.75, order),
+              graded_rule(0.75, top, order, toward="upper", floor=max(delta, 1e-4), ratio=8.0))
+    v = _join(graded_rule(delta, 0.5, order, toward="lower", floor=delta * 8.0, ratio=16.0),
+              graded_rule(0.5, top, order, toward="upper", floor=max(delta * 8.0, 1e-4), ratio=8.0))
+    return u, v, angle_rule(n_ang), angle_rule(n_ang)
 
 
 def _tensor_value(d: DomainSpec, f: Callable, spec: QuadratureSpec,
@@ -335,8 +347,7 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResul
 # ----------------------------------------------------------------------
 # disc-level engine
 
-def _disc_radial_rule(eps: float, beta: float, a: float, spec: QuadratureSpec,
-                      order: int, weight_form: str):
+def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form: str):
     """Radial nodes/weights on (0, 1) with the full radial density folded in.
 
     The density is r^(1-beta) W(r) where W is (1-r^2)^(-eps) for
@@ -345,31 +356,19 @@ def _disc_radial_rule(eps: float, beta: float, a: float, spec: QuadratureSpec,
     the rim uses a (1-r)^(-eps) Jacobi rule on the last sliver.
     """
     floor = max(min((1.0 - a) / 8.0, 1e-2), 1e-13)
-
-    def rim_weight(r: np.ndarray) -> np.ndarray:
-        return (1.0 - r**2) ** (-eps) if weight_form == "sq" else (1.0 - r) ** (-eps)
-
-    segs: list[tuple[np.ndarray, np.ndarray]] = []
     r0 = 0.1
     # int_0^r0 r^(1-beta) g(r) dr = (1/2) int_0^(r0^2) u^(-beta/2) g(sqrt u) du
     un, uw = jacobi_left_rule(0.0, r0 * r0, -beta / 2.0, order)
     rn = np.sqrt(un)
-    segs.append((rn, 0.5 * uw * rim_weight(rn)))
-    mid = graded_breaks(r0, 1.0 - floor, toward="upper", floor=floor, ratio=4.0)
-    rm, wm = panel_rule(mid, order)
-    segs.append((rm, wm * rm ** (1.0 - beta) * rim_weight(rm)))
-    rr, wr = jacobi_right_rule(1.0 - floor, 1.0, -eps, order)
-    rest = (1.0 + rr) ** (-eps) if weight_form == "sq" else np.ones_like(rr)
-    segs.append((rr, wr * rest * rr ** (1.0 - beta)))
-    r = np.concatenate([s[0] for s in segs])
-    w = np.concatenate([s[1] for s in segs])
-    return r, w
+    rm, wm = graded_rule(r0, 1.0, order, toward="upper", floor=floor, edge=-eps)
+    r, w = _join((rn, 0.5 * uw * (1.0 - rn) ** (-eps)), (rm, wm * rm ** (1.0 - beta)))
+    # W(r) / (1-r)^(-eps), smooth up to the rim
+    return r, (w * (1.0 + r) ** (-eps) if weight_form == "sq" else w)
 
 
-def _disc_theta_rule(a: float, spec: QuadratureSpec, order: int):
+def _disc_theta_rule(a: float, order: int):
     floor = max((1.0 - a) / 16.0, 1e-13)
-    breaks = graded_breaks(0.0, math.pi, toward="lower", floor=floor, ratio=4.0)
-    return panel_rule(breaks, order)
+    return graded_rule(0.0, math.pi, order, toward="lower", floor=floor)
 
 
 def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
@@ -388,8 +387,8 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
         raise ValueError(f"evaluation point must satisfy |z| < 1, got {a}")
     order = max(6, spec.radial_nodes)
     order_a = max(6, spec.angular_nodes // 4)
-    r, wr = _disc_radial_rule(eps, beta, a, spec, order, weight_form)
-    th, wth = _disc_theta_rule(a, spec, order_a)
+    r, wr = _disc_radial_rule(eps, beta, a, order, weight_form)
+    th, wth = _disc_theta_rule(a, order_a)
     poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)
     return float(2.0 * wr @ poisson @ wth)
 

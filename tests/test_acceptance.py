@@ -212,8 +212,7 @@ def test_criterion_7_divergence_scan(k):
     d = DomainSpec(k)
     p_c = 2.0 + 2.0 / k
     deltas = np.geomspace(1e-2, 1e-10, 9)
-    rep = divergence_scan(d, [p_c + 0.5, p_c + 1.0], deltas,
-                          QuadratureSpec(radial_nodes=10, angular_nodes=8))
+    rep = divergence_scan(d, [p_c + 0.5, p_c + 1.0], deltas)
     rel_crit = rep.parameters["p_critical_rel_err"]
     slope_errs = [r["exponent_rel_err"] for r in rep.parameters["grid_rows"]]
     elapsed = time.perf_counter() - t0
@@ -242,8 +241,7 @@ def _schur_sweep(k):
 )
 def test_criterion_8_schur_sweep(k, eps, expected):
     d = DomainSpec(k)
-    rep = verify_schur(d, SchurConfig(eps=eps, ladder_levels=10,
-                                      quad=QuadratureSpec()))
+    rep = verify_schur(d, SchurConfig(eps=eps, ladder_levels=10))
     got = "bounded" if rep.verdict == VERDICT_CONSISTENT else (
         "growing" if rep.verdict == VERDICT_VIOLATED else "inconclusive"
     )

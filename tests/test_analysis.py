@@ -64,6 +64,8 @@ class TestCriticalRange:
         assert rng.p_low_float == pytest.approx(5 / 3.5)
         assert rng.p_high_float == pytest.approx(5 / 1.5)
         assert abs(rng.conjugacy_defect()) < 1e-15
+        # the paper proves the range for integer k only
+        assert rng.source == "extrapolated_formula"
 
 
 class TestSchurRange:
@@ -135,7 +137,7 @@ class TestDivergenceScan:
     def test_k1_classifications(self):
         d = DomainSpec(1)
         deltas = np.geomspace(1e-2, 1e-10, 9)
-        rep = divergence_scan(d, [3.0, 4.0, 5.0], deltas, QUAD)
+        rep = divergence_scan(d, [3.0, 4.0, 5.0], deltas)
         rows = {r["p"]: r for r in rep.parameters["grid_rows"]}
         assert rows[3.0]["classification"] == "saturating"
         assert rows[3.0]["exact_limit"] == pytest.approx(2 * math.pi**2)
@@ -150,20 +152,20 @@ class TestDivergenceScan:
     def test_real_exponent_supported(self):
         d = DomainSpec(1.5)
         deltas = np.geomspace(1e-2, 1e-10, 9)
-        rep = divergence_scan(d, [2.5], deltas, QUAD)
+        rep = divergence_scan(d, [2.5], deltas)
         pc = 2 + 2 / 1.5
         assert rep.parameters["p_critical_empirical"] == pytest.approx(pc, rel=0.02)
 
     def test_needs_enough_deltas(self):
         with pytest.raises(ValueError):
-            divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3], QUAD)
+            divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3])
 
 
 class TestNormRatioProbe:
     def test_l2_is_contraction(self):
         d = DomainSpec(1)
         family = [mono(0, 0, 0, 1), mono(1, 0, 0, 0), mono(1, 1, 0, 1), mono(2, 0, 0, 1)]
-        rep = norm_ratio_probe(d, 2.0, family, QUAD)
+        rep = norm_ratio_probe(d, 2.0, family)
         assert rep.verdict == VERDICT_CONSISTENT
         ratios = [s["ratio"] for s in rep.samples if s["status"] == "finite"]
         assert ratios and all(r <= 1 + 1e-12 for r in ratios)
@@ -172,7 +174,7 @@ class TestNormRatioProbe:
         # p = 3 is the upper endpoint for k = 2; the projection of conj(z2)
         # is 1/(3 z2) whose cube has log-divergent mass
         d = DomainSpec(2)
-        rep = norm_ratio_probe(d, 3.0, [mono(0, 0, 0, 1)], QUAD)
+        rep = norm_ratio_probe(d, 3.0, [mono(0, 0, 0, 1)])
         assert rep.parameters["certificates"] == 1
         assert rep.verdict == VERDICT_CONSISTENT
         cert = rep.samples[0]
@@ -180,13 +182,13 @@ class TestNormRatioProbe:
 
     def test_just_inside_no_certificate(self):
         d = DomainSpec(2)
-        rep = norm_ratio_probe(d, 2.9, [mono(0, 0, 0, 1), mono(1, 0, 0, 0)], QUAD)
+        rep = norm_ratio_probe(d, 2.9, [mono(0, 0, 0, 1), mono(1, 0, 0, 0)])
         assert rep.parameters["certificates"] == 0
         assert rep.verdict == VERDICT_CONSISTENT
 
     def test_zero_projection_rows(self):
         d = DomainSpec(1)
-        rep = norm_ratio_probe(d, 2.0, [mono(0, 0, 1, 0)], QUAD)
+        rep = norm_ratio_probe(d, 2.0, [mono(0, 0, 1, 0)])
         assert rep.samples[0]["status"] == "projects-to-zero"
 
 
@@ -201,7 +203,7 @@ class TestVerifySchur:
 
     def test_above_window_grows(self):
         d = DomainSpec(2)
-        rep = verify_schur(d, SchurConfig(eps=1.1, ladder_levels=4, quad=QUAD))
+        rep = verify_schur(d, SchurConfig(eps=1.1, ladder_levels=4))
         assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
         assert rep.parameters["divergence_edge"].startswith("boundary edges")
         # past the window the edge exponent is eps itself
@@ -210,7 +212,7 @@ class TestVerifySchur:
     def test_above_corner_threshold_grows(self):
         # eps between (k+2)/(2k) and 1 diverges at the singular corner
         d = DomainSpec(3)
-        rep = verify_schur(d, SchurConfig(eps=0.93, ladder_levels=4, quad=QUAD))
+        rep = verify_schur(d, SchurConfig(eps=0.93, ladder_levels=4))
         assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
         assert rep.parameters["divergence_edge"] == "singular corner v -> 0"
 
@@ -219,7 +221,7 @@ class TestVerifySchur:
         # factors are not integrable (k = 2: edge exponent = eps = 1.2);
         # the measured growth is a genuine (unexpected) violation of it
         d = DomainSpec(2)
-        rep = verify_schur(d, SchurConfig(eps=1.2, b=1.5, ladder_levels=4, quad=QUAD))
+        rep = verify_schur(d, SchurConfig(eps=1.2, b=1.5, ladder_levels=4))
         assert rep.verdict == VERDICT_VIOLATED and not rep.expected_violation
         assert rep.parameters["divergence_edge"] == "boundary edges u -> 1 / v -> 1"
 
@@ -236,7 +238,7 @@ class TestVerifySchur:
         # k = 1, eps = 0.997 lies in the window [1/2, 3/2) but at the
         # 0.995 edge-cut level; its edge exponent keeps it off the
         # edge-cut ladder (6 levels is the CLI default)
-        rep = verify_schur(DomainSpec(1), SchurConfig(eps=0.997, ladder_levels=6, quad=QUAD))
+        rep = verify_schur(DomainSpec(1), SchurConfig(eps=0.997, ladder_levels=6))
         assert rep.parameters["edge_exponent"] < _EDGE_CUT_LEVEL
         assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
 

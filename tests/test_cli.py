@@ -26,7 +26,8 @@ class TestRangeCommand:
         assert body["parameters"]["p_low"]["denominator"] == 3
         assert body["parameters"]["p_high"]["value"] == 4.0
         assert body["parameters"]["schur_matches"] is True
-        assert body["config"]["seed"] == 0
+        # the parsed flags minus the command and the output directory
+        assert body["config"] == {"k": 1.0, "format": "json"}
         assert "created_utc" in doc["metadata"]
 
     def test_deterministic_report_body(self, tmp_path):
@@ -85,10 +86,29 @@ class TestProjectCommand:
         assert body["parameters"]["rel_agreement"] < 1e-3
 
 
+class TestWriteCsv:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cli.write_csv(path, [{"a": 0.1, "b": 1}, {"a": 2.5, "c": "x y"}])
+        assert path.read_bytes() == b"a,b,c\r\n0.10000000000000001,1,\r\n2.5,,x y\r\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, tmp_path):
         assert cli.main(["range"]) == 1
         assert cli.main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["schur", "--k", "2", "--eps", "0.75"],
+        ["range", "--k", "1"],
+        ["kernel-check", "--k", "2"],
+        ["divergence", "--k", "1"],
+        ["probe", "--k", "2", "--p", "3"],
+    ])
+    def test_unread_quadrature_flag_is_usage_error(self, argv, tmp_path):
+        # only calculus1, disc-log and project read quadrature flags
+        assert run([*argv, "--radial-nodes", "12"], tmp_path) == 1
+        assert not (tmp_path / f"{argv[0]}_report.json").exists()
 
     def test_numerical_failure_is_two(self, tmp_path):
         # k below 1 is rejected by the domain construction

@@ -8,7 +8,6 @@ import sympy
 
 from fathartogs.geometry import DomainSpec, Point2, sample_uniform
 from fathartogs.kernel import (
-    KernelArgs,
     MultiIndex,
     NearSingularError,
     SeriesDivergenceError,
@@ -144,14 +143,6 @@ class TestKernelClosed:
 
         with pytest.raises(NonIntegerExponentError):
             kernel_closed(DomainSpec(1.5), Point2(0, 0.5), Point2(0, 0.5))
-
-    def test_kernel_args_invariant(self):
-        d, (z1, z2), (w1, w2) = random_pairs(2, 200, 3)
-        for i in range(0, 200, 20):
-            args = KernelArgs.from_points(
-                Point2(z1[i], z2[i]), Point2(w1[i], w2[i])
-            )
-            assert args.interior_pair(d)
 
 
 class TestBasisIndexSet:

@@ -14,7 +14,9 @@ from fathartogs.quadrature import (
     disc_integral_I,
     disc_kernel_moment,
     graded_breaks,
+    graded_rule,
     integrate,
+    panel_rule,
     radial_moment,
 )
 
@@ -237,3 +239,18 @@ class TestGradedBreaks:
             graded_breaks(1.0, 0.0, toward="upper", floor=1e-3)
         with pytest.raises(ValueError):
             graded_breaks(0.0, 1.0, toward="middle", floor=1e-3)
+
+
+class TestGradedRule:
+    @pytest.mark.parametrize("delta", [0.5, 0.9, 0.99])
+    def test_edge_weight_folded_in(self, delta):
+        # int_0^1 (1-x)^(-delta) dx = 1/(1-delta), from the weights alone
+        x, w = graded_rule(0.0, 1.0, 16, toward="upper", floor=1e-3, edge=-delta)
+        assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
+        assert np.sum(w) == pytest.approx(1.0 / (1.0 - delta), rel=1e-12)
+
+    @pytest.mark.parametrize("toward", ["lower", "upper"])
+    def test_without_edge_is_the_panel_rule(self, toward):
+        x, w = graded_rule(0.1, 2.0, 6, toward=toward, floor=1e-4, ratio=8.0)
+        xp, wp = panel_rule(graded_breaks(0.1, 2.0, toward=toward, floor=1e-4, ratio=8.0), 6)
+        assert np.array_equal(x, xp) and np.array_equal(w, wp)
