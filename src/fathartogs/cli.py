@@ -135,6 +135,18 @@ def _parse_monomial(text: str) -> projection.MonomialInput:
     return projection.MonomialInput(kernel.MultiIndex(a1, a2), kernel.MultiIndex(b1, b2))
 
 
+def _at_least(floor: int):
+    """An int flag type that rejects values below ``floor``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
+
+
 _DEFAULT_FAMILY = "0,0:0,1;1,0:0,0;0,0:1,0;1,1:0,1;0,1:0,0;2,0:0,1"
 
 
@@ -154,9 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'csv' additionally writes the flat sample table")
 
     # quadrature flags go only to the commands that read them
-    def node_counts(p):
-        p.add_argument("--radial-nodes", type=int, default=10)
-        p.add_argument("--angular-nodes", type=int, default=24)
+    def node_counts(p, radial=int, angular=int):
+        p.add_argument("--radial-nodes", type=radial, default=10)
+        p.add_argument("--angular-nodes", type=angular, default=24)
+
+    # the disc rules would ignore smaller counts than these
+    disc_counts = (_at_least(quadrature.DISC_MIN_RADIAL_NODES),
+                   _at_least(quadrature.DISC_MIN_ANGULAR_NODES))
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
@@ -174,14 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calculus1", help="weighted disc-integral plateau check")
     common(p, needs_k=False)
-    node_counts(p)
+    node_counts(p, *disc_counts)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--levels", type=int, default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
     common(p, needs_k=False)
-    node_counts(p)
+    node_counts(p, *disc_counts)
     p.add_argument("--levels", type=int, default=12)
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")

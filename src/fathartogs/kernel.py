@@ -233,68 +233,92 @@ def basis_indices_by_weight(k: int, max_weight: int) -> list[MultiIndex]:
     return out
 
 
+# complex entries in one (points x degree) temporary of the series: about
+# 23 points per block at degree 700
+_SERIES_BLOCK_ELEMENTS = 1 << 14
+
+
+def _running_powers(first: np.ndarray, base: np.ndarray, count: int) -> np.ndarray:
+    """Rows first * base^i, i = 0..count-1, one row per point."""
+    out = np.empty((first.size, count), dtype=complex)
+    out[:, :1] = first[:, None]
+    out[:, 1:] = base[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _series_block(k: int, M: int, s: np.ndarray, t: np.ndarray):
+    """Values and final-shell magnitudes, both without the factor
+    1/(k pi^2), of the truncated series at the 1-d arrays ``s``, ``t``."""
+    j1 = np.arange(1, M + 2, dtype=float)  # j + 1
+    s_pow = _running_powers(np.ones(s.size), s, M + 1)
+    term1 = s_pow * j1
+    p1 = np.cumsum(term1, axis=1)  # running sums of (j+1) s^j
+    p2 = np.cumsum(term1 * j1, axis=1)  # and of (j+1)^2 s^j
+    inv_t = 1.0 / t
+    # row n >= 0 is t^(n-1) sum_j c_j s^j with a1 = j, up to m = M - kn;
+    # row n < 0 starts at a1 = k|n| and carries t^(n-1) s^(k|n|) =
+    # (s^k/t)^|n| / t, up to m = M - 2k|n|.  The regrouped base has modulus
+    # < 1 on interior pairs, so deep rows underflow instead of overflowing.
+    w = s**k * inv_t
+    n_pos = np.arange(M // k + 1)
+    n_neg = np.arange(1, M // (2 * k) + 1)
+    rows = ((n_pos, M - k * n_pos, _running_powers(inv_t, t, n_pos.size)),
+            (n_neg, M - 2 * k * n_neg, _running_powers(inv_t * w, w, n_neg.size)))
+    value = np.zeros(s.size, dtype=complex)
+    shell = np.zeros(s.size, dtype=float)
+    for n_abs, m, factor in rows:
+        # with j = a1 - a_min, the coefficient (a1+1)(a1+1+kn) of either
+        # sign is (j+1)^2 + k|n|(j+1): the row sums to P2[m] + k|n| P1[m]
+        kn = (k * n_abs).astype(float)
+        terms = factor * (p2[:, m] + kn * p1[:, m])
+        if terms.size:
+            # in order of |n|, so the partial sums converge to the row total:
+            # where the kernel itself cancels to ~0, a sequential sum keeps
+            # its error at the scale of the value, not of the largest row
+            value += np.cumsum(terms, axis=1)[:, -1]
+        last = (m + 1.0) * (m + 1.0 + kn)  # coefficient of the row's last term
+        shell += np.sum(last * np.abs(s_pow[:, m]) * np.abs(factor), axis=1)
+    return value, shell
+
+
 def kernel_series_st(
     d: DomainSpec, s, t, spec: SeriesSpec
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Truncated basis expansion of the kernel on arrays of invariants.
 
     The truncation keeps every index of weight a1 + k|a2+1| <= max_degree.
-    Evaluation runs row by row in n = a2 + 1 (ordered by |n|, with the
-    a1-polynomial of each row evaluated by Horner), which is algebraically
-    the same truncated sum at a fraction of the cost of per-term powers.
+    The indices fall into rows n = a2 + 1; along a row, with j counted
+    from the row's first admissible a1, each coefficient is
+    (j+1)^2 + k|n|(j+1).  Every row polynomial is therefore a prefix of
+    the two running sums of (j+1) s^j and (j+1)^2 s^j, which are shared by
+    all rows: one block of points costs a fixed number of array
+    operations of length max_degree, and the coefficients still come from
+    the basis formula alone, independent of the closed form.
     Returns (values, final-shell magnitudes, degree used); the final-shell
-    magnitude sums |term| over the outermost weight shell and is the
-    convergence heuristic for the truncation.
+    magnitude sums |term| over the outermost weight shell (the last term
+    of every row) and is the convergence heuristic for the truncation.
+
+    Raises :class:`NearSingularError` when |t| falls below the default
+    singular floor anywhere in the (broadcast) input.
     """
     k = d.k_int()
-    s = np.asarray(s, dtype=complex)
-    t = np.asarray(t, dtype=complex)
-    s_b, t_b = np.broadcast_arrays(s, t)
+    s_b, t_b = np.broadcast_arrays(np.asarray(s, dtype=complex),
+                                   np.asarray(t, dtype=complex))
+    min_t = float(np.min(np.abs(t_b), initial=np.inf))
+    if min_t < DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError("t", min_t, DEFAULT_SINGULAR_FLOOR)
     M = spec.max_degree
+    s_flat, t_flat = s_b.ravel(), t_b.ravel()
+    total = np.empty(s_flat.size, dtype=complex)
+    last_shell = np.empty(s_flat.size, dtype=float)
+    block = max(1, _SERIES_BLOCK_ELEMENTS // (M + 1))
+    for lo in range(0, s_flat.size, block):
+        part = slice(lo, lo + block)
+        total[part], last_shell[part] = _series_block(k, M, s_flat[part], t_flat[part])
     norm = 1.0 / (k * math.pi**2)
-    total = np.zeros(s_b.shape, dtype=complex)
-    inv_t = 1.0 / t_b
-    # rows with negative n carry t^(n-1) s^(k|n|) = (s^k/t)^|n| / t; the
-    # regrouped base has modulus < 1 on interior pairs, so deep rows
-    # underflow harmlessly instead of overflowing
-    w_base = s_b**k * inv_t
-    t_up = inv_t.copy()
-    w_pow = np.ones(s_b.shape, dtype=complex)
-    for n_abs in range(M // k + 1):
-        for n in ((n_abs,) if n_abs == 0 else (n_abs, -n_abs)):
-            if n_abs > 0:
-                if n > 0:
-                    t_up = t_up * t_b
-                else:
-                    w_pow = w_pow * w_base
-            a_min = max(0, -k * n)  # membership a1 + k n > -1 for integers
-            d_max = M - k * n_abs
-            if d_max < a_min:
-                continue
-            coeffs = np.array(
-                [(a1 + 1) * (a1 + 1 + k * n) for a1 in range(a_min, d_max + 1)],
-                dtype=float,
-            )
-            acc = np.full(s_b.shape, coeffs[-1], dtype=complex)
-            for c in coeffs[-2::-1]:
-                acc = acc * s_b + c
-            row = t_up * acc if n >= 0 else inv_t * w_pow * acc
-            total += norm * row
-    # outermost shell, summed in absolute value (same regrouping)
-    last_shell = np.zeros(s_b.shape, dtype=float)
-    abs_s = np.abs(s_b)
-    abs_t = np.abs(t_b)
-    abs_w = abs_s**k / abs_t
-    for n in range(-(M // k), M // k + 1):
-        a1 = M - k * abs(n)
-        if a1 + k * n <= -1:
-            continue
-        coeff = abs((a1 + 1) * (a1 + 1 + k * n)) * norm
-        if n >= 0:
-            last_shell += coeff * abs_s**a1 * abs_t ** (n - 1)
-        else:
-            last_shell += coeff * abs_s ** (a1 + k * n) * abs_w ** (-n) / abs_t
-    return total, last_shell, M
+    total *= norm
+    last_shell *= norm
+    return total.reshape(s_b.shape), last_shell.reshape(s_b.shape), M
 
 
 def kernel_series(d: DomainSpec, z: Point2, w: Point2, spec: SeriesSpec) -> SeriesResult:

@@ -347,6 +347,11 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResul
 # ----------------------------------------------------------------------
 # disc-level engine
 
+# node counts below which disc_kernel_moment uses these instead
+DISC_MIN_RADIAL_NODES = 6
+DISC_MIN_ANGULAR_NODES = 24
+
+
 def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form: str):
     """Radial nodes/weights on (0, 1) with the full radial density folded in.
 
@@ -385,8 +390,8 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
         raise DivergentIntegralError(f"need 0 <= beta < 2 for disc integrability, got {beta}")
     if not 0.0 <= a < 1.0:
         raise ValueError(f"evaluation point must satisfy |z| < 1, got {a}")
-    order = max(6, spec.radial_nodes)
-    order_a = max(6, spec.angular_nodes // 4)
+    order = max(DISC_MIN_RADIAL_NODES, spec.radial_nodes)
+    order_a = max(DISC_MIN_ANGULAR_NODES, spec.angular_nodes) // 4
     r, wr = _disc_radial_rule(eps, beta, a, order, weight_form)
     th, wth = _disc_theta_rule(a, order_a)
     poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)

@@ -136,6 +136,13 @@ class TestDiscCommands:
         body = load_report(tmp_path, "calculus1")["report"]
         assert body["verdict"] == "consistent"
 
+    @pytest.mark.parametrize("command", [["calculus1", "--eps", "0.5"], ["disc-log"]])
+    @pytest.mark.parametrize("nodes", [["--radial-nodes", "5"], ["--angular-nodes", "23"]])
+    def test_node_count_below_disc_minimum_is_usage_error(self, command, nodes, tmp_path):
+        # the disc rules use at least 6 radial and 24 angular nodes
+        assert run([*command, *nodes], tmp_path) == 1
+        assert not (tmp_path / f"{command[0]}_report.json").exists()
+
     def test_disc_log(self, tmp_path):
         code = run(["disc-log", "--levels", "10", "--radial-nodes", "10",
                     "--angular-nodes", "24", "--format", "csv"], tmp_path)

@@ -12,6 +12,7 @@ from fathartogs.kernel import (
     NearSingularError,
     SeriesDivergenceError,
     SeriesSpec,
+    _SERIES_BLOCK_ELEMENTS,
     basis_indices_by_weight,
     kernel_bound,
     kernel_bound_st,
@@ -26,6 +27,16 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
+
+
+def interior_invariants(k, n, seed):
+    """Invariants (s, t) with |t| in [0.05, 0.8] and |s|^k / |t| in [0, 0.8]."""
+    rng = np.random.default_rng(seed)
+    t_abs = rng.uniform(0.05, 0.8, n)
+    ratio = rng.uniform(0.0, 0.8, n)
+    t = t_abs * np.exp(2j * np.pi * rng.random(n))
+    s = (ratio * t_abs) ** (1.0 / k) * np.exp(2j * np.pi * rng.random(n))
+    return s, t
 
 
 def random_pairs(k, n, seed):
@@ -203,6 +214,62 @@ class TestKernelSeries:
             SeriesSpec(-1)
         with pytest.raises(ValueError):
             SeriesSpec(10, 0.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_term_by_term_sum(self, k):
+        # reference: every index of weight <= M summed on its own, the
+        # final shell being the terms of weight exactly M in absolute value
+        d, M = DomainSpec(k), 40
+        s, t = interior_invariants(k, 6, 20 + k)
+        vals, shell, _ = kernel_series_st(d, s, t, SeriesSpec(M))
+        for i in range(s.size):
+            ref, ref_shell = 0j, 0.0
+            for idx in basis_indices_by_weight(k, M):
+                n = idx.a2 + 1
+                term = ((idx.a1 + 1) * (idx.a1 + 1 + k * n) / (k * math.pi**2)
+                        * complex(s[i]) ** idx.a1 * complex(t[i]) ** idx.a2)
+                ref += term
+                if idx.weight(k) == M:
+                    ref_shell += abs(term)
+            assert abs(vals[i] - ref) <= 1e-13 * abs(ref)
+            assert abs(shell[i] - ref_shell) <= 1e-13 * ref_shell
+
+    def test_blocks_match_pointwise(self):
+        d, spec = DomainSpec(2), SeriesSpec(40)
+        block = _SERIES_BLOCK_ELEMENTS // (spec.max_degree + 1)
+        n = 2 * block + 7
+        assert n % block != 0
+        s, t = interior_invariants(2, n, 31)
+        vals, shell, _ = kernel_series_st(d, s, t, spec)
+        for i in range(n):
+            v, sh, _ = kernel_series_st(d, s[i], t[i], spec)
+            assert v == vals[i] and sh == shell[i]
+
+    def test_keeps_broadcast_and_scalar_shapes(self):
+        d, spec = DomainSpec(2), SeriesSpec(20)
+        s, t = interior_invariants(2, 32 * 32 * 8, 41)
+        S, T = s.reshape(32, 32, 8, 1), t[: 32 * 8].reshape(32, 1, 1, 8)
+        vals, shell, _ = kernel_series_st(d, S, T, spec)
+        assert vals.shape == shell.shape == (32, 32, 8, 8)
+        S_b, T_b = np.broadcast_arrays(S, T)
+        flat, _, _ = kernel_series_st(d, S_b.ravel(), T_b.ravel(), spec)
+        assert np.array_equal(vals.ravel(), flat)
+        vals, shell, _ = kernel_series_st(d, 0.1 + 0.1j, 0.5, spec)
+        assert vals.shape == shell.shape == ()
+
+    def test_zero_of_the_kernel(self):
+        # k = 3, s = 0: the numerator 2t^2 + t vanishes at t = -1/2, where
+        # the rows are of order 1; the sum must cancel to the value's scale
+        vals, _, _ = kernel_series_st(DomainSpec(3), 0j, -0.5 + 0j, SeriesSpec(700))
+        assert abs(vals) < 1e-30
+
+    def test_near_singular_t(self):
+        d = DomainSpec(1)
+        with pytest.raises(NearSingularError) as exc:
+            kernel_series_st(d, np.array([0.1, 0.2]), np.array([0.3, 0.0]), SeriesSpec(40))
+        assert exc.value.factor == "t" and exc.value.min_abs == 0.0
+        with pytest.raises(NearSingularError):
+            kernel_series_st(d, 0.0, 1e-13 + 0j, SeriesSpec(40))
 
 
 class TestKernelBound:
