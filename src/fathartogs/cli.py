@@ -41,6 +41,7 @@ class _Parser(argparse.ArgumentParser):
     # spec'd exit code for bad flags is 1, not argparse's default 2
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -147,6 +148,13 @@ def _at_least(floor: int):
     return parse
 
 
+def _offset(text: str) -> float:
+    """A boundary offset in (0, 0.5), the range ``QuadratureSpec`` accepts."""
+    if not 0.0 < float(text) < 0.5:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 0.5), got {text}")
+    return float(text)
+
+
 _DEFAULT_FAMILY = "0,0:0,1;1,0:0,0;0,0:1,0;1,1:0,1;0,1:0,0;2,0:0,1"
 
 
@@ -166,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="'csv' additionally writes the flat sample table")
 
     # quadrature flags go only to the commands that read them
-    def node_counts(p, radial=int, angular=int):
+    # QuadratureSpec rejects node counts below 2
+    def node_counts(p, radial=_at_least(2), angular=_at_least(2)):
         p.add_argument("--radial-nodes", type=radial, default=10)
         p.add_argument("--angular-nodes", type=angular, default=24)
 
@@ -185,8 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="Schur-test verification at one exponent")
     common(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--tolerance", type=float, default=0.02)
+    p.add_argument("--levels", type=_at_least(2), default=6)
 
     p = sub.add_parser("calculus1", help="weighted disc-integral plateau check")
     common(p, needs_k=False)
@@ -216,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project one monomial both ways")
     common(p)
     node_counts(p)
-    p.add_argument("--boundary-offset", type=float, default=1e-6)
+    p.add_argument("--boundary-offset", type=_offset, default=1e-6)
     p.add_argument("--strategy", choices=["tensor_polar", "monte_carlo", "stratified_mc"],
                    default="tensor_polar")
     p.add_argument("--mc-samples", type=int, default=200_000)
@@ -241,7 +249,7 @@ def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
     s_abs = (ratio[None, :, None, None] * t_abs[:, None, None, None]) ** (1.0 / k)
     S = s_abs * np.exp(1j * th_s[None, None, :, None])
     closed = kernel.kernel_closed_st(d, S, T)
-    spec = kernel.SeriesSpec(max_degree=250 + 150 * k, tolerance=1e-8)
+    spec = kernel.SeriesSpec(max_degree=250 + 150 * k)
     series, shell, degree = kernel.kernel_series_st(d, S, T, spec)
     rel = np.abs(closed - series) / np.abs(closed)
     max_rel = float(np.max(rel))
@@ -308,8 +316,7 @@ def _dispatch(args) -> tuple[dict, int]:
                 "verdict": verdict, "expected_violation": False}
     elif args.command == "schur":
         d = geometry.DomainSpec(args.k)
-        cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels,
-                                   tolerance=args.tolerance)
+        cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels)
         rep = analysis.verify_schur(d, cfg)
         body = dataclasses.asdict(rep)
     elif args.command == "calculus1":

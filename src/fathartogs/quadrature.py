@@ -9,8 +9,8 @@ Three integration paths back every verification experiment:
   (0,1) x (0,1) x [0,2pi)^2 and the Jacobian is u v^(1+2/k) -- panels
   are geometrically graded toward the delta-offset boundary so that
   algebraic endpoint behavior costs log(1/delta) panels, not accuracy;
-* Monte Carlo (plain and stratified) via inverse-CDF sampling of the
-  same box coordinates.
+* Monte Carlo via inverse-CDF sampling of the same box coordinates,
+  stratified over the (u, v) square; plain Monte Carlo is one stratum.
 
 A separate engine integrates kernel-weighted densities over the unit
 disc, with Gauss-Jacobi end rules absorbing the r^(-beta) singularity at
@@ -37,6 +37,7 @@ __all__ = [
     "IntegrandEvaluationError",
     "radial_moment",
     "integrate",
+    "tensor_sum",
     "disc_integral_I",
     "disc_kernel_moment",
     "gauss_rule",
@@ -216,48 +217,65 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # ----------------------------------------------------------------------
 # tensor-product quadrature over the domain core
 
+def tensor_sum(axes, f: Callable, *, axis: int, budget: int):
+    """Sum of ``f * w`` over the product grid of 1-d rules.
+
+    ``axes`` holds one ``(nodes, weights)`` pair per dimension; ``f``
+    receives the node arrays, each shaped to broadcast along its own
+    dimension, and returns values elementwise.  ``w`` is the product of
+    the weights in axis order.  The grid is summed in blocks along
+    ``axis`` of at most ``budget`` entries (one node at least), so only
+    one block of the grid is ever held in memory.
+    """
+    nodes, weights = zip(*axes)
+    sizes = [x.size for x in nodes]
+    block = max(1, budget // (math.prod(sizes) // sizes[axis]))
+
+    def on_grid(arrays, part):
+        return [a[part if i == axis else slice(None)].reshape(
+                    [-1 if j == i else 1 for j in range(len(arrays))])
+                for i, a in enumerate(arrays)]
+
+    total = 0.0
+    for i0 in range(0, sizes[axis], block):
+        part = slice(i0, i0 + block)
+        try:
+            vals = f(*on_grid(nodes, part))
+        except Exception as exc:  # propagate with location
+            x = nodes[axis][part]
+            raise IntegrandEvaluationError(
+                f"integrand failed on the block of axis {axis} with nodes in "
+                f"[{x[0]:.6g}, {x[-1]:.6g}]"
+            ) from exc
+        total += np.sum(vals * math.prod(on_grid(weights, part)))
+    return total
+
+
+def _box_to_z(d: DomainSpec, u, v, th1, th2):
+    """The point (z1, z2) at box coordinates (u, v, theta1, theta2)."""
+    return u * v ** (1.0 / d.k) * np.exp(1j * th1), v * np.exp(1j * th2)
+
+
 def _core_axes(d: DomainSpec, spec: QuadratureSpec, order: int, n_ang: int):
+    """The (u, v, theta1, theta2) rules; the Jacobian u v^(1+2/k) is in the weights."""
     # the v -> 0 panels track the offset itself (negative z2-powers live
     # there); the u -> 1 and v -> 1 gradings stop at 1e-4, enough for the
     # integrable edge behavior the operation contracts cover
     delta = spec.boundary_offset
     top = 1.0 - delta
-    u = _join(gauss_rule(0.0, 0.75, order),
-              graded_rule(0.75, top, order, toward="upper", floor=max(delta, 1e-4), ratio=8.0))
-    v = _join(graded_rule(delta, 0.5, order, toward="lower", floor=delta * 8.0, ratio=16.0),
-              graded_rule(0.5, top, order, toward="upper", floor=max(delta * 8.0, 1e-4), ratio=8.0))
-    return u, v, angle_rule(n_ang), angle_rule(n_ang)
+    u, wu = _join(gauss_rule(0.0, 0.75, order),
+                  graded_rule(0.75, top, order, toward="upper", floor=max(delta, 1e-4), ratio=8.0))
+    v, wv = _join(graded_rule(delta, 0.5, order, toward="lower", floor=delta * 8.0, ratio=16.0),
+                  graded_rule(0.5, top, order, toward="upper", floor=max(delta * 8.0, 1e-4), ratio=8.0))
+    return (u, u * wu), (v, v ** (1.0 + 2.0 / d.k) * wv), angle_rule(n_ang), angle_rule(n_ang)
 
 
 def _tensor_value(d: DomainSpec, f: Callable, spec: QuadratureSpec,
                   order: int, n_ang: int) -> complex:
-    (u, wu), (v, wv), (th1, w1), (th2, w2) = _core_axes(d, spec, order, n_ang)
-    e1 = np.exp(1j * th1)
-    e2 = np.exp(1j * th2)
-    jac_v = v ** (1.0 + 2.0 / d.k) * wv
-    r1_scale = v ** (1.0 / d.k)
-    total = 0.0 + 0.0j
-    # block along u to bound the temporary 4-d arrays
-    block = max(1, int(4_000_000 // max(1, v.size * n_ang * n_ang)))
-    for i0 in range(0, u.size, block):
-        uu = u[i0 : i0 + block]
-        # z1, z2 are mutually broadcastable; integrands combine them
-        # elementwise so the full 4-d grid only materializes in vals * w4
-        z1 = (uu[:, None, None, None] * r1_scale[None, :, None, None]) \
-            * e1[None, None, :, None]
-        z2 = v[None, :, None, None] * e2[None, None, None, :]
-        try:
-            vals = np.asarray(f(z1, z2))
-        except Exception as exc:  # propagate with location
-            raise IntegrandEvaluationError(
-                f"integrand failed on block u in [{uu[0]:.6g}, {uu[-1]:.6g}]"
-            ) from exc
-        w4 = ((uu * wu[i0 : i0 + block])[:, None, None, None]
-              * jac_v[None, :, None, None]
-              * w1[None, None, :, None]
-              * w2[None, None, None, :])
-        total += np.sum(vals * w4)
-    return complex(total)
+    # blocks along u bound the temporary 4-d arrays
+    return complex(tensor_sum(_core_axes(d, spec, order, n_ang),
+                              lambda *box: f(*_box_to_z(d, *box)),
+                              axis=0, budget=4_000_000))
 
 
 def _core_volume(d: DomainSpec, delta: float) -> float:
@@ -274,32 +292,17 @@ def _mc_points(d: DomainSpec, delta: float, uu: np.ndarray, uv: np.ndarray,
     v = (delta**c + uv * ((1.0 - delta) ** c - delta**c)) ** (1.0 / c)
     th1 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
     th2 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
-    z1 = u * v ** (1.0 / d.k) * np.exp(1j * th1)
-    z2 = v * np.exp(1j * th2)
-    return z1, z2
-
-
-def _monte_carlo(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResult:
-    rng = np.random.default_rng(spec.seed)
-    delta = spec.boundary_offset
-    vol = _core_volume(d, delta)
-    z1, z2 = _mc_points(d, delta, rng.random(spec.mc_samples),
-                        rng.random(spec.mc_samples), rng)
-    try:
-        vals = np.asarray(f(z1, z2)) + np.zeros(spec.mc_samples)
-    except Exception as exc:
-        raise IntegrandEvaluationError("integrand failed on Monte Carlo batch") from exc
-    mean = complex(np.mean(vals))
-    sd = float(np.std(vals)) / math.sqrt(spec.mc_samples)
-    value = mean * vol if np.iscomplexobj(vals) else mean.real * vol
-    return IntegralResult(value, sd * vol)
+    return _box_to_z(d, u, v, th1, th2)
 
 
 def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResult:
+    """Monte Carlo over n x n equal-volume strata of the (u, v) square;
+    plain Monte Carlo is the single stratum n = 1."""
     rng = np.random.default_rng(spec.seed)
     delta = spec.boundary_offset
     vol = _core_volume(d, delta)
-    n_side = int(np.clip(math.isqrt(max(spec.mc_samples // 32, 1)), 2, 48))
+    n_side = (1 if spec.strategy == "monte_carlo"
+              else int(np.clip(math.isqrt(max(spec.mc_samples // 32, 1)), 2, 48)))
     per_cell = max(spec.mc_samples // (n_side * n_side), 1)
     cell_vol = vol / (n_side * n_side)
     total = 0.0 + 0.0j
@@ -332,9 +335,7 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResul
     Carlo strategies report the standard error and are deterministic for
     a fixed seed.
     """
-    if spec.strategy == "monte_carlo":
-        return _monte_carlo(d, f, spec)
-    if spec.strategy == "stratified_mc":
+    if spec.strategy != "tensor_polar":
         return _stratified_mc(d, f, spec)
     fine = _tensor_value(d, f, spec, spec.radial_nodes, spec.angular_nodes)
     coarse = _tensor_value(d, f, spec, max(spec.radial_nodes - 3, 2),

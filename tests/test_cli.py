@@ -110,6 +110,21 @@ class TestExitCodes:
         assert run([*argv, "--radial-nodes", "12"], tmp_path) == 1
         assert not (tmp_path / f"{argv[0]}_report.json").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["calculus1", "--eps", "0.5", "--radial-nodes", "5"], "must be at least 6"),
+        (["project", "--k", "1", "--radial-nodes", "1"], "must be at least 2"),
+        (["project", "--k", "1", "--boundary-offset", "0.7"], "must lie in (0, 0.5)"),
+        (["schur", "--k", "2", "--eps", "0.75", "--levels", "1"], "must be at least 2"),
+        (["schur", "--k", "2", "--eps", "0.75", "--tolerance", "0.9"],
+         "unrecognized arguments: --tolerance"),
+    ])
+    def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
+                                                        capsys):
+        assert run(argv, tmp_path) == 1
+        assert not (tmp_path / f"{argv[0]}_report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fathartogs") and message in err
+
     def test_numerical_failure_is_two(self, tmp_path):
         # k below 1 is rejected by the domain construction
         assert run(["range", "--k", "0.5"], tmp_path) == 2

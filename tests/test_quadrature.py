@@ -1,6 +1,7 @@
 """Tests for moments, core quadrature, Monte Carlo, and the disc engine."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from fathartogs.quadrature import (
     DivergentIntegralError,
     IntegrandEvaluationError,
     QuadratureSpec,
+    angle_rule,
     disc_integral_I,
     disc_kernel_moment,
+    gauss_rule,
     graded_breaks,
     graded_rule,
     integrate,
     panel_rule,
     radial_moment,
+    tensor_sum,
 )
 
 
@@ -130,6 +134,48 @@ class TestTensorIntegrate:
 
         with pytest.raises(IntegrandEvaluationError, match="block"):
             integrate(d, bad, spec)
+
+
+class TestTensorSum:
+    AXES = (gauss_rule(0.0, 1.0, 7), gauss_rule(0.5, 2.0, 5), angle_rule(6))
+
+    @staticmethod
+    def f(x, y, t):
+        return np.exp(1j * t) * np.cos(x * y) + x / y
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_blocks_agree_with_one_block(self, axis):
+        sizes = [x.size for x, _ in self.AXES]
+        rest = math.prod(sizes) // sizes[axis]
+        calls = []
+
+        def counted(*nodes):
+            calls.append(nodes[axis].size)
+            return self.f(*nodes)
+
+        whole = tensor_sum(self.AXES, self.f, axis=axis, budget=10**9)
+        blocked = tensor_sum(self.AXES, counted, axis=axis, budget=2 * rest)
+        assert calls == [2] * (sizes[axis] // 2) + [1] * (sizes[axis] % 2)
+        assert abs(blocked - whole) <= 1e-15 * abs(whole)
+
+    def test_one_block_is_the_plain_weighted_sum(self):
+        (x, wx), (y, wy), (t, wt) = self.AXES
+        grid = self.f(x[:, None, None], y[None, :, None], t[None, None, :])
+        plain = np.sum(grid * np.multiply.outer(np.outer(wx, wy), wt))
+        assert tensor_sum(self.AXES, self.f, axis=0, budget=10**9) == plain
+
+    def test_failure_names_the_block(self):
+        x = self.AXES[0][0]
+        rest = self.AXES[1][0].size * self.AXES[2][0].size
+
+        def bad(xx, y, t):
+            if np.any(xx == x[4]):
+                raise FloatingPointError("boom")
+            return self.f(xx, y, t)
+
+        where = re.escape(f"[{x[4]:.6g}, {x[5]:.6g}]")
+        with pytest.raises(IntegrandEvaluationError, match=where):
+            tensor_sum(self.AXES, bad, axis=0, budget=2 * rest)
 
 
 class TestMonteCarlo:
