@@ -17,12 +17,10 @@ from .geometry import (
     boundary_ladder,
     contains,
     rejection_sample_uniform,
-    sample_points,
     sample_uniform,
     volume,
 )
 from .kernel import (
-    KernelArgs,
     MultiIndex,
     NearSingularError,
     SeriesDivergenceError,
@@ -38,7 +36,6 @@ from .projection import (
     NonIntegrableInputError,
     ProjectedMonomial,
     basis_norm_sq,
-    lp_norm,
     project_monomial,
     project_numeric,
 )
@@ -47,7 +44,6 @@ from .quadrature import (
     IntegralResult,
     IntegrandEvaluationError,
     QuadratureSpec,
-    disc_integral_I,
     integrate,
     radial_moment,
 )

@@ -34,9 +34,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
+from scipy import special
 
 from .geometry import DomainSpec, Point2, aux_h, boundary_ladder
-from .kernel import kernel_abs_polar, poly_p, poly_q
+from .kernel import kernel_abs_polar
 from .projection import MonomialInput, project_monomial
 from .quadrature import (
     DivergentIntegralError,
@@ -235,7 +236,8 @@ def _u_rule(k: int, delta: float, *, floor: float):
 
 
 def _u_factor(k: int, delta: float, *, cut: Optional[float] = None) -> float:
-    """int_0^(1 or 1-cut) u (1 - u^(2k))^(-delta) du."""
+    """int_0^(1 or 1-cut) u (1 - u^(2k))^(-delta) du; without a cut, exactly
+    B(1/k, 1-delta) / (2k) (substitute x = u^(2k))."""
     if cut is not None:
         top = 1.0 - cut
         u, w = graded_rule(0.0, top, _U_ORDER, toward="upper", floor=min(cut, top / 4))
@@ -245,7 +247,7 @@ def _u_factor(k: int, delta: float, *, cut: Optional[float] = None) -> float:
             "inner-boundary edge integral diverges: need edge exponent "
             f"delta < 1 for (1-u^(2k))^(-delta) to be integrable, got delta = {delta}"
         )
-    return float(np.sum(_u_rule(k, delta, floor=1e-3)[1]))
+    return float(special.beta(1.0 / k, 1.0 - delta)) / (2 * k)
 
 
 def _v_axis(k: float, eps: float, delta: float, y: float, v0: float, *,
@@ -285,11 +287,7 @@ def _schur_value_axis_free(d: DomainSpec, y: float, eps: float, delta: float, v0
     u_int = _u_factor(k, delta, cut=cut)
     v, wv = _v_axis(k, eps, delta, y, v0, cut=cut)
     psi, wpsi = _psi_axis(max(1.0 - y, 1e-6))
-    t = y * np.outer(v, np.exp(-1j * psi))
-    p0 = float(np.real(poly_p(k, 0.0)))
-    q0 = float(np.real(poly_q(k, 0.0)))
-    # |B| at s=0 reduces to |p(0) t + q(0)| / (k pi^2 |1-t|^2 |t|)
-    a = np.abs(p0 * t + q0) / (k * math.pi**2 * np.abs(1.0 - t) ** 2 * y * v[:, None])
+    a = kernel_abs_polar(d, 0.0, y, 0.0, v[:, None], 0.0, psi[None, :])
     w_int = float(wv @ a @ wpsi)
     return 2.0 * math.pi * u_int * w_int
 
@@ -324,16 +322,13 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float,
 class SchurConfig:
     """Configuration of the Schur-test verification experiment.
 
-    ``a`` and ``b`` are the exponent-window endpoints used for reporting;
-    the canonical instance is a = 1/2, b = (k+2)/(2k), which reproduces
-    the critical range.  ``eps`` is the corner exponent actually tested;
-    the edge exponent of the weight follows from it (see
-    :func:`_edge_exponent`).
+    ``eps`` is the corner exponent tested; the edge exponent of the
+    weight follows from it (see :func:`_edge_exponent`).  The report
+    compares it with the window [1/2, (k+2)/(2k)), which reproduces the
+    critical range.
     """
 
     eps: float
-    a: float = 0.5
-    b: Optional[float] = None
     ladder_levels: int = 6
 
     def __post_init__(self) -> None:
@@ -341,8 +336,6 @@ class SchurConfig:
             raise ValueError(f"eps must lie in (0, 2), got {self.eps}")
         if self.ladder_levels < 2:
             raise ValueError("ladder_levels must be >= 2")
-        if self.b is not None and not self.a < self.b:
-            raise ValueError("need a < b")
 
 
 # delta at or above this level is sent to the edge-cut ladder
@@ -397,13 +390,13 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     k = d.k_int()
     eps = cfg.eps
     delta = _edge_exponent(k, eps)
-    b = cfg.b if cfg.b is not None else (k + 2) / (2 * k)
-    in_stated_range = cfg.a <= eps < b
+    b = (k + 2) / (2 * k)
+    in_stated_range = 0.5 <= eps < b
     params = {
         "k": k,
         "eps": eps,
         "edge_exponent": delta,
-        "a": cfg.a,
+        "a": 0.5,
         "b": b,
         "in_stated_range": in_stated_range,
         "ladder_levels": cfg.ladder_levels,

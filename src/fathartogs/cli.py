@@ -123,6 +123,8 @@ def _parse_deltas(text: str) -> list[float]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
+        if not (lo > 0.0 and hi > 0.0):
+            raise ValueError(f"range ends must be positive, got {text}")
         n = int(round(abs(np.log10(hi) - np.log10(lo)))) + 1
         return list(np.geomspace(lo, hi, n))
     return [float(x) for x in text.split(",") if x.strip()]
@@ -146,6 +148,18 @@ def _at_least(floor: int):
         return value
 
     return parse
+
+
+def _deltas(text: str) -> str:
+    """A ``--deltas`` value naming at least the 4 core offsets in (0, 1)
+    that growth classification needs; the text itself is kept, as the
+    report's config records the flag as given."""
+    deltas = _parse_deltas(text)
+    if len(deltas) < 4:
+        raise argparse.ArgumentTypeError(f"need at least 4 deltas, got {len(deltas)}")
+    if not all(0.0 < x < 1.0 for x in deltas):
+        raise argparse.ArgumentTypeError(f"deltas must lie in (0, 1), got {text}")
+    return text
 
 
 def _offset(text: str) -> float:
@@ -185,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
-    p.add_argument("--grid", type=int, default=16)
+    p.add_argument("--grid", type=_at_least(2), default=16)
     p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = sub.add_parser("range", help="critical range and Schur-window algebra")
@@ -201,18 +215,18 @@ def build_parser() -> argparse.ArgumentParser:
     node_counts(p, *disc_counts)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--levels", type=int, default=12)
+    p.add_argument("--levels", type=_at_least(4), default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
     common(p, needs_k=False)
     node_counts(p, *disc_counts)
-    p.add_argument("--levels", type=int, default=12)
+    p.add_argument("--levels", type=_at_least(4), default=12)
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")
     common(p)
     p.add_argument("--p-grid", type=str, default="",
                    help="comma list of exponents p to classify")
-    p.add_argument("--deltas", type=str, default="1e-2..1e-10",
+    p.add_argument("--deltas", type=_deltas, default="1e-2..1e-10",
                    help="core offsets, '1e-2..1e-10' or comma list")
 
     p = sub.add_parser("probe", help="norm-ratio probe over a monomial family")
@@ -227,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary-offset", type=_offset, default=1e-6)
     p.add_argument("--strategy", choices=["tensor_polar", "monte_carlo", "stratified_mc"],
                    default="tensor_polar")
-    p.add_argument("--mc-samples", type=int, default=200_000)
+    p.add_argument("--mc-samples", type=_at_least(1), default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--f", type=str, default="0,0:0,1",
                    help="monomial input 'a1,a2:b1,b2'")

@@ -27,7 +27,6 @@ __all__ = [
     "volume",
     "aux_h",
     "sample_uniform",
-    "sample_points",
     "rejection_sample_uniform",
     "boundary_ladder",
 ]
@@ -130,12 +129,6 @@ def sample_uniform(
     th1 = rng.uniform(0.0, 2.0 * math.pi, n)
     th2 = rng.uniform(0.0, 2.0 * math.pi, n)
     return r1 * np.exp(1j * th1), r2 * np.exp(1j * th2)
-
-
-def sample_points(d: DomainSpec, n: int, seed: int) -> list[Point2]:
-    """As :func:`sample_uniform` but materialized as ``Point2`` objects."""
-    z1, z2 = sample_uniform(d, n, seed)
-    return [Point2(complex(a), complex(b)) for a, b in zip(z1, z2)]
 
 
 def rejection_sample_uniform(

@@ -24,13 +24,7 @@ import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
 from .kernel import MultiIndex, kernel_closed_st
-from .quadrature import (
-    DivergentIntegralError,
-    IntegralResult,
-    QuadratureSpec,
-    integrate,
-    radial_moment,
-)
+from .quadrature import DivergentIntegralError, QuadratureSpec, integrate, radial_moment
 
 __all__ = [
     "MonomialInput",
@@ -40,7 +34,6 @@ __all__ = [
     "basis_norm_sq",
     "project_monomial",
     "project_numeric",
-    "lp_norm",
 ]
 
 
@@ -146,21 +139,3 @@ def project_numeric(
 
     return complex(integrate(d, g, spec).value)
 
-
-def lp_norm(d: DomainSpec, f: Callable, p: float, spec: QuadratureSpec) -> IntegralResult:
-    """Delta-core approximation of the L^p norm of f, with error estimate.
-
-    For monomial-modulus integrands the exact value is available from
-    :func:`fathartogs.quadrature.radial_moment`; that closed form is the
-    oracle the quadrature path is tested against.
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-
-    def g(z1, z2):
-        return np.abs(f(z1, z2)) ** p
-
-    res = integrate(d, g, spec)
-    value = float(np.real(res.value)) ** (1.0 / p)
-    err = res.error_estimate * value ** (1.0 - p) / p if value > 0 else res.error_estimate
-    return IntegralResult(value, err)

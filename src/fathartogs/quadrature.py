@@ -38,14 +38,11 @@ __all__ = [
     "radial_moment",
     "integrate",
     "tensor_sum",
-    "disc_integral_I",
     "disc_kernel_moment",
     "gauss_rule",
     "panel_rule",
     "graded_breaks",
     "graded_rule",
-    "jacobi_left_rule",
-    "jacobi_right_rule",
     "angle_rule",
 ]
 
@@ -141,28 +138,19 @@ def graded_breaks(a: float, b: float, *, toward: str, floor: float, ratio: float
     raise ValueError("toward must be 'lower' or 'upper'")
 
 
-def jacobi_left_rule(a: float, b: float, expo: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule for integrals int_a^b (x-a)^expo g(x) dx with expo > -1.
+def _jacobi_end_rule(a: float, b: float, expo: float, n: int, *,
+                     toward: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rule for int_a^b (x-a)^expo g(x) dx (``toward="lower"``) or
+    int_a^b (b-x)^expo g(x) dx (``toward="upper"``), expo > -1.
 
-    The weight (x-a)^expo is folded into the returned weights, so the
-    caller evaluates only the smooth remainder g.
+    The end weight is folded into the returned weights, so the caller
+    evaluates only the smooth remainder g.
     """
     if expo <= -1.0:
         raise DivergentIntegralError(f"edge exponent must exceed -1, got {expo}")
     if expo == 0.0:
         return gauss_rule(a, b, n)
-    x, w = roots_jacobi(n, 0.0, expo)
-    h = (b - a) / 2.0
-    return a + h * (x + 1.0), w * h ** (expo + 1.0)
-
-
-def jacobi_right_rule(a: float, b: float, expo: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rule for integrals int_a^b (b-x)^expo g(x) dx with expo > -1."""
-    if expo <= -1.0:
-        raise DivergentIntegralError(f"edge exponent must exceed -1, got {expo}")
-    if expo == 0.0:
-        return gauss_rule(a, b, n)
-    x, w = roots_jacobi(n, expo, 0.0)
+    x, w = roots_jacobi(n, expo, 0.0) if toward == "upper" else roots_jacobi(n, 0.0, expo)
     h = (b - a) / 2.0
     return a + h * (x + 1.0), w * h ** (expo + 1.0)
 
@@ -181,12 +169,16 @@ def graded_rule(a: float, b: float, n: int, *, toward: str, floor: float,
         return panel_rule(graded_breaks(a, b, toward=toward, floor=floor, ratio=ratio), n)
     top = b - floor
     x, w = panel_rule(graded_breaks(a, top, toward=toward, floor=floor, ratio=ratio), n)
-    return _join((x, w * (b - x) ** edge), jacobi_right_rule(top, b, edge, n))
+    return _join((x, w * (b - x) ** edge), _jacobi_end_rule(top, b, edge, n, toward="upper"))
 
 
 def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic trapezoid rule on [0, 2pi), spectrally accurate for
-    periodic integrands."""
+    """Periodic trapezoid rule on [0, 2pi).
+
+    Spectrally accurate only for smooth periodic integrands; a kink, such
+    as |N| where a kernel numerator N vanishes, caps the convergence at
+    an algebraic rate.
+    """
     th = np.arange(n) * (2.0 * math.pi / n)
     return th, np.full(n, 2.0 * math.pi / n)
 
@@ -364,7 +356,7 @@ def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form
     floor = max(min((1.0 - a) / 8.0, 1e-2), 1e-13)
     r0 = 0.1
     # int_0^r0 r^(1-beta) g(r) dr = (1/2) int_0^(r0^2) u^(-beta/2) g(sqrt u) du
-    un, uw = jacobi_left_rule(0.0, r0 * r0, -beta / 2.0, order)
+    un, uw = _jacobi_end_rule(0.0, r0 * r0, -beta / 2.0, order, toward="lower")
     rn = np.sqrt(un)
     rm, wm = graded_rule(r0, 1.0, order, toward="upper", floor=floor, edge=-eps)
     r, w = _join((rn, 0.5 * uw * (1.0 - rn) ** (-eps)), (rm, wm * rm ** (1.0 - beta)))
@@ -398,12 +390,3 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
     poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)
     return float(2.0 * wr @ poisson @ wth)
 
-
-def disc_integral_I(eps: float, beta: float, z: complex, spec: QuadratureSpec) -> float:
-    """The disc integral int_D (1-|w|^2)^(-eps) |w|^(-beta) / |1 - z conj(w)|^2 dV.
-
-    Hypotheses 0 < eps < 1, 0 <= beta < 2, |z| < 1 are enforced.
-    """
-    if not 0.0 < eps < 1.0:
-        raise DivergentIntegralError(f"need 0 < eps < 1, got eps = {eps}")
-    return disc_kernel_moment(abs(z), eps, beta, spec)

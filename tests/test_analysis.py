@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
 
 from fathartogs.geometry import DomainSpec
 from fathartogs.analysis import (
@@ -15,6 +16,7 @@ from fathartogs.analysis import (
     VerificationReport,
     _EDGE_CUT_LEVEL,
     _edge_exponent,
+    _u_factor,
     critical_range,
     divergence_scan,
     fit_loglog_slope,
@@ -198,8 +200,6 @@ class TestVerifySchur:
             SchurConfig(eps=0.0)
         with pytest.raises(ValueError):
             SchurConfig(eps=0.5, ladder_levels=1)
-        with pytest.raises(ValueError):
-            SchurConfig(eps=0.5, a=0.7, b=0.6)
 
     def test_above_window_grows(self):
         d = DomainSpec(2)
@@ -215,15 +215,6 @@ class TestVerifySchur:
         rep = verify_schur(d, SchurConfig(eps=0.93, ladder_levels=4))
         assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
         assert rep.parameters["divergence_edge"] == "singular corner v -> 0"
-
-    def test_edge_divergence_inside_stated_window_is_flagged(self):
-        # a window stated past (k+2)/(2k) takes in exponents whose edge
-        # factors are not integrable (k = 2: edge exponent = eps = 1.2);
-        # the measured growth is a genuine (unexpected) violation of it
-        d = DomainSpec(2)
-        rep = verify_schur(d, SchurConfig(eps=1.2, b=1.5, ladder_levels=4))
-        assert rep.verdict == VERDICT_VIOLATED and not rep.expected_violation
-        assert rep.parameters["divergence_edge"] == "boundary edges u -> 1 / v -> 1"
 
     def test_edge_exponent_rule(self):
         # below the edge-cut level and past the window: delta = eps
@@ -241,6 +232,18 @@ class TestVerifySchur:
         rep = verify_schur(DomainSpec(1), SchurConfig(eps=0.997, ladder_levels=6))
         assert rep.parameters["edge_exponent"] < _EDGE_CUT_LEVEL
         assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_u_factor_matches_algebraic_weight_quadrature(self, k):
+        # 1 - u^(2k) = (1-u) (1 + u + ... + u^(2k-1)); QUADPACK's algebraic
+        # weight takes the (1-u)^(-delta) end singularity
+        for delta in (0.5, 0.75, 0.9, 0.99):
+            ref, _ = sp_integrate.quad(
+                lambda u: u * np.polyval(np.ones(2 * k), u) ** (-delta), 0.0, 1.0,
+                weight="alg", wvar=(0.0, -delta), epsabs=0.0, epsrel=1e-13, limit=200)
+            assert _u_factor(k, delta) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        with pytest.raises(DivergentIntegralError):
+            _u_factor(k, 1.0)
 
     def test_report_passed_semantics(self):
         rep = VerificationReport("x", {}, verdict=VERDICT_CONSISTENT, tolerance=0.02)

@@ -117,6 +117,14 @@ class TestExitCodes:
         (["schur", "--k", "2", "--eps", "0.75", "--levels", "1"], "must be at least 2"),
         (["schur", "--k", "2", "--eps", "0.75", "--tolerance", "0.9"],
          "unrecognized arguments: --tolerance"),
+        (["calculus1", "--eps", "0.5", "--levels", "1"], "must be at least 4"),
+        (["disc-log", "--levels", "1"], "must be at least 4"),
+        (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 4 deltas, got 1"),
+        (["divergence", "--k", "1", "--deltas", "0.5,1,2,3"], "must lie in (0, 1)"),
+        (["divergence", "--k", "1", "--deltas", "1e-2..0"], "invalid _deltas value"),
+        (["project", "--k", "1", "--strategy", "monte_carlo", "--mc-samples", "0"],
+         "must be at least 1"),
+        (["kernel-check", "--k", "2", "--grid", "1"], "must be at least 2"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):

@@ -17,7 +17,6 @@ from fathartogs.geometry import (
     boundary_ladder,
     contains,
     rejection_sample_uniform,
-    sample_points,
     sample_uniform,
     volume,
 )
@@ -174,11 +173,6 @@ class TestSampling:
                              ((np.abs(z2a) ** 2), (np.abs(z2b) ** 2))):
             se = math.hypot(float(np.std(arr_a)), float(np.std(arr_b))) / math.sqrt(arr_a.size)
             assert abs(float(np.mean(arr_a)) - float(np.mean(arr_b))) < 4 * se
-
-    def test_sample_points_wrapper(self):
-        d = DomainSpec(2)
-        pts = sample_points(d, 10, seed=0)
-        assert len(pts) == 10 and all(contains(d, p) for p in pts)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):

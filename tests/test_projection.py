@@ -19,7 +19,6 @@ from fathartogs.projection import (
     NonIntegrableInputError,
     ProjectionAccuracyWarning,
     basis_norm_sq,
-    lp_norm,
     project_monomial,
     project_numeric,
 )
@@ -167,36 +166,3 @@ class TestProjectNumeric:
         with pytest.raises(NonIntegerExponentError):
             project_numeric(DomainSpec(1.5), lambda w1, w2: w1, Point2(0.1, 0.5), SPEC)
 
-
-class TestLpNorm:
-    def test_constant_l2_norm(self):
-        d = DomainSpec(1)
-        res = lp_norm(d, lambda z1, z2: np.ones(()), 2.0, SPEC)
-        assert res.value == pytest.approx(math.sqrt(math.pi**2 / 2), rel=1e-5)
-
-    def test_inverse_z2_l2_norm(self):
-        d = DomainSpec(2)
-        res = lp_norm(d, lambda z1, z2: 1.0 / z2, 2.0, SPEC)
-        assert res.value == pytest.approx(math.sqrt(2 * math.pi**2), rel=1e-4)
-
-    def test_homogeneity(self):
-        d = DomainSpec(1)
-        f = lambda z1, z2: z1 * np.abs(z2)
-        base = lp_norm(d, f, 3.0, SPEC).value
-        scaled = lp_norm(d, lambda z1, z2: -2.5j * f(z1, z2), 3.0, SPEC).value
-        assert scaled == pytest.approx(2.5 * base, rel=1e-12)
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            lp_norm(DomainSpec(1), lambda z1, z2: z1, 0.5, SPEC)
-
-    def test_warns_on_unsaturated_mass(self):
-        # the p = 4 mass of 1/z2 on the k=1 domain diverges; the delta-core
-        # values keep growing as the offset shrinks
-        d = DomainSpec(1)
-        masses = [
-            lp_norm(d, lambda z1, z2: 1.0 / z2, 4.0,
-                    QuadratureSpec(radial_nodes=6, angular_nodes=6, boundary_offset=db)).value ** 4
-            for db in (1e-3, 1e-5, 1e-7)
-        ]
-        assert masses[1] / masses[0] > 1.3 and masses[2] / masses[1] > 1.3

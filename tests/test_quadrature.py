@@ -13,7 +13,6 @@ from fathartogs.quadrature import (
     IntegrandEvaluationError,
     QuadratureSpec,
     angle_rule,
-    disc_integral_I,
     disc_kernel_moment,
     gauss_rule,
     graded_breaks,
@@ -224,8 +223,8 @@ class TestMonteCarlo:
 class TestDiscIntegral:
     def test_center_values(self):
         spec = QuadratureSpec(radial_nodes=12, angular_nodes=24)
-        assert disc_integral_I(0.5, 0.0, 0j, spec) == pytest.approx(2 * math.pi, rel=1e-9)
-        assert disc_integral_I(0.5, 1.0, 0j, spec) == pytest.approx(math.pi**2, rel=1e-9)
+        assert disc_kernel_moment(0.0, 0.5, 0.0, spec) == pytest.approx(2 * math.pi, rel=1e-9)
+        assert disc_kernel_moment(0.0, 0.5, 1.0, spec) == pytest.approx(math.pi**2, rel=1e-9)
 
     def test_center_value_against_1d_quadrature(self):
         # I(0) = 2 pi int_0^1 r^(1-beta) (1-r^2)^(-eps) dr for any eps, beta
@@ -234,13 +233,7 @@ class TestDiscIntegral:
             ref, _ = sp_integrate.quad(
                 lambda r: 2 * math.pi * r ** (1 - beta) * (1 - r * r) ** (-eps), 0, 1
             )
-            assert disc_integral_I(eps, beta, 0j, spec) == pytest.approx(ref, rel=1e-8)
-
-    def test_rotation_invariance_in_z(self):
-        spec = QuadratureSpec(radial_nodes=10, angular_nodes=24)
-        a = disc_integral_I(0.4, 0.5, 0.6 + 0j, spec)
-        b = disc_integral_I(0.4, 0.5, 0.6 * np.exp(1.1j), spec)
-        assert a == pytest.approx(b, rel=1e-13)
+            assert disc_kernel_moment(0.0, eps, beta, spec) == pytest.approx(ref, rel=1e-8)
 
     def test_growth_matches_eps_power(self):
         spec = QuadratureSpec(radial_nodes=12, angular_nodes=32)
@@ -249,20 +242,20 @@ class TestDiscIntegral:
         for j in range(4, 11):
             a = 1.0 - 2.0**-j
             deltas.append(1 - a * a)
-            vals.append(disc_integral_I(eps, 0.0, a + 0j, spec))
+            vals.append(disc_kernel_moment(a, eps, 0.0, spec))
         slope = np.polyfit(np.log(deltas[2:]), np.log(vals[2:]), 1)[0]
         assert abs(-slope - eps) < 0.1 * eps
 
     def test_parameter_rejection(self):
         spec = QuadratureSpec()
         with pytest.raises(DivergentIntegralError):
-            disc_integral_I(0.0, 0.0, 0j, spec)
+            disc_kernel_moment(0.0, -0.1, 0.0, spec)
         with pytest.raises(DivergentIntegralError):
-            disc_integral_I(1.0, 0.0, 0j, spec)
+            disc_kernel_moment(0.0, 1.0, 0.0, spec)
         with pytest.raises(DivergentIntegralError):
-            disc_integral_I(0.5, 2.0, 0j, spec)
+            disc_kernel_moment(0.0, 0.5, 2.0, spec)
         with pytest.raises(ValueError):
-            disc_integral_I(0.5, 0.0, 1.0 + 0j, spec)
+            disc_kernel_moment(1.0, 0.5, 0.0, spec)
 
     def test_poisson_identity_weight_free(self):
         # int_D |1 - a conj(w)|^-2 dV = (pi/a^2) log(1/(1-a^2))
