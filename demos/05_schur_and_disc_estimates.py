@@ -7,7 +7,8 @@ grows exactly like (1-|z|^2)^(-eps), and without a weight it grows like
 eps < 0.995) stays comparable to that weight for eps in [1/2, (k+2)/(2k))
 -- and the exponent algebra of that window is exactly the sharp L^p
 interval.  Crossing the window's upper edge flips the
-measured behavior from saturation to growth.
+measured behavior from saturation to growth: past it the weight is
+|w2|^(-2 eps) alone, and its integral diverges at the singular corner.
 """
 
 from fractions import Fraction

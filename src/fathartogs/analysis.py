@@ -218,9 +218,8 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 # Offsets: the v -> 0 end carries the experiment's offset ladder (that
 # edge decides the Schur exponent window).  The u -> 1 and v -> 1 edges
 # are integrable uniformly over delta < 1 and are integrated to the
-# boundary with Gauss-Jacobi end rules; for delta >= 1 those edges are
-# genuinely divergent and are probed with an explicit cut ladder
-# instead.
+# boundary with Gauss-Jacobi end rules; the edge exponent rule keeps
+# delta below 1 for every corner exponent.
 
 _U_ORDER = 10
 _PSI_ORDER = 8
@@ -235,13 +234,9 @@ def _u_rule(k: int, delta: float, *, floor: float):
     return u, w * u * polyval(u, np.ones(2 * k)) ** (-delta)
 
 
-def _u_factor(k: int, delta: float, *, cut: Optional[float] = None) -> float:
-    """int_0^(1 or 1-cut) u (1 - u^(2k))^(-delta) du; without a cut, exactly
-    B(1/k, 1-delta) / (2k) (substitute x = u^(2k))."""
-    if cut is not None:
-        top = 1.0 - cut
-        u, w = graded_rule(0.0, top, _U_ORDER, toward="upper", floor=min(cut, top / 4))
-        return float(np.sum(w * u * (1.0 - u ** (2 * k)) ** (-delta)))
+def _u_factor(k: int, delta: float) -> float:
+    """int_0^1 u (1 - u^(2k))^(-delta) du, exactly B(1/k, 1-delta) / (2k)
+    (substitute x = u^(2k))."""
     if delta >= 1.0:
         raise DivergentIntegralError(
             "inner-boundary edge integral diverges: need edge exponent "
@@ -250,22 +245,16 @@ def _u_factor(k: int, delta: float, *, cut: Optional[float] = None) -> float:
     return float(special.beta(1.0 / k, 1.0 - delta)) / (2 * k)
 
 
-def _v_axis(k: float, eps: float, delta: float, y: float, v0: float, *,
-            cut: Optional[float] = None):
+def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
     """Radial nodes/weights on (v0, 1) with v^(1+2/k-2eps) (1-v^2)^(-delta)
-    folded in (Jacobi rim rule unless a cut is requested)."""
-    power = 1.0 + 2.0 / k - 2.0 * eps
-    vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
-    if cut is not None:
-        top = 1.0 - cut
-        v, w = _join((vlo, wlo), graded_rule(0.5, top, _U_ORDER, toward="upper",
-                                             floor=min(cut, (top - 0.5) / 4)))
-        return v, w * v**power * (1.0 - v**2) ** (-delta)
+    folded in (Jacobi rim rule)."""
     if delta >= 1.0:
         raise DivergentIntegralError(
             "outer-boundary edge integral diverges: need edge exponent "
             f"delta < 1 for (1-v^2)^(-delta) to be integrable, got delta = {delta}"
         )
+    power = 1.0 + 2.0 / k - 2.0 * eps
+    vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
     f_v = max(min((1.0 - y) / 8.0, 1e-3), 1e-13)
     vhi, whi = graded_rule(0.5, 1.0, _U_ORDER, toward="upper", floor=f_v, edge=-delta)
     v, w = _join((vlo, wlo * (1.0 - vlo) ** (-delta)), (vhi, whi))
@@ -280,12 +269,12 @@ def _psi_axis(scale: float):
     return psi, 2.0 * w
 
 
-def _schur_value_axis_free(d: DomainSpec, y: float, eps: float, delta: float, v0: float,
-                           cut: Optional[float] = None) -> float:
+def _schur_value_axis_free(d: DomainSpec, y: float, eps: float, delta: float,
+                           v0: float) -> float:
     """I(z) for z = (0, y): separable u-factor times a 2-d (v, psi) integral."""
     k = d.k_int()
-    u_int = _u_factor(k, delta, cut=cut)
-    v, wv = _v_axis(k, eps, delta, y, v0, cut=cut)
+    u_int = _u_factor(k, delta)
+    v, wv = _v_axis(k, eps, delta, y, v0)
     psi, wpsi = _psi_axis(max(1.0 - y, 1e-6))
     a = kernel_abs_polar(d, 0.0, y, 0.0, v[:, None], 0.0, psi[None, :])
     w_int = float(wv @ a @ wpsi)
@@ -305,13 +294,10 @@ def _schur_value_full(d: DomainSpec, x: float, y: float, eps: float, delta: floa
         axis=1, budget=3_000_000))
 
 
-def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float,
-                 cut: Optional[float] = None) -> float:
+def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
-        return _schur_value_axis_free(d, y, eps, delta, v0, cut=cut)
-    if cut is not None:
-        raise NotImplementedError("edge-cut ladders are probed on the z1 = 0 axis")
+        return _schur_value_axis_free(d, y, eps, delta, v0)
     return _schur_value_full(d, x, y, eps, delta, v0)
 
 
@@ -338,8 +324,9 @@ class SchurConfig:
             raise ValueError("ladder_levels must be >= 2")
 
 
-# delta at or above this level is sent to the edge-cut ladder
-_EDGE_CUT_LEVEL = 0.995
+# the edge exponent stays below this level; in-window corner exponents at
+# or above it get a rescaled edge exponent instead of delta = eps
+_EDGE_RESCALE_LEVEL = 0.995
 _EDGE_EXPONENT_CAP = 0.99
 
 
@@ -348,24 +335,30 @@ def _edge_exponent(k: int, eps: float) -> float:
 
     The window [1/2, b), b = (k+2)/(2k), constrains the corner factor
     |w2|^(-2 eps) only; the edge factors [(1-u^(2k)) (1-v^2)]^(-delta)
-    need delta < 1.  delta = eps (the weight h^-eps) wherever eps lies
-    below the edge-cut level or past the window.  Inside the window at or
-    above that level (k = 1: [0.995, 3/2); k = 2: [0.995, 1)),
-    delta = min(eps / b, 0.99), which stays below the edge-cut level.  For
-    k = 1 the map (z1, z2) -> (z1/z2, z2) takes Omega_1 onto D x D*, where
-    the weighted estimate splits into two disc lemmas: edge exponent delta
-    with beta = 0 on the z1/z2 disc and with beta = 2 eps - 1 in [0, 2) on
-    the z2 disc, so any delta in (0, 1) serves there.
+    need delta < 1.  Three cases:
+
+    * eps below the rescale level 0.995 and below b: delta = eps (the
+      weight h^-eps);
+    * eps in the window at or above that level (k = 1: [0.995, 3/2);
+      k = 2: [0.995, 1)): delta = min(eps / b, 0.99);
+    * eps >= b: delta = 0, the pure corner weight, whose integral
+      diverges at the singular corner alone.
+
+    For k = 1 the map (z1, z2) -> (z1/z2, z2) takes Omega_1 onto D x D*,
+    where the weighted estimate splits into two disc lemmas: edge exponent
+    delta with beta = 0 on the z1/z2 disc and with beta = 2 eps - 1 in
+    [0, 2) on the z2 disc, so any delta in (0, 1) serves there.
     """
     b = (k + 2) / (2 * k)
-    if _EDGE_CUT_LEVEL <= eps < b:
+    if eps >= b:
+        return 0.0
+    if eps >= _EDGE_RESCALE_LEVEL:
         return min(eps / b, _EDGE_EXPONENT_CAP)
     return eps
 
 
 _PROBE_POINT = Point2(0j, 0.6 + 0j)
 _V0_PROBE_LADDER = tuple(10.0 ** -np.arange(2, 13))
-_EDGE_CUT_LADDER = tuple(10.0 ** -np.arange(2, 8))
 _V0_WORK_AXIS = 1e-16
 _V0_WORK_FULL = 1e-8
 
@@ -375,17 +368,16 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
 
     W(w) = |w2|^(-2 eps) [(1-u^(2k)) (1-v^2)]^(-delta), u = |w1|/|w2|^(1/k),
     v = |w2|, with corner exponent eps and edge exponent
-    delta = _edge_exponent(k, eps), recorded as the report's
+    delta = _edge_exponent(k, eps) < 1, recorded as the report's
     ``edge_exponent``; for delta = eps, W = h^(-eps).
 
     Protocol: first classify the quadrature-offset ladder of the full
     integral at a fixed probe point (growth there means the integral
     itself diverges at the singular corner, which is the expected failure
-    mode for eps at or above (k+2)/(2k); for delta >= 1 the divergence
-    instead sits on the inner/outer boundary edges and is probed with an
-    explicit edge-cut ladder).  If the integral saturates, the ratio
-    I(z) / W(z) is computed along the three boundary ladders and the
-    verdict is "consistent" exactly when every ladder of ratios saturates.
+    mode for eps at or above (k+2)/(2k), where delta = 0).  If the
+    integral saturates, the ratio I(z) / W(z) is computed along the three
+    boundary ladders and the verdict is "consistent" exactly when every
+    ladder of ratios saturates.
     """
     k = d.k_int()
     eps = cfg.eps
@@ -406,23 +398,6 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
         parameters=params,
         expected_violation=not in_stated_range,
     )
-
-    if delta >= _EDGE_CUT_LEVEL:
-        # the (1-u^(2k))^(-delta) and (1-v^2)^(-delta) edge factors are at
-        # or beyond integrability: demonstrate with an edge-cut ladder
-        values = [_schur_value(d, _PROBE_POINT, eps, delta, v0=1e-6, cut=c)
-                  for c in _EDGE_CUT_LADDER]
-        slope = fit_loglog_slope([1.0 / c for c in _EDGE_CUT_LADDER], values)
-        report.samples = [
-            {"kind": "edge_cut_ladder", "cut": c, "value": val,
-             "provenance": "quadrature-with-error"}
-            for c, val in zip(_EDGE_CUT_LADDER, values)
-        ]
-        report.fitted_exponent = slope
-        report.parameters["divergence_edge"] = "boundary edges u -> 1 / v -> 1"
-        report.verdict = (VERDICT_VIOLATED if slope > _growth_threshold(_EDGE_CUT_LADDER)
-                          else VERDICT_INCONCLUSIVE)
-        return report
 
     values = [_schur_value(d, _PROBE_POINT, eps, delta, v0=v0) for v0 in _V0_PROBE_LADDER]
     slope = fit_loglog_slope([1.0 / v0 for v0 in _V0_PROBE_LADDER], values)

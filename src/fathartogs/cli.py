@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -162,6 +163,15 @@ def _deltas(text: str) -> str:
     return text
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive tolerance; NaN would compare false against every
+    error and also write a non-JSON ``NaN`` into the report."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _offset(text: str) -> float:
     """A boundary offset in (0, 0.5), the range ``QuadratureSpec`` accepts."""
     if not 0.0 < float(text) < 0.5:
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
     p.add_argument("--grid", type=_at_least(2), default=16)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
 
     p = sub.add_parser("range", help="critical range and Schur-window algebra")
     common(p)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from fathartogs.geometry import DomainSpec
@@ -14,7 +16,7 @@ from fathartogs.analysis import (
     VERDICT_CONSISTENT,
     VERDICT_VIOLATED,
     VerificationReport,
-    _EDGE_CUT_LEVEL,
+    _EDGE_RESCALE_LEVEL,
     _edge_exponent,
     _u_factor,
     critical_range,
@@ -205,9 +207,9 @@ class TestVerifySchur:
         d = DomainSpec(2)
         rep = verify_schur(d, SchurConfig(eps=1.1, ladder_levels=4))
         assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
-        assert rep.parameters["divergence_edge"].startswith("boundary edges")
-        # past the window the edge exponent is eps itself
-        assert rep.parameters["edge_exponent"] == 1.1
+        assert rep.parameters["divergence_edge"] == "singular corner v -> 0"
+        # past the window the weight is the pure corner weight
+        assert rep.parameters["edge_exponent"] == 0.0
 
     def test_above_corner_threshold_grows(self):
         # eps between (k+2)/(2k) and 1 diverges at the singular corner
@@ -217,21 +219,37 @@ class TestVerifySchur:
         assert rep.parameters["divergence_edge"] == "singular corner v -> 0"
 
     def test_edge_exponent_rule(self):
-        # below the edge-cut level and past the window: delta = eps
+        # below the rescale level: delta = eps
         assert _edge_exponent(1, 0.9) == 0.9
-        assert _edge_exponent(1, 1.6) == 1.6
-        # in the window at or above the edge-cut level: eps scaled by the
-        # window top, capped below the edge-cut level
+        # past the window: the pure corner weight
+        assert _edge_exponent(1, 1.6) == 0.0
+        # in the window at or above the rescale level: eps scaled by the
+        # window top, capped below the rescale level
         assert _edge_exponent(1, 1.2) == pytest.approx(0.8, rel=1e-15)
-        assert _edge_exponent(2, 0.997) < _EDGE_CUT_LEVEL
+        assert _edge_exponent(2, 0.997) < _EDGE_RESCALE_LEVEL
 
     def test_in_window_exponent_at_edge_cut_level_is_consistent(self):
         # k = 1, eps = 0.997 lies in the window [1/2, 3/2) but at the
-        # 0.995 edge-cut level; its edge exponent keeps it off the
-        # edge-cut ladder (6 levels is the CLI default)
+        # 0.995 rescale level; its edge exponent is rescaled below that
+        # level (6 levels is the CLI default)
         rep = verify_schur(DomainSpec(1), SchurConfig(eps=0.997, ladder_levels=6))
-        assert rep.parameters["edge_exponent"] < _EDGE_CUT_LEVEL
+        assert rep.parameters["edge_exponent"] < _EDGE_RESCALE_LEVEL
         assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_window_top_diverges_at_corner(self, k):
+        # eps = (k+2)/(2k) exactly is the first exponent past the window;
+        # the offset ladder decides it before any boundary ladder runs
+        rep = verify_schur(DomainSpec(k), SchurConfig(eps=(k + 2) / (2 * k), ladder_levels=2))
+        assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
+        assert rep.parameters["divergence_edge"] == "singular corner v -> 0"
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 8),
+           eps=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    def test_edge_exponent_stays_integrable(self, k, eps):
+        # every corner exponent gets edge factors integrable with margin
+        assert 0.0 <= _edge_exponent(k, eps) < _EDGE_RESCALE_LEVEL
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_u_factor_matches_algebraic_weight_quadrature(self, k):

@@ -125,6 +125,9 @@ class TestExitCodes:
         (["project", "--k", "1", "--strategy", "monte_carlo", "--mc-samples", "0"],
          "must be at least 1"),
         (["kernel-check", "--k", "2", "--grid", "1"], "must be at least 2"),
+        (["kernel-check", "--k", "2", "--tolerance", "0"], "must be finite and > 0"),
+        (["kernel-check", "--k", "2", "--tolerance", "-1"], "must be finite and > 0"),
+        (["kernel-check", "--k", "2", "--tolerance", "nan"], "must be finite and > 0"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
