@@ -288,10 +288,9 @@ def _schur_value_full(d: DomainSpec, x: float, y: float, eps: float, delta: floa
     gap = 1.0 - x**k / y
     axes = (_u_rule(k, delta, floor=max(gap / 16.0, 1e-9)), _v_axis(k, eps, delta, y, v0),
             angle_rule(_N_THETA1), _psi_axis(gap))
-    # blocks along v bound the temporary 4-d arrays
     return float(tensor_sum(
         axes, lambda u, v, th1, psi: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi),
-        axis=1, budget=3_000_000))
+        axis=1))
 
 
 def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:

@@ -153,12 +153,16 @@ def _require_clear(factor: str, modulus) -> None:
 
 
 def _numerator(k: int, s, t, sk):
-    """The kernel numerator p_k(s) t^2 + q_k(s) t + s^k p_k(s), with sk = s^k."""
-    if k == 1:  # the s^k parts of q_k and the p_k terms vanish identically
-        return _horner(q_base_coefficients(k), s) * t
+    """The kernel numerator p_k(s) t^2 + q_k(s) t + s^k p_k(s), with sk = s^k.
+
+    At k = 1 (p_1 = 0, q_1 = 1) it is ``t`` itself, which need not have
+    the broadcast shape of ``s`` and ``t``.
+    """
+    if k == 1:
+        return t
     ps = _horner(p_coefficients(k), s)
     qs = _horner(q_base_coefficients(k), s) + sk * _horner(q_shift_coefficients(k), s)
-    return ps * t * t + qs * t + sk * ps
+    return (ps * t + qs) * t + sk * ps
 
 
 def kernel_closed_st(d: DomainSpec, s, t) -> np.ndarray:
@@ -175,10 +179,10 @@ def kernel_closed_st(d: DomainSpec, s, t) -> np.ndarray:
     t_minus_sk = t - sk
     _require_clear("1-t", np.abs(one_minus_t))
     _require_clear("t-s^k", np.abs(t_minus_sk))
-    # numerator first: building the 4-d denominator first raised the peak
-    # RSS of the domain quadrature by 18 MiB (glibc heap growth)
-    num = _numerator(k, s, t, sk)
-    return num / ((k * math.pi**2) * one_minus_t**2 * t_minus_sk**2)
+    # k pi^2 (1-t)^2 depends on t alone: invert it on t's shape, so that at
+    # k = 1 (numerator t) a single division forms the value on the full grid
+    num = _numerator(k, s, t, sk) * (1.0 / ((k * math.pi**2) * one_minus_t**2))
+    return num / t_minus_sk**2
 
 
 def kernel_closed(d: DomainSpec, z: Point2, w: Point2) -> complex:

@@ -14,6 +14,7 @@ from fathartogs.kernel import (
     SeriesDivergenceError,
     SeriesSpec,
     _SERIES_BLOCK_ELEMENTS,
+    _numerator,
     basis_indices_by_weight,
     kernel_bound,
     kernel_bound_st,
@@ -91,6 +92,38 @@ class TestPolynomials:
             poly_p(0, 1.0)
         with pytest.raises(ValueError):
             poly_q(0, 1.0)
+
+
+class TestNumerator:
+    """The Horner form (p t + q) t + s^k p, and t alone at k = 1, against
+    the expanded numerator, within a bound set from the float64 epsilon."""
+
+    @staticmethod
+    def expanded(k, s, t):
+        p, q, sk = poly_p(k, s), poly_q(k, s), s**k
+        value = p * t**2 + q * t + sk * p
+        scale = np.abs(p) * np.abs(t) ** 2 + np.abs(q) * np.abs(t) + np.abs(sk) * np.abs(p)
+        return value, 8.0 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_expanded_form(self, k):
+        s, t = interior_invariants(k, 2000, 40 + k)
+        want, bound = self.expanded(k, s, t)
+        got = _numerator(k, s, t, s**k)
+        assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_broadcasts_3d_s_against_2d_t(self, k):
+        rng = np.random.default_rng(50 + k)
+        # |s|^k <= 0.3 < 0.4 <= |t|: every broadcast pair is interior
+        s = (0.3 * rng.random((4, 5, 1))) ** (1.0 / k) * np.exp(2j * np.pi * rng.random((4, 5, 1)))
+        t = rng.uniform(0.4, 0.8, (5, 6)) * np.exp(2j * np.pi * rng.random((5, 6)))
+        s_b, t_b = np.broadcast_arrays(s, t)
+        want, bound = self.expanded(k, s_b, t_b)
+        got = np.broadcast_to(_numerator(k, s, t, s**k), want.shape)
+        pointwise = _numerator(k, s_b.ravel(), t_b.ravel(), s_b.ravel() ** k)
+        assert np.all(np.abs(got.ravel() - pointwise) <= bound.ravel())
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestKernelClosed:

@@ -2,12 +2,15 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from fathartogs.geometry import DomainSpec
+from fathartogs import analysis
+from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
+from fathartogs.projection import project_numeric
 from fathartogs.quadrature import (
     DivergentIntegralError,
     IntegrandEvaluationError,
@@ -175,6 +178,40 @@ class TestTensorSum:
         where = re.escape(f"[{x[4]:.6g}, {x[5]:.6g}]")
         with pytest.raises(IntegrandEvaluationError, match=where):
             tensor_sum(self.AXES, bad, axis=0, budget=2 * rest)
+
+
+def _traced_peak_mib(call) -> float:
+    """Peak of the Python and numpy allocations made by one warm call."""
+    call()  # rule caches and lazy imports belong to the first call only
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestTensorBlockMemory:
+    """Both 4-d integrals hold one block of their grid at a time; blocks
+    of 3-4 M entries peaked at 86-117 MiB in these calls."""
+
+    LIMIT_MIB = 16.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_projection_at_criterion_4_spec(self, k):
+        d = DomainSpec(k)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
+        assert peak < self.LIMIT_MIB
+
+    def test_schur_inner_stratum(self):
+        d = DomainSpec(2)
+        z = boundary_ladder(d, "inner", 8)[-1]
+        delta = analysis._edge_exponent(2, 0.75)
+        peak = _traced_peak_mib(lambda: analysis._schur_value_full(
+            d, abs(z.z1), abs(z.z2), 0.75, delta, analysis._V0_WORK_FULL))
+        assert peak < self.LIMIT_MIB
 
 
 class TestMonteCarlo:
