@@ -71,11 +71,23 @@ def _jsonable(obj):
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            # On a filesystem with delayed allocation (ext4), renaming a file
+            # whose blocks are not yet allocated over an existing one forces
+            # their allocation and writeback, tens of milliseconds per
+            # replaced report; with the size reserved first the rename is a
+            # metadata operation.  Where the call is missing or refused, the
+            # file is written without the reservation.
+            if data and hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fh.fileno(), 0, len(data))
+                except OSError:
+                    pass
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,6 +151,22 @@ def _parse_monomial(text: str) -> projection.MonomialInput:
     return projection.MonomialInput(kernel.MultiIndex(a1, a2), kernel.MultiIndex(b1, b2))
 
 
+def _parse_family(text: str) -> list[projection.MonomialInput]:
+    """Parse a semicolon list of monomials 'a1,a2:b1,b2'."""
+    return [_parse_monomial(tok) for tok in text.split(";") if tok.strip()]
+
+
+def _parse_point(text: str) -> tuple[float, float]:
+    """Parse 'x1,x2' into two real coordinates."""
+    x1, x2 = (float(v) for v in text.split(","))
+    return x1, x2
+
+
+def _parse_p_grid(text: str) -> list[float]:
+    """Parse a comma list of exponents p."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
 def _at_least(floor: int):
     """An int flag type that rejects values below ``floor``."""
 
@@ -149,6 +177,20 @@ def _at_least(floor: int):
         return value
 
     return parse
+
+
+def _well_formed(parse, form: str):
+    """A str flag type that rejects text ``parse`` cannot read; the text
+    itself is kept, as the report's config records the flag as given."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        return text
+
+    return check
 
 
 def _deltas(text: str) -> str:
@@ -234,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")
     common(p)
-    p.add_argument("--p-grid", type=str, default="",
+    p.add_argument("--p-grid", default="",
+                   type=_well_formed(_parse_p_grid, "a comma list of numbers"),
                    help="comma list of exponents p to classify")
     p.add_argument("--deltas", type=_deltas, default="1e-2..1e-10",
                    help="core offsets, '1e-2..1e-10' or comma list")
@@ -242,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="norm-ratio probe over a monomial family")
     common(p)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--family", type=str, default=_DEFAULT_FAMILY,
+    p.add_argument("--family", default=_DEFAULT_FAMILY,
+                   type=_well_formed(_parse_family, "monomials 'a1,a2:b1,b2' joined by ';'"),
                    help="semicolon list of monomials 'a1,a2:b1,b2'")
 
     p = sub.add_parser("project", help="project one monomial both ways")
@@ -253,9 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="tensor_polar")
     p.add_argument("--mc-samples", type=_at_least(1), default=200_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--f", type=str, default="0,0:0,1",
+    p.add_argument("--f", default="0,0:0,1",
+                   type=_well_formed(_parse_monomial, "'a1,a2:b1,b2' with integer entries"),
                    help="monomial input 'a1,a2:b1,b2'")
-    p.add_argument("--z", type=str, default="0.1,0.5",
+    p.add_argument("--z", default="0.1,0.5",
+                   type=_well_formed(_parse_point, "'x1,x2' with two numbers"),
                    help="evaluation point 'x1,x2' on the positive real axes")
 
     return parser
@@ -293,7 +339,7 @@ def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
 def _run_project(args) -> tuple[dict, list[dict], str, bool]:
     d = geometry.DomainSpec(args.k)
     m = _parse_monomial(args.f)
-    x1, x2 = (float(v) for v in args.z.split(","))
+    x1, x2 = _parse_point(args.z)
     z = geometry.Point2(complex(x1), complex(x2))
     exact = projection.project_monomial(d, m)
     numeric = projection.project_numeric(d, m.integrand(), z, _quad_from_args(args))
@@ -353,14 +399,13 @@ def _dispatch(args) -> tuple[dict, int]:
     elif args.command == "divergence":
         d = geometry.DomainSpec(args.k)
         p_default = 2.0 + 2.0 / d.k
-        p_grid = ([float(x) for x in args.p_grid.split(",") if x.strip()]
-                  if args.p_grid else [p_default - 1.0, p_default, p_default + 1.0])
+        p_grid = (_parse_p_grid(args.p_grid) if args.p_grid
+                  else [p_default - 1.0, p_default, p_default + 1.0])
         rep = analysis.divergence_scan(d, p_grid, _parse_deltas(args.deltas))
         body = dataclasses.asdict(rep)
     elif args.command == "probe":
         d = geometry.DomainSpec(args.k)
-        family = [_parse_monomial(tok) for tok in args.family.split(";") if tok.strip()]
-        rep = analysis.norm_ratio_probe(d, args.p, family)
+        rep = analysis.norm_ratio_probe(d, args.p, _parse_family(args.family))
         body = dataclasses.asdict(rep)
     elif args.command == "project":
         params, rows, verdict, expected = _run_project(args)
@@ -395,25 +440,32 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out_dir = args.output_dir
     t0 = time.perf_counter()
+    failure = None
     try:
         body, code = _dispatch(args)
     except (quadrature.DivergentIntegralError, quadrature.IntegrandEvaluationError,
             kernel.NearSingularError, kernel.SeriesDivergenceError,
             projection.NonIntegrableInputError, ValueError,
             geometry.OutsideDomainError) as exc:
+        failure = exc
         body = {"command": args.command, "error": {"type": type(exc).__name__,
                                                    "message": str(exc)}}
-        write_report(out_dir / f"{args.command}_report.json", body,
-                     time.perf_counter() - t0)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
     elapsed = time.perf_counter() - t0
-    write_report(out_dir / f"{args.command}_report.json", body, elapsed)
-    if args.format == "csv" and body.get("samples"):
-        write_csv(out_dir / f"{args.command}_data.csv", body["samples"])
-    verdict = body.get("verdict", "n/a")
-    print(f"{args.command}: verdict={verdict} "
-          f"(report: {out_dir / (args.command + '_report.json')})")
+    report_path = out_dir / f"{args.command}_report.json"
+    write_report(report_path, body, elapsed)
+    if args.format == "csv":
+        csv_path = out_dir / f"{args.command}_data.csv"
+        if body.get("samples"):
+            write_csv(csv_path, body["samples"])
+        else:
+            # an earlier run's CSV would sit beside this report as its data
+            csv_path.unlink(missing_ok=True)
+    if failure is not None:
+        print(f"numerical failure: {failure}", file=sys.stderr)
+    else:
+        print(f"{args.command}: verdict={body.get('verdict', 'n/a')} "
+              f"(report: {report_path})")
     return code
 
 

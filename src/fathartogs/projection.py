@@ -24,7 +24,8 @@ import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
 from .kernel import MultiIndex, kernel_closed_st
-from .quadrature import DivergentIntegralError, QuadratureSpec, integrate, radial_moment
+from .quadrature import (DivergentIntegralError, QuadratureSpec, _tensor_fine, integrate,
+                         radial_moment)
 
 __all__ = [
     "MonomialInput",
@@ -123,7 +124,9 @@ def project_numeric(
     """Quadrature approximation of the projection integral at the point z.
 
     ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`.  Near-singular kernel
+    :func:`fathartogs.quadrature.integrate`.  The tensor strategy runs one
+    pass at the spec's node counts: the result carries no error estimate,
+    so ``integrate``'s coarse pass is skipped.  Near-singular kernel
     evaluations propagate as errors; points within two boundary offsets
     of the boundary trigger an accuracy warning.
     """
@@ -137,5 +140,7 @@ def project_numeric(
         t = z.z2 * np.conj(w2)
         return kernel_closed_st(d, s, t) * f(w1, w2)
 
-    return complex(integrate(d, g, spec).value)
+    if spec.strategy != "tensor_polar":
+        return complex(integrate(d, g, spec).value)
+    return complex(_tensor_fine(d, g, spec))
 

@@ -1,6 +1,9 @@
 """Tests for the command-line front end: reports, formats, exit codes."""
 
+import errno
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -128,6 +131,14 @@ class TestExitCodes:
         (["kernel-check", "--k", "2", "--tolerance", "0"], "must be finite and > 0"),
         (["kernel-check", "--k", "2", "--tolerance", "-1"], "must be finite and > 0"),
         (["kernel-check", "--k", "2", "--tolerance", "nan"], "must be finite and > 0"),
+        (["project", "--k", "1", "--f", "abc"],
+         "argument --f: expected 'a1,a2:b1,b2' with integer entries, got 'abc'"),
+        (["project", "--k", "1", "--z", "0.1"],
+         "argument --z: expected 'x1,x2' with two numbers, got '0.1'"),
+        (["probe", "--k", "2", "--p", "3", "--family", "1,2"],
+         "argument --family: expected monomials 'a1,a2:b1,b2' joined by ';', got '1,2'"),
+        (["divergence", "--k", "1", "--p-grid", "3,x"],
+         "argument --p-grid: expected a comma list of numbers, got '3,x'"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -141,6 +152,15 @@ class TestExitCodes:
         assert run(["range", "--k", "0.5"], tmp_path) == 2
         doc = load_report(tmp_path, "range")
         assert "error" in doc["report"]
+
+    def test_numerical_failure_removes_the_previous_csv(self, tmp_path):
+        assert run(["project", "--k", "1", "--format", "csv"], tmp_path) == 0
+        assert (tmp_path / "project_data.csv").exists()
+        # (0.9, 0.5) lies outside the k = 2 domain: |z1|^2 > |z2|
+        assert run(["project", "--k", "2", "--z", "0.9,0.5", "--format", "csv"],
+                   tmp_path) == 2
+        assert "error" in load_report(tmp_path, "project")["report"]
+        assert not (tmp_path / "project_data.csv").exists()
 
     def test_verdict_mapping(self):
         assert cli.verdict_exit_code("consistent", False) == 0
@@ -197,3 +217,107 @@ class TestSchurCommand:
         body = load_report(tmp_path, "schur")["report"]
         assert body["verdict"] == "violated" and body["expected_violation"] is False
         assert body["parameters"] == {"k": 1, "eps": 1.2}
+
+
+class TestReportWrites:
+    OLD = "old report\n" * 40
+
+    def leftovers(self, directory):
+        return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+    def test_second_run_replaces_both_files_with_the_new_bytes(self, tmp_path):
+        fresh = tmp_path / "fresh"
+        again = tmp_path / "again"
+        assert run(["range", "--k", "2", "--format", "csv"], fresh) == 0
+        assert run(["range", "--k", "1", "--format", "csv"], again) == 0
+        assert run(["range", "--k", "2", "--format", "csv"], again) == 0
+        assert ((again / "range_data.csv").read_bytes()
+                == (fresh / "range_data.csv").read_bytes())
+        doc = load_report(again, "range")
+        assert doc["report"] == load_report(fresh, "range")["report"]
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert (again / "range_report.json").read_bytes() == text.encode()
+        assert self.leftovers(again) == []
+
+    @pytest.mark.parametrize("unavailable", ["raises", "missing"])
+    def test_same_bytes_without_preallocation(self, unavailable, tmp_path, monkeypatch):
+        rows = [{"p": 3.0, "delta": 0.01, "value": 1.0 / 3.0}, {"p": 5.0, "note": "x"}]
+        cli.write_csv(tmp_path / "with.csv", rows)
+        if unavailable == "raises":
+            def refuse(fd, offset, length):
+                raise OSError(errno.EOPNOTSUPP, "operation not supported")
+
+            monkeypatch.setattr(os, "posix_fallocate", refuse, raising=False)
+        else:
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        path = tmp_path / "without.csv"
+        path.write_text(self.OLD)
+        cli.write_csv(path, rows)
+        assert path.read_bytes() == (tmp_path / "with.csv").read_bytes()
+        assert self.leftovers(tmp_path) == []
+
+    def test_preallocates_the_exact_byte_length(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "posix_fallocate",
+                            lambda fd, offset, length: calls.append((offset, length)),
+                            raising=False)
+        text = "p,value\r\n3,0.33333333333333331\r\n"
+        cli._atomic_write(tmp_path / "r.csv", text)
+        assert calls == [(0, len(text.encode()))]
+        cli._atomic_write(tmp_path / "empty.csv", "")
+        assert calls == [(0, len(text.encode()))]
+        assert (tmp_path / "empty.csv").read_bytes() == b""
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "range_report.json"
+        path.write_text(self.OLD)
+        real_fdopen = os.fdopen
+
+        class HalfWriter:
+            # writes the first half of the bytes, then runs out of space
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def fileno(self):
+                return self.fh.fileno()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: HalfWriter(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="no space"):
+            cli._atomic_write(path, "new report\n" * 60)
+        assert path.read_text() == self.OLD
+        assert self.leftovers(tmp_path) == []
+
+    def test_failed_preallocation_closes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "range_report.json"
+        path.write_text(self.OLD)
+        opened = []
+        real_mkstemp = tempfile.mkstemp
+
+        def mkstemp(**kwargs):
+            fd, name = real_mkstemp(**kwargs)
+            opened.append(fd)
+            return fd, name
+
+        def interrupted(fd, offset, length):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        monkeypatch.setattr(os, "posix_fallocate", interrupted, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            cli._atomic_write(path, "new report\n")
+        assert path.read_text() == self.OLD
+        assert self.leftovers(tmp_path) == []
+        with pytest.raises(OSError) as closed:
+            os.fstat(opened[0])
+        assert closed.value.errno == errno.EBADF
