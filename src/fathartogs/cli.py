@@ -76,12 +76,16 @@ def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            # On a filesystem with delayed allocation (ext4), renaming a file
-            # whose blocks are not yet allocated over an existing one forces
-            # their allocation and writeback, tens of milliseconds per
+            # On ext4 with delayed allocation, renaming a file whose blocks
+            # are not yet allocated over an existing one makes the kernel
+            # allocate them (auto_da_alloc), tens of milliseconds per
             # replaced report; with the size reserved first the rename is a
-            # metadata operation.  Where the call is missing or refused, the
-            # file is written without the reservation.
+            # metadata operation.  That allocation was also what put the data
+            # on disk before the rename's journal commit: with the
+            # reservation, a power loss or kernel crash shortly after a run
+            # can leave the report as NUL bytes and the previous one gone.
+            # Reports are regenerated by re-running the command.  Where the
+            # call is missing or refused, the file is written without it.
             if data and hasattr(os, "posix_fallocate"):
                 try:
                     os.posix_fallocate(fh.fileno(), 0, len(data))

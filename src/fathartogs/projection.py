@@ -24,8 +24,7 @@ import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
 from .kernel import MultiIndex, kernel_closed_st
-from .quadrature import (DivergentIntegralError, QuadratureSpec, _tensor_fine, integrate,
-                         radial_moment)
+from .quadrature import DivergentIntegralError, QuadratureSpec, integrate, radial_moment
 
 __all__ = [
     "MonomialInput",
@@ -124,11 +123,10 @@ def project_numeric(
     """Quadrature approximation of the projection integral at the point z.
 
     ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`.  The tensor strategy runs one
-    pass at the spec's node counts: the result carries no error estimate,
-    so ``integrate``'s coarse pass is skipped.  Near-singular kernel
-    evaluations propagate as errors; points within two boundary offsets
-    of the boundary trigger an accuracy warning.
+    :func:`fathartogs.quadrature.integrate`.  The result carries no error
+    estimate, so the tensor strategy skips ``integrate``'s coarse pass.
+    Near-singular kernel evaluations propagate as errors; points within
+    two boundary offsets of the boundary trigger an accuracy warning.
     """
     d.require_integer_exponent()
     if not contains(d, z):
@@ -140,7 +138,5 @@ def project_numeric(
         t = z.z2 * np.conj(w2)
         return kernel_closed_st(d, s, t) * f(w1, w2)
 
-    if spec.strategy != "tensor_polar":
-        return complex(integrate(d, g, spec).value)
-    return complex(_tensor_fine(d, g, spec))
+    return complex(integrate(d, g, spec, estimate=False).value)
 

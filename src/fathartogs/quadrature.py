@@ -326,29 +326,26 @@ def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> Integral
     return IntegralResult(value, math.sqrt(var_total))
 
 
-def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResult:
+def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec, *,
+              estimate: bool = True) -> IntegralResult:
     """Approximate int f dV over the delta-offset core of the domain.
 
     ``f`` must be vectorized over numpy arrays: it receives broadcast
     complex arrays ``(z1, z2)`` and returns values elementwise.  The
-    tensor strategy reports a node-coarsening error estimate; Monte
-    Carlo strategies report the standard error and are deterministic for
-    a fixed seed.
+    tensor strategy reports a node-coarsening error estimate; with
+    ``estimate=False`` it skips the coarse pass that feeds it and reports
+    nan.  Monte Carlo strategies report the standard error and are
+    deterministic for a fixed seed.
     """
     if spec.strategy != "tensor_polar":
         return _stratified_mc(d, f, spec)
-    value = _tensor_fine(d, f, spec)
+    fine = _tensor_value(d, f, spec, spec.radial_nodes, spec.angular_nodes)
+    value = fine if abs(fine.imag) > 1e-13 * max(abs(fine), 1.0) else fine.real
+    if not estimate:
+        return IntegralResult(value, math.nan)
     coarse = _tensor_value(d, f, spec, max(spec.radial_nodes - 3, 2),
                            max(spec.angular_nodes // 2, 2))
-    return IntegralResult(value, float(abs(value - coarse)))
-
-
-def _tensor_fine(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
-    """The tensor rule at the spec's node counts, without the coarse pass
-    that only feeds :func:`integrate`'s error estimate; real when the
-    imaginary part is within rounding, ``|imag| <= 1e-13 max(|value|, 1)``."""
-    fine = _tensor_value(d, f, spec, spec.radial_nodes, spec.angular_nodes)
-    return fine if abs(fine.imag) > 1e-13 * max(abs(fine), 1.0) else fine.real
+    return IntegralResult(value, float(abs(fine - coarse)))
 
 
 # ----------------------------------------------------------------------

@@ -127,6 +127,50 @@ class TestTensorIntegrate:
         parts = 2 * integrate(d, f, spec).value - 3 * integrate(d, g, spec).value
         assert combo.value == pytest.approx(parts, rel=1e-12)
 
+    def test_without_estimate_skips_only_the_coarse_pass(self):
+        from fathartogs.quadrature import _tensor_value
+
+        d = DomainSpec(2)
+        spec = QuadratureSpec(radial_nodes=8, angular_nodes=8, boundary_offset=1e-6)
+        for f in (lambda z1, z2: np.abs(z1) ** 2 / np.abs(z2),
+                  lambda z1, z2: z2 * np.conj(z2),  # imaginary part at rounding
+                  lambda z1, z2: (1 + 2j) * np.abs(z2) ** 2):
+            nodes = []
+
+            def counted(z1, z2, f=f):
+                nodes.append(np.broadcast(z1, z2).size)
+                return f(z1, z2)
+
+            full = integrate(d, counted, spec)
+            full_nodes, nodes[:] = sum(nodes), []
+            one = integrate(d, counted, spec, estimate=False)
+            assert one.value == full.value and type(one.value) is type(full.value)
+            assert math.isnan(one.error_estimate)
+            assert sum(nodes) < full_nodes
+            # the estimate compares the unrounded fine value with the coarse one
+            fine = _tensor_value(d, f, spec, 8, 8)
+            coarse = _tensor_value(d, f, spec, 5, 4)
+            assert full.error_estimate == float(abs(fine - coarse))
+
+    def test_project_numeric_calls_integrate_without_estimate(self, monkeypatch):
+        from fathartogs import projection
+
+        seen = []
+        real = projection.integrate
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "integrate", recording)
+        d = DomainSpec(1)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=6, boundary_offset=1e-4)
+        z = Point2(0.1 + 0j, 0.5 + 0j)
+        value = project_numeric(d, lambda w1, w2: np.conj(w2), z, spec)
+        assert seen == [{"estimate": False}]
+        monkeypatch.setattr(projection, "integrate", real)
+        assert project_numeric(d, lambda w1, w2: np.conj(w2), z, spec) == value
+
     def test_integrand_failures_carry_location(self):
         d = DomainSpec(1)
         spec = QuadratureSpec(radial_nodes=4, angular_nodes=4, boundary_offset=1e-3)
