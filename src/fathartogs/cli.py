@@ -156,8 +156,12 @@ def _parse_monomial(text: str) -> projection.MonomialInput:
 
 
 def _parse_family(text: str) -> list[projection.MonomialInput]:
-    """Parse a semicolon list of monomials 'a1,a2:b1,b2'."""
-    return [_parse_monomial(tok) for tok in text.split(";") if tok.strip()]
+    """Parse a semicolon list of monomials 'a1,a2:b1,b2'; an empty list is
+    a usage error, as a probe over no monomial decides nothing."""
+    family = [_parse_monomial(tok) for tok in text.split(";") if tok.strip()]
+    if not family:
+        raise argparse.ArgumentTypeError(f"need at least 1 monomial, got 0 in {text!r}")
+    return family
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -167,8 +171,14 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 def _parse_p_grid(text: str) -> list[float]:
-    """Parse a comma list of exponents p."""
-    return [float(x) for x in text.split(",") if x.strip()]
+    """Parse a comma list of exponents p.  The empty text is the flag's
+    default (a grid around the formula's exponent); text naming no
+    exponent, such as ',', is a usage error, as a scan over no exponent
+    decides nothing."""
+    grid = [float(x) for x in text.split(",") if x.strip()]
+    if text and not grid:
+        raise argparse.ArgumentTypeError(f"need at least 1 exponent, got 0 in {text!r}")
+    return grid
 
 
 def _at_least(floor: int):

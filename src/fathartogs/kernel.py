@@ -156,11 +156,13 @@ def _numerator(k: int, s, t, sk):
     """The kernel numerator p_k(s) t^2 + q_k(s) t + s^k p_k(s), with sk = s^k.
 
     At k = 1 (p_1 = 0, q_1 = 1) it is ``t`` itself, which need not have
-    the broadcast shape of ``s`` and ``t``.
+    the broadcast shape of ``s`` and ``t``.  A constant p_k (k = 2) stays
+    a scalar, so that ``ps * t`` keeps the shape of ``t``.
     """
     if k == 1:
         return t
-    ps = _horner(p_coefficients(k), s)
+    p = p_coefficients(k)
+    ps = complex(p[0]) if len(p) == 1 else _horner(p, s)
     qs = _horner(q_base_coefficients(k), s) + sk * _horner(q_shift_coefficients(k), s)
     return (ps * t + qs) * t + sk * ps
 
@@ -335,17 +337,40 @@ def kernel_abs_polar(
 
     The kernel modulus depends on w only through |w1|, |w2| and the two
     angle combinations theta1 = arg(z1) - arg(w1) and
-    psi = (arg(z2) - arg(w2)) - k * theta1; the second is exactly the
-    phase of t relative to s^k, so the factor |t - s^k| is independent
-    of theta1.  All four w-arguments broadcast.
+    psi = (arg(z2) - arg(w2)) - k * theta1, the phase of t relative to
+    s^k.  With a = |s| and tau = |t| e^(-i psi), so that
+    s = a e^(-i theta1) and t = tau e^(-ik theta1), the numerator is a sum
+    of k separable terms,
+
+        N(s, t) = sum_{n=1}^{k} s^(n-1) (n t + (k-n) s^k) (n + (k-n) t),
+
+    and |B_k| = |sum_n G_n H_n| with
+
+        G_n = a^(n-1) (n tau + (k-n) a^k) / |tau - a^k|^2,
+        H_n = e^(-i(n-1) theta1) (n + (k-n) t) / (k pi^2 |1-t|^2).
+
+    G_n is free of theta1 and H_n of |w1|, so on a grid over all four
+    w-arguments every factor lives on a 3-d sub-grid, and only the k
+    products, their sum and the modulus run over the full grid.  At k = 1
+    the single term is the real product |G_1| H_1.  All four w-arguments
+    broadcast.
     """
     k = d.k_int()
-    s_abs = z1_abs * np.asarray(w1_abs)
-    t_abs = z2_abs * np.asarray(w2_abs)
-    s = s_abs * np.exp(-1j * np.asarray(theta1))
-    t = t_abs * np.exp(-1j * (np.asarray(psi) + k * np.asarray(theta1)))
-    num = np.abs(_numerator(k, s, t, s**k))
-    den_outer = np.abs(1.0 - t) ** 2
-    # |t - s^k| = | |t| e^{-i psi} - |s|^k |, free of theta1.
-    den_inner = np.abs(t_abs * np.exp(-1j * np.asarray(psi)) - s_abs**k) ** 2
-    return num / ((k * math.pi**2) * den_outer * den_inner)
+    a = z1_abs * np.asarray(w1_abs)
+    tau = z2_abs * np.asarray(w2_abs) * np.exp(-1j * np.asarray(psi))
+    theta1 = np.asarray(theta1)
+    ak = a**k
+    inv_inner = 1.0 / np.abs(tau - ak) ** 2
+    t = tau * np.exp(-1j * k * theta1)
+    inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
+    if k == 1:
+        return (np.abs(tau) * inv_inner) * inv_outer
+    # the term index n on a new leading axis, so that each kind of factor
+    # is formed for all k terms at once on its own 3-d shape
+    n = np.arange(1, k + 1).reshape((k,) + (1,) * max(np.ndim(a), tau.ndim, theta1.ndim))
+    g = a ** (n - 1) * (n * tau + (k - n) * ak) * inv_inner
+    h = np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t) * inv_outer
+    total = g[0] * h[0]
+    for i in range(1, k):
+        total += g[i] * h[i]  # one full-grid temporary at a time, not k
+    return np.abs(total)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from fathartogs.geometry import DomainSpec
+from fathartogs.geometry import DomainSpec, boundary_ladder
 from fathartogs.analysis import (
     RangeReport,
     SchurConfig,
@@ -17,7 +17,11 @@ from fathartogs.analysis import (
     VERDICT_VIOLATED,
     VerificationReport,
     _EDGE_RESCALE_LEVEL,
+    _PROBE_POINT,
+    _V0_PROBE_LADDER,
+    _V0_WORK_FULL,
     _edge_exponent,
+    _schur_value,
     _u_factor,
     critical_range,
     divergence_scan,
@@ -262,6 +266,31 @@ class TestVerifySchur:
             assert _u_factor(k, delta) == pytest.approx(ref, rel=1e-13, abs=0.0)
         with pytest.raises(DivergentIntegralError):
             _u_factor(k, 1.0)
+
+    # _schur_value at eps = 0.75 (edge exponent 0.75), recorded with the
+    # kernel modulus in its Horner form (the numerator p t^2 + q t + s^k p
+    # over the denominator on the full grid), printed with repr(): the 8
+    # points of boundary_ladder(d, "inner", 8) at v0 = _V0_WORK_FULL, then
+    # _PROBE_POINT at the last probe offset, _V0_PROBE_LADDER[-1]
+    SCHUR_GOLDEN = {
+        2: ([55.492557805950554, 91.64573385147487, 156.33341789159346,
+             267.2707726139817, 454.85491950240066, 770.6572906043441,
+             1301.7421291167761, 2194.7322025681406], 25.29282509915923),
+        1: ([92.54047234427487, 143.6688231612732, 234.712685725488,
+             390.911233844731, 655.9026842821994, 1103.4165987232398,
+             1857.5813539895437, 3127.221848620805], 41.394117968562995),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_schur_values_match_recorded(self, k):
+        d, eps = DomainSpec(k), 0.75
+        delta = _edge_exponent(k, eps)
+        inner, probe = self.SCHUR_GOLDEN[k]
+        got = [_schur_value(d, z, eps, delta, _V0_WORK_FULL)
+               for z in boundary_ladder(d, "inner", 8)]
+        assert got == pytest.approx(inner, rel=1e-12, abs=0.0)
+        got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
+        assert got_probe == pytest.approx(probe, rel=1e-12, abs=0.0)
 
     def test_report_passed_semantics(self):
         rep = VerificationReport("x", {}, verdict=VERDICT_CONSISTENT, tolerance=0.02)

@@ -68,6 +68,12 @@ class TestDivergenceCommand:
         assert lines[0].startswith("p,delta,value")
         assert len(lines) > 8
 
+    def test_default_grid_brackets_the_formula_exponent(self, tmp_path):
+        # no --p-grid (the empty default) scans p* - 1, p*, p* + 1
+        assert run(["divergence", "--k", "1"], tmp_path) == 0
+        body = load_report(tmp_path, "divergence")["report"]
+        assert [r["p"] for r in body["parameters"]["grid_rows"]] == [3.0, 4.0, 5.0]
+
     def test_delta_range_syntax(self):
         assert cli._parse_deltas("1e-2..1e-5") == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5])
         assert cli._parse_deltas("0.1,0.01") == [0.1, 0.01]
@@ -139,6 +145,10 @@ class TestExitCodes:
          "argument --family: expected monomials 'a1,a2:b1,b2' joined by ';', got '1,2'"),
         (["divergence", "--k", "1", "--p-grid", "3,x"],
          "argument --p-grid: expected a comma list of numbers, got '3,x'"),
+        (["divergence", "--k", "1", "--p-grid", ","],
+         "argument --p-grid: need at least 1 exponent, got 0 in ','"),
+        (["probe", "--k", "2", "--p", "2", "--family", ";"],
+         "argument --family: need at least 1 monomial, got 0 in ';'"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):

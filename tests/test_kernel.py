@@ -125,6 +125,17 @@ class TestNumerator:
         assert np.all(np.abs(got.ravel() - pointwise) <= bound.ravel())
         assert np.all(np.abs(got - want) <= bound)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_separable_form_expands_to_the_numerator(self, k):
+        # the sum of k separable terms that kernel_abs_polar evaluates
+        s, t = sympy.symbols("s t")
+        separable = sum(s ** (n - 1) * (n * t + (k - n) * s**k) * (n + (k - n) * t)
+                        for n in range(1, k + 1))
+        p = sum(int(c) * s**i for i, c in enumerate(p_coefficients(k)))
+        q = (sum(int(c) * s**i for i, c in enumerate(q_base_coefficients(k)))
+             + s**k * sum(int(c) * s**i for i, c in enumerate(q_shift_coefficients(k))))
+        assert sympy.expand(separable - (p * t**2 + q * t + s**k * p)) == 0
+
 
 class TestKernelClosed:
     def test_axis_value_k1(self):
@@ -342,3 +353,34 @@ class TestKernelBound:
             ref = np.abs(kernel_closed_st(d, s, t))
             got = kernel_abs_polar(d, x, y, r1, r2, th1, psi)
             assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_polar_form_on_a_4d_grid(self, k):
+        # the Schur inner-stratum layout: |w1| = u v^(1/k) on (u, v),
+        # |w2| = v, theta1 and psi each on an axis of their own
+        rng = np.random.default_rng(60 + k)
+        d = DomainSpec(k)
+        y = 0.7
+        u = rng.random((9, 1, 1, 1)) * 0.98
+        v = rng.random((1, 7, 1, 1)) * 0.9 + 0.05
+        th1 = 2 * math.pi * rng.random((1, 1, 16, 1))
+        psi = 2 * math.pi * rng.random((1, 1, 1, 12))
+        # at x = 0 and k >= 3 the grid holds a zero of the kernel:
+        # N(0, t) = t (1 + (k-1) t) vanishes at t = -1/(k-1)
+        if k > 1:
+            v[0, 0, 0, 0] = min(1.0 / (y * (k - 1)), 0.95)
+        th1[0, 0, 0, 0], psi[0, 0, 0, 0] = 0.0, math.pi
+        for x in (0.0, 0.45, 0.69 ** (1.0 / k)):
+            r1 = u * v ** (1.0 / k)
+            got = kernel_abs_polar(d, x, y, r1, v, th1, psi)
+            assert got.shape == (9, 7, 16, 12)
+            s = x * r1 * np.exp(-1j * th1)
+            t = y * v * np.exp(-1j * (psi + k * th1))
+            ref = np.abs(kernel_closed_st(d, s, t))
+            # where N(s, t) nearly cancels, both forms are accurate only to
+            # rounding of the moduli of its separable terms
+            terms = sum(np.abs(s) ** (n - 1) * np.abs(n * t + (k - n) * s**k)
+                        * np.abs(n + (k - n) * t) for n in range(1, k + 1))
+            scale = terms / (k * math.pi**2 * np.abs(1 - t) ** 2 * np.abs(t - s**k) ** 2)
+            tol = np.maximum(1e-12 * ref, 64 * np.finfo(float).eps * scale)
+            assert np.all(np.abs(got - ref) <= tol)

@@ -249,10 +249,12 @@ class TestTensorBlockMemory:
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < self.LIMIT_MIB
 
-    def test_schur_inner_stratum(self):
-        d = DomainSpec(2)
+    # the kernel's per-term loop must hold one full-grid temporary, not k
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_schur_inner_stratum(self, k):
+        d = DomainSpec(k)
         z = boundary_ladder(d, "inner", 8)[-1]
-        delta = analysis._edge_exponent(2, 0.75)
+        delta = analysis._edge_exponent(k, 0.75)
         peak = _traced_peak_mib(lambda: analysis._schur_value_full(
             d, abs(z.z1), abs(z.z2), 0.75, delta, analysis._V0_WORK_FULL))
         assert peak < self.LIMIT_MIB
