@@ -41,7 +41,6 @@ from .projection import (
 )
 from .quadrature import (
     DivergentIntegralError,
-    IntegralResult,
     IntegrandEvaluationError,
     QuadratureSpec,
     integrate,

@@ -76,16 +76,17 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 _RATIO_GROWTH_SLOPE = 0.05
 
 
-def _growth_threshold(deltas: Sequence[float], tail: int = 4) -> float:
+def _growth_threshold(deltas: Sequence[float]) -> float:
     """Growth threshold for a log-log offset-ladder slope.
 
     A log-divergent quantity has slope 1/ln(1/delta) on the ladder, the
     shallowest growth the experiments must still flag; saturating
     quantities fall below that at a rate set by their distance from the
     critical exponent.  70% of the endpoint slope splits the two with
-    balanced margins at any ladder depth.
+    balanced margins at any ladder depth.  The endpoint is the four
+    smallest offsets, the window :func:`fit_loglog_slope` fits by default.
     """
-    window = np.asarray(sorted(deltas)[: max(tail, 2)], dtype=float)
+    window = np.asarray(sorted(deltas)[:4], dtype=float)
     return 0.7 / float(np.mean(np.log(1.0 / window)))
 
 
@@ -402,7 +403,7 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     slope = fit_loglog_slope([1.0 / v0 for v0 in _V0_PROBE_LADDER], values)
     report.samples = [
         {"kind": "offset_ladder", "v0": v0, "value": val,
-         "provenance": "quadrature-with-error"}
+         "provenance": "quadrature"}
         for v0, val in zip(_V0_PROBE_LADDER, values)
     ]
     if slope > _growth_threshold(_V0_PROBE_LADDER):
@@ -436,7 +437,7 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
                 {"kind": "ladder", "stratum": stratum, "level": j,
                  "z1": z.z1.real, "z2": z.z2.real, "h": h,
                  "value": val, "ratio": ratio,
-                 "provenance": "quadrature-with-error"}
+                 "provenance": "quadrature"}
             )
             worst = max(worst, ratio)
         slopes[stratum] = fit_loglog_slope(gaps, ratios, tail=min(4, len(ratios)))
@@ -479,7 +480,7 @@ def verify_calculus1(eps: float, beta: float, levels: int,
     )
     i0 = disc_kernel_moment(0.0, eps, beta, quad)
     report.samples.append({"abs_z": 0.0, "value": i0, "product": i0,
-                           "provenance": "quadrature-with-error"})
+                           "provenance": "quadrature"})
     deltas, products, values = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
@@ -489,7 +490,7 @@ def verify_calculus1(eps: float, beta: float, levels: int,
         values.append(val)
         products.append(prod)
         report.samples.append({"abs_z": a, "value": val, "product": prod,
-                               "provenance": "quadrature-with-error"})
+                               "provenance": "quadrature"})
     report.fitted_exponent = fit_loglog_slope(deltas, values)
     report.bound_constant = products[-1]
     report.verdict = (VERDICT_CONSISTENT if _saturates(products, report.tolerance)
@@ -514,7 +515,7 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
     )
     v0 = disc_kernel_moment(0.0, 0.0, 0.0, quad)
     report.samples.append({"abs_z": 0.0, "value": v0, "kind": "plain",
-                           "provenance": "quadrature-with-error"})
+                           "provenance": "quadrature"})
     deltas, plain, weighted = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
@@ -527,7 +528,7 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
         report.samples.append({"abs_z": a, "value": val, "weighted_value": wval,
                                "ratio_to_log": val / (-math.log(delta)),
                                "kind": "ladder",
-                               "provenance": "quadrature-with-error"})
+                               "provenance": "quadrature"})
     # linear slope of the plain mass against -log delta tends to pi
     logx = -np.log(np.asarray(deltas[-6:]))
     slope = float(np.polyfit(logx, np.asarray(plain[-6:]), 1)[0])
@@ -587,7 +588,7 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
         cls, slope = _classify_deltas(vals, deltas)
         predicted = 2.0 - p + 2.0 / d.k
         row = {"p": p, "classification": cls, "fitted_slope": slope,
-               "provenance": "quadrature-with-error"}
+               "provenance": "quadrature"}
         if cls == "saturating":
             exact = radial_moment(d, 0.0, -p)
             row["limit"] = vals[-1]
@@ -602,7 +603,7 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
                 row["growth_type"] = "logarithmic"
         for dd, val in zip(deltas, vals):
             report.samples.append({"p": p, "delta": dd, "value": val,
-                                   "provenance": "quadrature-with-error"})
+                                   "provenance": "quadrature"})
         report.parameters.setdefault("grid_rows", []).append(row)
 
     lo, hi = 2.0, p_crit + 2.0

@@ -327,11 +327,10 @@ def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
     n_rad, n_ang = args.grid, 8
     t_abs = np.linspace(0.05, 0.8, n_rad)
     ratio = np.linspace(0.0, 0.8, n_rad)
-    th_s, _ = quadrature.angle_rule(n_ang)
-    th_t, _ = quadrature.angle_rule(n_ang)
-    T = (t_abs[:, None, None, None] * np.exp(1j * th_t[None, None, None, :]))
+    th, _ = quadrature.angle_rule(n_ang)
+    T = (t_abs[:, None, None, None] * np.exp(1j * th[None, None, None, :]))
     s_abs = (ratio[None, :, None, None] * t_abs[:, None, None, None]) ** (1.0 / k)
-    S = s_abs * np.exp(1j * th_s[None, None, :, None])
+    S = s_abs * np.exp(1j * th[None, None, :, None])
     closed = kernel.kernel_closed_st(d, S, T)
     spec = kernel.SeriesSpec(max_degree=250 + 150 * k)
     series, shell, degree = kernel.kernel_series_st(d, S, T, spec)
@@ -341,7 +340,7 @@ def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
     for i, ta in enumerate(t_abs):
         rows.append({"abs_t": float(ta),
                      "max_rel_err": float(np.max(rel[i])),
-                     "provenance": "quadrature-with-error"})
+                     "provenance": "series-truncation"})
     params = {"k": k, "grid": args.grid, "max_rel_err": max_rel,
               "series_degree": degree, "tolerance": args.tolerance,
               "max_last_shell": float(np.max(shell))}
@@ -368,7 +367,7 @@ def _run_project(args) -> tuple[dict, list[dict], str, bool]:
                "coeff": exact.coeff}
     row.update({"numeric_re": numeric.real, "numeric_im": numeric.imag,
                 "exact_re": exact_val.real, "exact_im": exact_val.imag,
-                "rel_agreement": agreement, "provenance": "quadrature-with-error"})
+                "rel_agreement": agreement, "provenance": "quadrature"})
     params = {"k": d.k, "f": args.f, "z": args.z, "rel_agreement": agreement}
     verdict = (analysis.VERDICT_CONSISTENT if agreement < 1e-3
                else analysis.VERDICT_INCONCLUSIVE)

@@ -110,6 +110,28 @@ def aux_h(d: DomainSpec, p: Point2) -> float:
     return (r2**2 - r1 ** (2.0 * d.k)) * (1.0 - r2**2)
 
 
+def _box_to_z(d: DomainSpec, u, v, th1, th2):
+    """The point (z1, z2) at box coordinates u = |z1| / |z2|^(1/k),
+    v = |z2| and the two angles."""
+    return u * v ** (1.0 / d.k) * np.exp(1j * th1), v * np.exp(1j * th2)
+
+
+def _core_sample(d: DomainSpec, delta: float, uu: np.ndarray, uv: np.ndarray,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Points of the delta-offset core, uniform w.r.t. Lebesgue measure,
+    from unit-square variates (uu, uv) and angles drawn from ``rng``.
+
+    Inverse CDF in box coordinates: u has density 2u on (0, 1 - delta),
+    v density proportional to v^(1 + 2/k) on (delta, 1 - delta).
+    """
+    c = 2.0 + 2.0 / d.k
+    u = (1.0 - delta) * np.sqrt(uu)
+    v = (delta**c + uv * ((1.0 - delta) ** c - delta**c)) ** (1.0 / c)
+    th1 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
+    th2 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
+    return _box_to_z(d, u, v, th1, th2)
+
+
 def sample_uniform(
     d: DomainSpec, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -123,12 +145,9 @@ def sample_uniform(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    c = 2.0 + 2.0 / d.k
-    r2 = rng.random(n) ** (1.0 / c)
-    r1 = r2 ** (1.0 / d.k) * np.sqrt(rng.random(n))
-    th1 = rng.uniform(0.0, 2.0 * math.pi, n)
-    th2 = rng.uniform(0.0, 2.0 * math.pi, n)
-    return r1 * np.exp(1j * th1), r2 * np.exp(1j * th2)
+    # the |z2| variates come first, so each seed keeps its points
+    uv = rng.random(n)
+    return _core_sample(d, 0.0, rng.random(n), uv, rng)
 
 
 def rejection_sample_uniform(

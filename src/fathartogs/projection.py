@@ -123,10 +123,9 @@ def project_numeric(
     """Quadrature approximation of the projection integral at the point z.
 
     ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`.  The result carries no error
-    estimate, so the tensor strategy skips ``integrate``'s coarse pass.
-    Near-singular kernel evaluations propagate as errors; points within
-    two boundary offsets of the boundary trigger an accuracy warning.
+    :func:`fathartogs.quadrature.integrate`.  Near-singular kernel
+    evaluations propagate as errors; points within two boundary offsets
+    of the boundary trigger an accuracy warning.
     """
     d.require_integer_exponent()
     if not contains(d, z):
@@ -138,5 +137,5 @@ def project_numeric(
         t = z.z2 * np.conj(w2)
         return kernel_closed_st(d, s, t) * f(w1, w2)
 
-    return complex(integrate(d, g, spec, estimate=False).value)
+    return complex(integrate(d, g, spec))
 

@@ -28,11 +28,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .geometry import DomainSpec
+from .geometry import DomainSpec, _box_to_z, _core_sample
 
 __all__ = [
     "QuadratureSpec",
-    "IntegralResult",
     "DivergentIntegralError",
     "IntegrandEvaluationError",
     "radial_moment",
@@ -82,12 +81,6 @@ class QuadratureSpec:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.strategy != "tensor_polar" and self.mc_samples < 1:
             raise ValueError("mc_samples must be >= 1 for Monte Carlo strategies")
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: complex | float
-    error_estimate: float
 
 
 # ----------------------------------------------------------------------
@@ -253,29 +246,20 @@ def tensor_sum(axes, f: Callable, *, axis: int, budget: int = _TENSOR_BLOCK_ENTR
     return total
 
 
-def _box_to_z(d: DomainSpec, u, v, th1, th2):
-    """The point (z1, z2) at box coordinates (u, v, theta1, theta2)."""
-    return u * v ** (1.0 / d.k) * np.exp(1j * th1), v * np.exp(1j * th2)
-
-
-def _core_axes(d: DomainSpec, spec: QuadratureSpec, order: int, n_ang: int):
+def _core_axes(d: DomainSpec, spec: QuadratureSpec):
     """The (u, v, theta1, theta2) rules; the Jacobian u v^(1+2/k) is in the weights."""
     # the v -> 0 panels track the offset itself (negative z2-powers live
     # there); the u -> 1 and v -> 1 gradings stop at 1e-4, enough for the
     # integrable edge behavior the operation contracts cover
     delta = spec.boundary_offset
+    order = spec.radial_nodes
     top = 1.0 - delta
     u, wu = _join(gauss_rule(0.0, 0.75, order),
                   graded_rule(0.75, top, order, toward="upper", floor=max(delta, 1e-4), ratio=8.0))
     v, wv = _join(graded_rule(delta, 0.5, order, toward="lower", floor=delta * 8.0, ratio=16.0),
                   graded_rule(0.5, top, order, toward="upper", floor=max(delta * 8.0, 1e-4), ratio=8.0))
-    return (u, u * wu), (v, v ** (1.0 + 2.0 / d.k) * wv), angle_rule(n_ang), angle_rule(n_ang)
-
-
-def _tensor_value(d: DomainSpec, f: Callable, spec: QuadratureSpec,
-                  order: int, n_ang: int) -> complex:
-    return complex(tensor_sum(_core_axes(d, spec, order, n_ang),
-                              lambda *box: f(*_box_to_z(d, *box)), axis=0))
+    theta = angle_rule(spec.angular_nodes)
+    return (u, u * wu), (v, v ** (1.0 + 2.0 / d.k) * wv), theta, theta
 
 
 def _core_volume(d: DomainSpec, delta: float) -> float:
@@ -284,18 +268,7 @@ def _core_volume(d: DomainSpec, delta: float) -> float:
         * ((1.0 - delta) ** c - delta**c) / c
 
 
-def _mc_points(d: DomainSpec, delta: float, uu: np.ndarray, uv: np.ndarray,
-               rng: np.random.Generator):
-    """Map unit-square variates to core box samples with the exact density."""
-    c = 2.0 + 2.0 / d.k
-    u = (1.0 - delta) * np.sqrt(uu)
-    v = (delta**c + uv * ((1.0 - delta) ** c - delta**c)) ** (1.0 / c)
-    th1 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
-    th2 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
-    return _box_to_z(d, u, v, th1, th2)
-
-
-def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> IntegralResult:
+def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
     """Monte Carlo over n x n equal-volume strata of the (u, v) square;
     plain Monte Carlo is the single stratum n = 1."""
     rng = np.random.default_rng(spec.seed)
@@ -306,13 +279,12 @@ def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> Integral
     per_cell = max(spec.mc_samples // (n_side * n_side), 1)
     cell_vol = vol / (n_side * n_side)
     total = 0.0 + 0.0j
-    var_total = 0.0
     complex_out = False
     for i in range(n_side):
         for j in range(n_side):
             uu = (i + rng.random(per_cell)) / n_side
             uv = (j + rng.random(per_cell)) / n_side
-            z1, z2 = _mc_points(d, delta, uu, uv, rng)
+            z1, z2 = _core_sample(d, delta, uu, uv, rng)
             try:
                 vals = np.asarray(f(z1, z2)) + np.zeros(per_cell)
             except Exception as exc:
@@ -321,31 +293,23 @@ def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> Integral
                 ) from exc
             complex_out = complex_out or np.iscomplexobj(vals)
             total += cell_vol * np.mean(vals)
-            var_total += float(np.var(vals)) * cell_vol**2 / per_cell
-    value = complex(total) if complex_out else float(total.real)
-    return IntegralResult(value, math.sqrt(var_total))
+    return complex(total) if complex_out else float(total.real)
 
 
-def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec, *,
-              estimate: bool = True) -> IntegralResult:
+def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
     """Approximate int f dV over the delta-offset core of the domain.
 
     ``f`` must be vectorized over numpy arrays: it receives broadcast
     complex arrays ``(z1, z2)`` and returns values elementwise.  The
-    tensor strategy reports a node-coarsening error estimate; with
-    ``estimate=False`` it skips the coarse pass that feeds it and reports
-    nan.  Monte Carlo strategies report the standard error and are
-    deterministic for a fixed seed.
+    result is a ``float``, or a ``complex`` when its imaginary part is
+    more than rounding (Monte Carlo: when ``f`` returns complex values).
+    Monte Carlo strategies are deterministic for a fixed seed.
     """
     if spec.strategy != "tensor_polar":
         return _stratified_mc(d, f, spec)
-    fine = _tensor_value(d, f, spec, spec.radial_nodes, spec.angular_nodes)
-    value = fine if abs(fine.imag) > 1e-13 * max(abs(fine), 1.0) else fine.real
-    if not estimate:
-        return IntegralResult(value, math.nan)
-    coarse = _tensor_value(d, f, spec, max(spec.radial_nodes - 3, 2),
-                           max(spec.angular_nodes // 2, 2))
-    return IntegralResult(value, float(abs(fine - coarse)))
+    value = complex(tensor_sum(_core_axes(d, spec),
+                               lambda *box: f(*_box_to_z(d, *box)), axis=0))
+    return value if abs(value.imag) > 1e-13 * max(abs(value), 1.0) else value.real
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,40 @@ class TestProjectCommand:
         assert body["parameters"]["rel_agreement"] < 1e-3
 
 
+# what each label claims: a quadrature value without an error bar, a
+# truncated basis series, or a closed form
+PROVENANCES = {"quadrature", "series-truncation", "exact-formula"}
+
+
+def provenances(node):
+    """Every ``provenance`` value anywhere in a report body."""
+    if isinstance(node, dict):
+        own = [node["provenance"]] if "provenance" in node else []
+        return own + [p for value in node.values() for p in provenances(value)]
+    if isinstance(node, list):
+        return [p for value in node for p in provenances(value)]
+    return []
+
+
+@pytest.mark.parametrize("argv", [
+    ["range", "--k", "2"],
+    ["kernel-check", "--k", "2", "--grid", "2"],
+    ["schur", "--k", "2", "--eps", "1.1"],
+    ["calculus1", "--eps", "0.5", "--levels", "4"],
+    ["disc-log", "--levels", "4"],
+    ["divergence", "--k", "1"],
+    ["probe", "--k", "2", "--p", "3"],
+    ["project", "--k", "1", "--radial-nodes", "4", "--angular-nodes", "8"],
+], ids=lambda argv: argv[0])
+def test_every_sample_carries_a_known_provenance(argv, tmp_path):
+    # runs this short may end inconclusive (exit 3); the labels do not
+    # depend on the verdict
+    assert run(argv, tmp_path) in (0, 3)
+    body = load_report(tmp_path, argv[0])["report"]
+    assert body["samples"] and all("provenance" in row for row in body["samples"])
+    assert set(provenances(body)) <= PROVENANCES
+
+
 class TestWriteCsv:
     def test_exact_bytes(self, tmp_path):
         path = tmp_path / "rows.csv"

@@ -99,7 +99,7 @@ class TestTensorIntegrate:
         for delta in (1e-2, 1e-4, 1e-6):
             spec = QuadratureSpec(radial_nodes=8, angular_nodes=8, boundary_offset=delta)
             res = integrate(d, lambda z1, z2: np.ones(()), spec)
-            errs.append(abs(res.value - volume(d)))
+            errs.append(abs(res - volume(d)))
         # the core deficit is linear in the offset (about 5 delta relative)
         assert errs[2] < 1e-2 * errs[0] and errs[2] < 5e-5
 
@@ -107,7 +107,7 @@ class TestTensorIntegrate:
         d = DomainSpec(1)
         spec = QuadratureSpec(radial_nodes=8, angular_nodes=8, boundary_offset=1e-6)
         res = integrate(d, lambda z1, z2: np.abs(z1) ** 2 / np.abs(z2), spec)
-        assert res.value == pytest.approx(radial_moment(d, 2, -1), rel=1e-4)
+        assert res == pytest.approx(radial_moment(d, 2, -1), rel=1e-4)
 
     def test_monomial_exactness_when_nodes_saturate(self):
         spec = QuadratureSpec(radial_nodes=14, angular_nodes=8, boundary_offset=1e-10)
@@ -116,7 +116,7 @@ class TestTensorIntegrate:
             res = integrate(
                 d, lambda z1, z2, m1=m1, m2=m2: np.abs(z1) ** m1 * np.abs(z2) ** m2, spec
             )
-            assert abs(res.value - radial_moment(d, m1, m2)) < 1e-8 * radial_moment(d, m1, m2)
+            assert abs(res - radial_moment(d, m1, m2)) < 1e-8 * radial_moment(d, m1, m2)
 
     def test_linearity(self):
         d = DomainSpec(2)
@@ -124,35 +124,19 @@ class TestTensorIntegrate:
         f = lambda z1, z2: np.abs(z1) ** 2
         g = lambda z1, z2: np.abs(z2) ** 2
         combo = integrate(d, lambda z1, z2: 2 * f(z1, z2) - 3 * g(z1, z2), spec)
-        parts = 2 * integrate(d, f, spec).value - 3 * integrate(d, g, spec).value
-        assert combo.value == pytest.approx(parts, rel=1e-12)
+        parts = 2 * integrate(d, f, spec) - 3 * integrate(d, g, spec)
+        assert combo == pytest.approx(parts, rel=1e-12)
 
-    def test_without_estimate_skips_only_the_coarse_pass(self):
-        from fathartogs.quadrature import _tensor_value
-
+    def test_real_unless_the_imaginary_part_is_more_than_rounding(self):
         d = DomainSpec(2)
         spec = QuadratureSpec(radial_nodes=8, angular_nodes=8, boundary_offset=1e-6)
-        for f in (lambda z1, z2: np.abs(z1) ** 2 / np.abs(z2),
-                  lambda z1, z2: z2 * np.conj(z2),  # imaginary part at rounding
-                  lambda z1, z2: (1 + 2j) * np.abs(z2) ** 2):
-            nodes = []
+        # the imaginary part of z2 * conj(z2) is rounding
+        assert type(integrate(d, lambda z1, z2: z2 * np.conj(z2), spec)) is float
+        value = integrate(d, lambda z1, z2: (1 + 2j) * np.abs(z2) ** 2, spec)
+        assert type(value) is complex
+        assert value.imag == pytest.approx(2 * value.real, rel=1e-12)
 
-            def counted(z1, z2, f=f):
-                nodes.append(np.broadcast(z1, z2).size)
-                return f(z1, z2)
-
-            full = integrate(d, counted, spec)
-            full_nodes, nodes[:] = sum(nodes), []
-            one = integrate(d, counted, spec, estimate=False)
-            assert one.value == full.value and type(one.value) is type(full.value)
-            assert math.isnan(one.error_estimate)
-            assert sum(nodes) < full_nodes
-            # the estimate compares the unrounded fine value with the coarse one
-            fine = _tensor_value(d, f, spec, 8, 8)
-            coarse = _tensor_value(d, f, spec, 5, 4)
-            assert full.error_estimate == float(abs(fine - coarse))
-
-    def test_project_numeric_calls_integrate_without_estimate(self, monkeypatch):
+    def test_project_numeric_calls_integrate_once_without_keywords(self, monkeypatch):
         from fathartogs import projection
 
         seen = []
@@ -167,7 +151,7 @@ class TestTensorIntegrate:
         spec = QuadratureSpec(radial_nodes=6, angular_nodes=6, boundary_offset=1e-4)
         z = Point2(0.1 + 0j, 0.5 + 0j)
         value = project_numeric(d, lambda w1, w2: np.conj(w2), z, spec)
-        assert seen == [{"estimate": False}]
+        assert seen == [{}]
         monkeypatch.setattr(projection, "integrate", real)
         assert project_numeric(d, lambda w1, w2: np.conj(w2), z, spec) == value
 
@@ -268,7 +252,11 @@ class TestMonteCarlo:
         f = lambda z1, z2: np.abs(z2) ** 2
         a = integrate(d, f, spec)
         b = integrate(d, f, spec)
-        assert a.value == b.value and a.error_estimate == b.error_estimate
+        assert a == b
+
+    # relative tolerances at the fixed seed, where the errors are 6.6e-4
+    # and 9.2e-6
+    MOMENT_RTOL = {"monte_carlo": 2e-3, "stratified_mc": 5e-5}
 
     @pytest.mark.parametrize("strategy", ["monte_carlo", "stratified_mc"])
     def test_matches_exact_moment(self, strategy):
@@ -277,7 +265,7 @@ class TestMonteCarlo:
                               boundary_offset=1e-7)
         res = integrate(d, lambda z1, z2: np.abs(z2) ** 2, spec)
         exact = radial_moment(d, 0, 2)
-        assert abs(res.value - exact) < 4 * res.error_estimate + 1e-4 * exact
+        assert abs(res - exact) < self.MOMENT_RTOL[strategy] * exact
 
     def test_stratified_agrees_with_tensor_on_random_monomials(self):
         rng = np.random.default_rng(12)
@@ -291,16 +279,16 @@ class TestMonteCarlo:
             f = lambda z1, z2, m1=m1, m2=m2: np.abs(z1) ** m1 * np.abs(z2) ** m2
             a = integrate(d, f, tensor)
             b = integrate(d, f, strat)
-            tol = 4 * (a.error_estimate + b.error_estimate) + 2e-3 * abs(a.value)
-            assert abs(a.value - b.value) < tol
+            assert abs(a - b) < 2e-3 * abs(a)
 
     def test_complex_integrand_passthrough(self):
         d = DomainSpec(1)
         spec = QuadratureSpec(strategy="monte_carlo", mc_samples=20_000, seed=2,
                               boundary_offset=1e-5)
         res = integrate(d, lambda z1, z2: z2, spec)
-        assert isinstance(res.value, complex)
-        assert abs(res.value) < 5 * res.error_estimate + 1e-2
+        assert isinstance(res, complex)
+        # the exact value is 0; at this seed |res| is 0.035
+        assert abs(res) < 0.1
 
 
 class TestDiscIntegral:
