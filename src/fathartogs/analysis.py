@@ -42,6 +42,7 @@ from .projection import MonomialInput, project_monomial
 from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
+    _aligned_angle_rule,
     _join,
     angle_rule,
     disc_kernel_moment,
@@ -167,13 +168,6 @@ class VerificationReport:
     tolerance: float = 0.02
     expected_violation: bool = False
 
-    @property
-    def passed(self) -> bool:
-        """Whether the outcome matches the theoretical prediction."""
-        return self.verdict == VERDICT_CONSISTENT or (
-            self.verdict == VERDICT_VIOLATED and self.expected_violation
-        )
-
 
 def fit_loglog_slope(x: Sequence[float], y: Sequence[float], tail: int = 4) -> float:
     """Least-squares slope of log y against log x over the last ``tail``
@@ -212,9 +206,9 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 #             * dtheta1 dpsi
 #
 # and |B_k(z, w)| is evaluated through the rotation-reduced kernel.  For
-# z1 = 0 the kernel loses its u and theta1 dependence and the whole
-# integral factors into (1-d u integral) x (2-d (v, psi) integral); the
-# full 4-d tensor is only needed on the inner-boundary ladder.
+# z1 = 0 the kernel loses its u and theta1 dependence, so the u and theta1
+# axes shrink to one node each and only the inner-boundary ladder sums the
+# full 4-d tensor.
 #
 # Offsets: the v -> 0 end carries the experiment's offset ladder (that
 # edge decides the Schur exponent window).  The u -> 1 and v -> 1 edges
@@ -262,43 +256,27 @@ def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
     return v, w * v**power * (1.0 + v) ** (-delta)
 
 
-def _psi_axis(scale: float):
-    """Panels on [0, pi] graded toward the aligned angle, weights doubled
-    for the even symmetry of the theta1-averaged integrand."""
-    floor = max(scale / 16.0, 1e-8)
-    psi, w = graded_rule(0.0, math.pi, _PSI_ORDER, toward="lower", floor=floor)
-    return psi, 2.0 * w
-
-
-def _schur_value_axis_free(d: DomainSpec, y: float, eps: float, delta: float,
-                           v0: float) -> float:
-    """I(z) for z = (0, y): separable u-factor times a 2-d (v, psi) integral."""
+def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
+    """I(z) as one tensor sum over (u, v, theta1, psi).  For z1 = 0 the
+    kernel modulus depends on neither u nor theta1, so each of those axes
+    is one node carrying its exact integral: the u factor and 2 pi."""
     k = d.k_int()
-    u_int = _u_factor(k, delta)
-    v, wv = _v_axis(k, eps, delta, y, v0)
-    psi, wpsi = _psi_axis(max(1.0 - y, 1e-6))
-    a = kernel_abs_polar(d, 0.0, y, 0.0, v[:, None], 0.0, psi[None, :])
-    w_int = float(wv @ a @ wpsi)
-    return 2.0 * math.pi * u_int * w_int
-
-
-def _schur_value_full(d: DomainSpec, x: float, y: float, eps: float, delta: float,
-                      v0: float) -> float:
-    """I(z) for z1 != 0: 4-d tensor over (u, v, theta1, psi)."""
-    k = d.k_int()
-    gap = 1.0 - x**k / y
-    axes = (_u_rule(k, delta, floor=max(gap / 16.0, 1e-9)), _v_axis(k, eps, delta, y, v0),
-            angle_rule(_N_THETA1), _psi_axis(gap))
+    x, y = abs(z.z1), abs(z.z2)
+    if x == 0.0:
+        scale = max(1.0 - y, 1e-6)
+        u_axis = (np.zeros(1), np.array([_u_factor(k, delta)]))
+        theta1_axis = (np.zeros(1), np.array([2.0 * math.pi]))
+    else:
+        scale = 1.0 - x**k / y
+        u_axis = _u_rule(k, delta, floor=max(scale / 16.0, 1e-9))
+        theta1_axis = angle_rule(_N_THETA1)
+    # psi on [0, pi], weights doubled for the even symmetry of the
+    # theta1-averaged integrand
+    psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
+    axes = (u_axis, _v_axis(k, eps, delta, y, v0), theta1_axis, (psi, 2.0 * wpsi))
     return float(tensor_sum(
         axes, lambda u, v, th1, psi: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi),
         axis=1))
-
-
-def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
-    x, y = abs(z.z1), abs(z.z2)
-    if x == 0.0:
-        return _schur_value_axis_free(d, y, eps, delta, v0)
-    return _schur_value_full(d, x, y, eps, delta, v0)
 
 
 # ----------------------------------------------------------------------

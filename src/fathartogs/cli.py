@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     node_counts(p)
     p.add_argument("--boundary-offset", type=_offset, default=1e-6)
-    p.add_argument("--strategy", choices=["tensor_polar", "monte_carlo", "stratified_mc"],
+    p.add_argument("--strategy", choices=["tensor_polar", "stratified_mc"],
                    default="tensor_polar")
     p.add_argument("--mc-samples", type=_at_least(1), default=200_000)
     p.add_argument("--seed", type=int, default=0)
@@ -321,7 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
+def _body(experiment: str, params: dict, rows: list[dict], verdict: str) -> dict:
+    """The report body of a command that builds no ``VerificationReport``;
+    none of these commands expects a violation."""
+    return {"experiment": experiment, "parameters": params, "samples": rows,
+            "verdict": verdict, "expected_violation": False}
+
+
+def _run_kernel_check(args) -> dict:
     d = geometry.DomainSpec(args.k)
     k = d.k_int()
     n_rad, n_ang = args.grid, 8
@@ -346,10 +353,10 @@ def _run_kernel_check(args) -> tuple[dict, list[dict], str, bool]:
               "max_last_shell": float(np.max(shell))}
     verdict = (analysis.VERDICT_CONSISTENT if max_rel < args.tolerance
                else analysis.VERDICT_VIOLATED)
-    return params, rows, verdict, False
+    return _body("kernel_check", params, rows, verdict)
 
 
-def _run_project(args) -> tuple[dict, list[dict], str, bool]:
+def _run_project(args) -> dict:
     d = geometry.DomainSpec(args.k)
     m = _parse_monomial(args.f)
     x1, x2 = _parse_point(args.z)
@@ -371,15 +378,12 @@ def _run_project(args) -> tuple[dict, list[dict], str, bool]:
     params = {"k": d.k, "f": args.f, "z": args.z, "rel_agreement": agreement}
     verdict = (analysis.VERDICT_CONSISTENT if agreement < 1e-3
                else analysis.VERDICT_INCONCLUSIVE)
-    return params, [row], verdict, False
+    return _body("project", params, [row], verdict)
 
 
 def _dispatch(args) -> tuple[dict, int]:
     if args.command == "kernel-check":
-        params, rows, verdict, expected = _run_kernel_check(args)
-        body = {"experiment": "kernel_check", "parameters": params,
-                "samples": rows, "verdict": verdict,
-                "expected_violation": expected}
+        body = _run_kernel_check(args)
     elif args.command == "range":
         d = geometry.DomainSpec(args.k)
         crit = analysis.critical_range(d)
@@ -394,9 +398,7 @@ def _dispatch(args) -> tuple[dict, int]:
                                        and sch.p_high == crit.p_high)
             rows.append({"p_low": sch.p_low_float, "p_high": sch.p_high_float,
                          "source": sch.source, "provenance": "exact-formula"})
-        verdict = analysis.VERDICT_CONSISTENT
-        body = {"experiment": "range", "parameters": params, "samples": rows,
-                "verdict": verdict, "expected_violation": False}
+        body = _body("range", params, rows, analysis.VERDICT_CONSISTENT)
     elif args.command == "schur":
         d = geometry.DomainSpec(args.k)
         cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels)
@@ -421,17 +423,14 @@ def _dispatch(args) -> tuple[dict, int]:
         rep = analysis.norm_ratio_probe(d, args.p, _parse_family(args.family))
         body = dataclasses.asdict(rep)
     elif args.command == "project":
-        params, rows, verdict, expected = _run_project(args)
-        body = {"experiment": "project", "parameters": params, "samples": rows,
-                "verdict": verdict, "expected_violation": expected}
+        body = _run_project(args)
     else:  # pragma: no cover - argparse prevents this
         raise SystemExit(EXIT_USAGE)
 
     body["command"] = args.command
     body["config"] = {k: v for k, v in vars(args).items()
                       if k not in {"command", "output_dir"}}
-    code = verdict_exit_code(body.get("verdict", analysis.VERDICT_CONSISTENT),
-                             bool(body.get("expected_violation", False)))
+    code = verdict_exit_code(body["verdict"], body["expected_violation"])
     return body, code
 
 

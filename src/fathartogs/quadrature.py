@@ -10,7 +10,7 @@ Three integration paths back every verification experiment:
   are geometrically graded toward the delta-offset boundary so that
   algebraic endpoint behavior costs log(1/delta) panels, not accuracy;
 * Monte Carlo via inverse-CDF sampling of the same box coordinates,
-  stratified over the (u, v) square; plain Monte Carlo is one stratum.
+  stratified over the (u, v) square.
 
 A separate engine integrates kernel-weighted densities over the unit
 disc, with Gauss-Jacobi end rules absorbing the r^(-beta) singularity at
@@ -45,7 +45,7 @@ __all__ = [
     "angle_rule",
 ]
 
-_STRATEGIES = ("tensor_polar", "monte_carlo", "stratified_mc")
+_STRATEGIES = ("tensor_polar", "stratified_mc")
 
 
 class DivergentIntegralError(ValueError):
@@ -80,7 +80,7 @@ class QuadratureSpec:
         if self.strategy not in _STRATEGIES:
             raise ValueError(f"strategy must be one of {_STRATEGIES}")
         if self.strategy != "tensor_polar" and self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1 for Monte Carlo strategies")
+            raise ValueError("mc_samples must be >= 1 for the Monte Carlo strategy")
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +176,13 @@ def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return th, np.full(n, 2.0 * math.pi / n)
 
 
+def _aligned_angle_rule(gap: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rule on [0, pi] graded toward 0, for an integrand peaked at the
+    aligned angle 0 with a width of order ``gap``: the finest panel is
+    gap / 16 wide, and never narrower than 1e-13."""
+    return graded_rule(0.0, math.pi, n, toward="lower", floor=max(gap / 16.0, 1e-13))
+
+
 # ----------------------------------------------------------------------
 # exact radial moments
 
@@ -269,13 +276,11 @@ def _core_volume(d: DomainSpec, delta: float) -> float:
 
 
 def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
-    """Monte Carlo over n x n equal-volume strata of the (u, v) square;
-    plain Monte Carlo is the single stratum n = 1."""
+    """Monte Carlo over n x n equal-volume strata of the (u, v) square."""
     rng = np.random.default_rng(spec.seed)
     delta = spec.boundary_offset
     vol = _core_volume(d, delta)
-    n_side = (1 if spec.strategy == "monte_carlo"
-              else int(np.clip(math.isqrt(max(spec.mc_samples // 32, 1)), 2, 48)))
+    n_side = int(np.clip(math.isqrt(max(spec.mc_samples // 32, 1)), 2, 48))
     per_cell = max(spec.mc_samples // (n_side * n_side), 1)
     cell_vol = vol / (n_side * n_side)
     total = 0.0 + 0.0j
@@ -303,7 +308,7 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | flo
     complex arrays ``(z1, z2)`` and returns values elementwise.  The
     result is a ``float``, or a ``complex`` when its imaginary part is
     more than rounding (Monte Carlo: when ``f`` returns complex values).
-    Monte Carlo strategies are deterministic for a fixed seed.
+    The Monte Carlo strategy is deterministic for a fixed seed.
     """
     if spec.strategy != "tensor_polar":
         return _stratified_mc(d, f, spec)
@@ -339,11 +344,6 @@ def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form
     return r, (w * (1.0 + r) ** (-eps) if weight_form == "sq" else w)
 
 
-def _disc_theta_rule(a: float, order: int):
-    floor = max((1.0 - a) / 16.0, 1e-13)
-    return graded_rule(0.0, math.pi, order, toward="lower", floor=floor)
-
-
 def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
                        *, weight_form: str = "sq") -> float:
     """Numerical value of int_D W(|w|) |w|^(-beta) / |1 - a conj(w)|^2 dV(w).
@@ -361,7 +361,7 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
     order = max(DISC_MIN_RADIAL_NODES, spec.radial_nodes)
     order_a = max(DISC_MIN_ANGULAR_NODES, spec.angular_nodes) // 4
     r, wr = _disc_radial_rule(eps, beta, a, order, weight_form)
-    th, wth = _disc_theta_rule(a, order_a)
+    th, wth = _aligned_angle_rule(1.0 - a, order_a)
     poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)
     return float(2.0 * wr @ poisson @ wth)
 

@@ -15,10 +15,10 @@ from fathartogs.analysis import (
     SchurConfig,
     VERDICT_CONSISTENT,
     VERDICT_VIOLATED,
-    VerificationReport,
     _EDGE_RESCALE_LEVEL,
     _PROBE_POINT,
     _V0_PROBE_LADDER,
+    _V0_WORK_AXIS,
     _V0_WORK_FULL,
     _edge_exponent,
     _schur_value,
@@ -267,36 +267,46 @@ class TestVerifySchur:
         with pytest.raises(DivergentIntegralError):
             _u_factor(k, 1.0)
 
-    # _schur_value at eps = 0.75 (edge exponent 0.75), recorded with the
-    # kernel modulus in its Horner form (the numerator p t^2 + q t + s^k p
-    # over the denominator on the full grid), printed with repr(): the 8
-    # points of boundary_ladder(d, "inner", 8) at v0 = _V0_WORK_FULL, then
+    # _schur_value at eps = 0.75 (edge exponent 0.75), printed with repr().
+    # "inner": the 8 points of boundary_ladder(d, "inner", 8) at
+    # v0 = _V0_WORK_FULL, recorded with the kernel modulus in its Horner
+    # form (the numerator p t^2 + q t + s^k p over the denominator on the
+    # full grid).  "outer" and "corner": the 8 points of those ladders
+    # (z1 = 0) at v0 = _V0_WORK_AXIS, recorded when the axis case summed
+    # its (v, psi) grid as a matrix product outside tensor_sum.  "probe":
     # _PROBE_POINT at the last probe offset, _V0_PROBE_LADDER[-1]
     SCHUR_GOLDEN = {
-        2: ([55.492557805950554, 91.64573385147487, 156.33341789159346,
-             267.2707726139817, 454.85491950240066, 770.6572906043441,
-             1301.7421291167761, 2194.7322025681406], 25.29282509915923),
-        1: ([92.54047234427487, 143.6688231612732, 234.712685725488,
-             390.911233844731, 655.9026842821994, 1103.4165987232398,
-             1857.5813539895437, 3127.221848620805], 41.394117968562995),
+        2: {"inner": [55.492557805950554, 91.64573385147487, 156.33341789159346,
+                      267.2707726139817, 454.85491950240066, 770.6572906043441,
+                      1301.7421291167761, 2194.7322025681406],
+            "outer": [26.176327783187542, 28.121509461139492, 39.69793869894828,
+                      61.350799787318564, 98.67825967383615, 161.92992778378482,
+                      268.59038901829456, 448.159867145514],
+            "corner": [26.176327783187542, 41.753978344519005, 79.1663348664493,
+                       156.2532198738152, 311.47744871122654, 622.4417233791925,
+                       1244.627024296621, 2489.125857912893],
+            "probe": 25.29282509915923},
+        1: {"inner": [92.54047234427487, 143.6688231612732, 234.712685725488,
+                      390.911233844731, 655.9026842821994, 1103.4165987232398,
+                      1857.5813539895437, 3127.221848620805],
+            "outer": [44.10206337305138, 44.048391758134755, 60.29528296642799,
+                      92.34476495454697, 148.50213227835152, 244.33261562139015,
+                      406.48162278617673, 679.9373619630294],
+            "corner": [44.10206337305138, 74.6116073233669, 143.8614446702415,
+                       285.18040611355354, 569.105892554006, 1137.5863367295624,
+                       2274.8601998157737, 4549.564194100507],
+            "probe": 41.394117968562995},
     }
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_schur_values_match_recorded(self, k):
         d, eps = DomainSpec(k), 0.75
         delta = _edge_exponent(k, eps)
-        inner, probe = self.SCHUR_GOLDEN[k]
-        got = [_schur_value(d, z, eps, delta, _V0_WORK_FULL)
-               for z in boundary_ladder(d, "inner", 8)]
-        assert got == pytest.approx(inner, rel=1e-12, abs=0.0)
+        golden = self.SCHUR_GOLDEN[k]
+        for stratum, v0 in (("inner", _V0_WORK_FULL), ("outer", _V0_WORK_AXIS),
+                            ("corner", _V0_WORK_AXIS)):
+            got = [_schur_value(d, z, eps, delta, v0)
+                   for z in boundary_ladder(d, stratum, 8)]
+            assert got == pytest.approx(golden[stratum], rel=1e-12, abs=0.0), stratum
         got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
-        assert got_probe == pytest.approx(probe, rel=1e-12, abs=0.0)
-
-    def test_report_passed_semantics(self):
-        rep = VerificationReport("x", {}, verdict=VERDICT_CONSISTENT, tolerance=0.02)
-        assert rep.passed
-        rep = VerificationReport("x", {}, verdict=VERDICT_VIOLATED, tolerance=0.02,
-                                 expected_violation=True)
-        assert rep.passed
-        rep = VerificationReport("x", {}, verdict=VERDICT_VIOLATED, tolerance=0.02)
-        assert not rep.passed
+        assert got_probe == pytest.approx(golden["probe"], rel=1e-12, abs=0.0)

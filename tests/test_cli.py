@@ -165,7 +165,7 @@ class TestExitCodes:
         (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 4 deltas, got 1"),
         (["divergence", "--k", "1", "--deltas", "0.5,1,2,3"], "must lie in (0, 1)"),
         (["divergence", "--k", "1", "--deltas", "1e-2..0"], "invalid _deltas value"),
-        (["project", "--k", "1", "--strategy", "monte_carlo", "--mc-samples", "0"],
+        (["project", "--k", "1", "--strategy", "stratified_mc", "--mc-samples", "0"],
          "must be at least 1"),
         (["kernel-check", "--k", "2", "--grid", "1"], "must be at least 2"),
         (["kernel-check", "--k", "2", "--tolerance", "0"], "must be finite and > 0"),
@@ -183,6 +183,8 @@ class TestExitCodes:
          "argument --p-grid: need at least 1 exponent, got 0 in ','"),
         (["probe", "--k", "2", "--p", "2", "--family", ";"],
          "argument --family: need at least 1 monomial, got 0 in ';'"),
+        (["project", "--k", "1", "--strategy", "monte_carlo"],
+         "argument --strategy: invalid choice: 'monte_carlo'"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
