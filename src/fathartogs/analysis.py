@@ -34,7 +34,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy import special
 
 from .geometry import DomainSpec, Point2, aux_h, boundary_ladder
 from .kernel import kernel_abs_polar
@@ -237,7 +236,8 @@ def _u_factor(k: int, delta: float) -> float:
             "inner-boundary edge integral diverges: need edge exponent "
             f"delta < 1 for (1-u^(2k))^(-delta) to be integrable, got delta = {delta}"
         )
-    return float(special.beta(1.0 / k, 1.0 - delta)) / (2 * k)
+    a, b = 1.0 / k, 1.0 - delta
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / (2 * k)
 
 
 def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):

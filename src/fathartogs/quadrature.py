@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import DomainSpec, _box_to_z, _core_sample
 
@@ -86,10 +86,57 @@ class QuadratureSpec:
 # ----------------------------------------------------------------------
 # one-dimensional rules
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays made read-only: cached rules are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=128)
 def _legendre01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
+    x, w = leggauss(n)
+    return _frozen((x + 1.0) / 2.0, w / 2.0)
+
+
+@lru_cache(maxsize=128)
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule on [-1, 1] for the weight (1-x)^a (1+x)^b, a, b > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the monic recurrence p_(j+1) = (x - alpha_j) p_j - beta_j p_(j-1),
+    polished by two Newton steps on that recurrence.  The weights are
+    proportional to 1 / ((1-x^2) p_n'(x)^2) and are scaled to sum to the
+    weight's mass 2^(a+b+1) B(a+1, b+1).
+    """
+    j = np.arange(n, dtype=float)
+    s = 2.0 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (s * (s + 2.0))
+        beta = 4.0 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    # j = 0 and j = 1 have removable 0/0 forms when a + b is 0 or -1;
+    # beta_0 multiplies p_(-1) = 0
+    alpha[0], beta[0] = (b - a) / (a + b + 2.0), 0.0
+    if n > 1:
+        beta[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    x = np.linalg.eigvalsh(np.diag(alpha) + np.diag(np.sqrt(beta[1:]), -1))
+
+    def recurrence(x):
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
+        for i in range(n):
+            p_prev, p, dp_prev, dp = (p, (x - alpha[i]) * p - beta[i] * p_prev,
+                                      dp, p + (x - alpha[i]) * dp - beta[i] * dp_prev)
+        return p, dp
+
+    for _ in range(2):
+        p, dp = recurrence(x)
+        x = x - p / dp
+    _, dp = recurrence(x)
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    mass = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return _frozen(x, w * (mass / w.sum()))
 
 
 def gauss_rule(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +190,7 @@ def _jacobi_end_rule(a: float, b: float, expo: float, n: int, *,
         raise DivergentIntegralError(f"edge exponent must exceed -1, got {expo}")
     if expo == 0.0:
         return gauss_rule(a, b, n)
-    x, w = roots_jacobi(n, expo, 0.0) if toward == "upper" else roots_jacobi(n, 0.0, expo)
+    x, w = _gauss_jacobi(n, expo, 0.0) if toward == "upper" else _gauss_jacobi(n, 0.0, expo)
     h = (b - a) / 2.0
     return a + h * (x + 1.0), w * h ** (expo + 1.0)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
+from scipy import special as sp_special
 
 from fathartogs.geometry import DomainSpec, boundary_ladder
 from fathartogs.analysis import (
@@ -266,6 +267,12 @@ class TestVerifySchur:
             assert _u_factor(k, delta) == pytest.approx(ref, rel=1e-13, abs=0.0)
         with pytest.raises(DivergentIntegralError):
             _u_factor(k, 1.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_u_factor_matches_beta_function(self, k):
+        for delta in (-0.5, 0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999):
+            ref = float(sp_special.beta(1.0 / k, 1.0 - delta)) / (2 * k)
+            assert _u_factor(k, delta) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     # _schur_value at eps = 0.75 (edge exponent 0.75), printed with repr().
     # "inner": the 8 points of boundary_ladder(d, "inner", 8) at

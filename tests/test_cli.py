@@ -93,6 +93,14 @@ class TestProjectCommand:
         assert code == 0
         body = load_report(tmp_path, "project")["report"]
         assert body["parameters"]["rel_agreement"] < 1e-3
+        assert "mc_samples" not in body["config"] and "seed" not in body["config"]
+
+    def test_sampling_flags_recorded_under_stratified_mc(self, tmp_path):
+        # a short run may end inconclusive; the config is what is checked
+        assert run(["project", "--k", "1", "--strategy", "stratified_mc",
+                    "--mc-samples", "2000"], tmp_path) in (0, 3)
+        config = load_report(tmp_path, "project")["report"]["config"]
+        assert (config["mc_samples"], config["seed"]) == (2000, 0)
 
 
 # what each label claims: a quadrature value without an error bar, a
@@ -185,6 +193,10 @@ class TestExitCodes:
          "argument --family: need at least 1 monomial, got 0 in ';'"),
         (["project", "--k", "1", "--strategy", "monte_carlo"],
          "argument --strategy: invalid choice: 'monte_carlo'"),
+        (["project", "--k", "1", "--mc-samples", "5"],
+         "argument --mc-samples: only read under --strategy stratified_mc"),
+        (["project", "--k", "1", "--strategy", "tensor_polar", "--seed", "3"],
+         "argument --seed: only read under --strategy stratified_mc"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):

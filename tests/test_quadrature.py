@@ -7,12 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
+from scipy import special as sp_special
 
 from fathartogs import analysis
 from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
 from fathartogs.projection import project_numeric
 from fathartogs.quadrature import (
     DivergentIntegralError,
+    _gauss_jacobi,
+    _legendre01,
     IntegrandEvaluationError,
     QuadratureSpec,
     angle_rule,
@@ -361,3 +364,45 @@ class TestGradedRule:
         x, w = graded_rule(0.1, 2.0, 6, toward=toward, floor=1e-4, ratio=8.0)
         xp, wp = panel_rule(graded_breaks(0.1, 2.0, toward=toward, floor=1e-4, ratio=8.0), 6)
         assert np.array_equal(x, xp) and np.array_equal(w, wp)
+
+
+class TestGaussRules:
+    @pytest.mark.parametrize("e", [-0.99, -0.9, -0.5, -0.05, 0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("end", ["upper", "lower"])
+    def test_jacobi_exact_moments(self, e, end):
+        # int (1-x)^a (1+x)^b ((1+x)/2)^m dx = 2^(a+b+1) B(a+1, b+m+1),
+        # exact for m < 2n
+        a, b = (e, 0.0) if end == "upper" else (0.0, e)
+        for n in range(1, 41):
+            x, w = _gauss_jacobi(n, a, b)
+            m = np.arange(2 * n)
+            exact = 2.0 ** (a + b + 1.0) * sp_special.beta(a + 1.0, b + m + 1.0)
+            got = ((1.0 + x[None, :]) / 2.0) ** m[:, None] @ w
+            assert np.max(np.abs(got / exact - 1.0)) < 1e-11, n
+
+    @pytest.mark.parametrize("a, b", [(-0.9, 0.0), (0.0, -0.5), (0.75, 0.0), (0.0, 0.0)])
+    def test_jacobi_agrees_with_scipy(self, a, b):
+        # scipy's own weights drift by up to 3.6e-10 relative at n = 40
+        # (exact-moment check), hence the looser weight bound
+        for n in range(1, 41):
+            x, w = _gauss_jacobi(n, a, b)
+            xs, ws = sp_special.roots_jacobi(n, a, b)
+            assert np.allclose(x, xs, rtol=0.0, atol=1e-13), n
+            assert np.allclose(w, ws, rtol=1e-9, atol=0.0), n
+
+    def test_legendre_exact_to_degree_2n_minus_1(self):
+        # int_0^1 x^m dx = 1/(m+1)
+        for n in range(1, 41):
+            x, w = _legendre01(n)
+            m = np.arange(2 * n)
+            got = x[None, :] ** m[:, None] @ w
+            assert np.max(np.abs(got * (m + 1) - 1.0)) < 1e-12, n
+
+    @pytest.mark.parametrize("rule", [lambda: _legendre01(4),
+                                      lambda: _gauss_jacobi(4, 0.5, 0.0)],
+                             ids=["legendre", "jacobi"])
+    def test_cached_rules_are_read_only(self, rule):
+        # every caller shares the cached arrays
+        for arr in rule():
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
