@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,16 +278,61 @@ class TestKernelSeries:
             assert abs(vals[i] - ref) <= 1e-13 * abs(ref)
             assert abs(shell[i] - ref_shell) <= 1e-13 * ref_shell
 
-    def test_blocks_match_pointwise(self):
-        d, spec = DomainSpec(2), SeriesSpec(40)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_blocks_match_pointwise(self, k):
+        # k = 1 has the widest row arrays (M + 1 rows), k = 3 the narrowest
+        d, spec = DomainSpec(k), SeriesSpec(40)
         block = _SERIES_BLOCK_ELEMENTS // (spec.max_degree + 1)
         n = 2 * block + 7
         assert n % block != 0
-        s, t = interior_invariants(2, n, 31)
+        s, t = interior_invariants(k, n, 31)
         vals, shell, _ = kernel_series_st(d, s, t, spec)
         for i in range(n):
             v, sh, _ = kernel_series_st(d, s[i], t[i], spec)
             assert v == vals[i] and sh == shell[i]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_values_at_criterion_degrees(self, k):
+        # the arithmetic and its order are pinned bit for bit, since the
+        # cancellation at a kernel zero rests on them; two full blocks and a
+        # partial one per k, so the sliced last block is covered too
+        pins = np.load(Path(__file__).parent / "data" / "series_pins.npz")
+        M = 250 + 150 * k
+        s, t = pins[f"s{k}"], pins[f"t{k}"]
+        block = _SERIES_BLOCK_ELEMENTS // (M + 1)
+        assert 2 * block < s.size < 3 * block
+        vals, shell, _ = kernel_series_st(DomainSpec(k), s, t, SeriesSpec(M))
+        np.testing.assert_array_equal(vals, pins[f"values{k}"])
+        np.testing.assert_array_equal(shell, pins[f"shell{k}"])
+
+    def test_workspace_leaks_nothing_between_calls(self):
+        # a wider call (k = 3, M = 700) and a scalar call in between must
+        # leave a repeated k = 1 call bit for bit as it was
+        d1, spec1 = DomainSpec(1), SeriesSpec(400)
+        s, t = interior_invariants(1, 2 * (_SERIES_BLOCK_ELEMENTS // 401) + 5, 71)
+        first = kernel_series_st(d1, s, t, spec1)
+        kernel_series_st(DomainSpec(3), *interior_invariants(3, 60, 72), SeriesSpec(700))
+        kernel_series(DomainSpec(2), Point2(0.3 + 0.2j, 0.6 - 0.1j),
+                      Point2(0.25 - 0.3j, 0.5 + 0.4j), SeriesSpec(300, 1e-9))
+        again = kernel_series_st(d1, s, t, spec1)
+        np.testing.assert_array_equal(again[0], first[0])
+        np.testing.assert_array_equal(again[1], first[1])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor-fault counts are read on Linux only")
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_repeat_call_makes_few_page_faults(self, k):
+        # freshly allocated block temporaries let the allocator trim the heap
+        # after every block and fault it in again for the next: 12000-16000
+        # minor faults per call; one reused workspace makes a few hundred
+        resource = pytest.importorskip("resource")
+        d, spec = DomainSpec(k), SeriesSpec(250 + 150 * k)
+        s, t = interior_invariants(k, 1024, 80 + k)
+        kernel_series_st(d, s, t, spec)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        kernel_series_st(d, s, t, spec)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 2000
 
     def test_keeps_broadcast_and_scalar_shapes(self):
         d, spec = DomainSpec(2), SeriesSpec(20)
