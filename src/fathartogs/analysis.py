@@ -204,7 +204,10 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 #   W(w) dV = (1-u^(2k))^-delta u du * (1-v^2)^-delta v^(1+2/k-2eps) dv
 #             * dtheta1 dpsi
 #
-# and |B_k(z, w)| is evaluated through the rotation-reduced kernel.  For
+# and |B_k(z, w)| is evaluated through the rotation-reduced kernel.  The
+# grid is laid out as (v, psi, u, theta1): |w1| = u v^(1/k) and theta1 are
+# the last two axes, where kernel_abs_polar sums its k separable terms as
+# one matrix product, and the grid is summed in blocks along v.  For
 # z1 = 0 the kernel loses its u and theta1 dependence, so the u and theta1
 # axes shrink to one node each and only the inner-boundary ladder sums the
 # full 4-d tensor.
@@ -257,9 +260,11 @@ def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
 
 
 def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
-    """I(z) as one tensor sum over (u, v, theta1, psi).  For z1 = 0 the
-    kernel modulus depends on neither u nor theta1, so each of those axes
-    is one node carrying its exact integral: the u factor and 2 pi."""
+    """I(z) as one tensor sum over (v, psi, u, theta1), in blocks along v.
+    The last two axes are the |w1| and theta1 axes of
+    :func:`kernel_abs_polar`'s layout.  For z1 = 0 the kernel modulus
+    depends on neither u nor theta1, so each of those axes is one node
+    carrying its exact integral: the u factor and 2 pi."""
     k = d.k_int()
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
@@ -273,10 +278,10 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     # psi on [0, pi], weights doubled for the even symmetry of the
     # theta1-averaged integrand
     psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
-    axes = (u_axis, _v_axis(k, eps, delta, y, v0), theta1_axis, (psi, 2.0 * wpsi))
+    axes = (_v_axis(k, eps, delta, y, v0), (psi, 2.0 * wpsi), u_axis, theta1_axis)
     return float(tensor_sum(
-        axes, lambda u, v, th1, psi: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi),
-        axis=1))
+        axes, lambda v, psi, u, th1: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi),
+        axis=0))
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ __all__ = [
     "SeriesResult",
     "NearSingularError",
     "SeriesDivergenceError",
+    "PolarLayoutError",
     "poly_p",
     "poly_q",
     "p_coefficients",
@@ -66,6 +67,11 @@ class NearSingularError(ArithmeticError):
 
 class SeriesDivergenceError(ArithmeticError):
     """The truncated kernel series did not meet its shell tolerance."""
+
+
+class PolarLayoutError(ValueError):
+    """Input to :func:`kernel_abs_polar` varies along an axis its layout
+    reserves for another argument."""
 
 
 @dataclass(frozen=True)
@@ -355,6 +361,27 @@ def kernel_series(d: DomainSpec, z: Point2, w: Point2, spec: SeriesSpec) -> Seri
     return SeriesResult(complex(values), last_shell, degree)
 
 
+def _polar_layout(w1_abs, w2_abs, theta1, psi) -> tuple[int, ...]:
+    """Broadcast shape of the w-arguments of :func:`kernel_abs_polar`;
+    raises :class:`PolarLayoutError` unless they follow its layout."""
+    shape = np.broadcast_shapes(*map(np.shape, (w1_abs, w2_abs, theta1, psi)))
+    if len(shape) < 2:
+        raise PolarLayoutError(
+            f"the w-arguments broadcast to {shape}; append two unit axes for "
+            "pointwise evaluation")
+    # axes counted from the end (1 = last) along which each argument is constant
+    fixed = (("w1_abs", w1_abs, (1,)), ("w2_abs", w2_abs, (1, 2)),
+             ("theta1", theta1, (2,)), ("psi", psi, (1, 2)))
+    for name, arg, axes in fixed:
+        arg_shape = np.shape(arg)
+        for i in axes:
+            if i <= len(arg_shape) and arg_shape[-i] != 1:
+                raise PolarLayoutError(
+                    f"{name} of shape {arg_shape} varies along axis {-i}; the last "
+                    "two axes are |w1| (second-to-last) and theta1 (last)")
+    return shape
+
+
 def kernel_abs_polar(
     d: DomainSpec,
     z1_abs: float,
@@ -380,12 +407,21 @@ def kernel_abs_polar(
         G_n = a^(n-1) (n tau + (k-n) a^k) / |tau - a^k|^2,
         H_n = e^(-i(n-1) theta1) (n + (k-n) t) / (k pi^2 |1-t|^2).
 
-    G_n is free of theta1 and H_n of |w1|, so on a grid over all four
-    w-arguments every factor lives on a 3-d sub-grid, and only the k
-    products, their sum and the modulus run over the full grid.  At k = 1
-    the single term is the real product |G_1| H_1.  All four w-arguments
-    broadcast.
+    G_n is free of theta1 and H_n of |w1|, so on one slice of the leading
+    axes the sum over n is the matrix product of G (|w1| x k) and
+    H (k x theta1): one batched ``np.matmul`` forms the k products and
+    their sum, and only that product and its modulus run over the full
+    grid.  At k = 1 the single term is the real product |G_1| H_1.
+
+    Layout: the four w-arguments broadcast to a shape of at least two
+    axes.  The last two axes are |w1| (second-to-last) and theta1 (last):
+    ``w1_abs`` must not vary along the last axis, ``theta1`` not along the
+    second-to-last, and ``w2_abs`` and ``psi`` along neither (they
+    broadcast over both).  For pointwise evaluation append two unit axes.
+    Input that varies along an axis it must not vary along raises
+    :class:`PolarLayoutError`.
     """
+    ndim = len(_polar_layout(w1_abs, w2_abs, theta1, psi))
     k = d.k_int()
     a = z1_abs * np.asarray(w1_abs)
     tau = z2_abs * np.asarray(w2_abs) * np.exp(-1j * np.asarray(psi))
@@ -396,12 +432,10 @@ def kernel_abs_polar(
     inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
     if k == 1:
         return (np.abs(tau) * inv_inner) * inv_outer
-    # the term index n on a new leading axis, so that each kind of factor
-    # is formed for all k terms at once on its own 3-d shape
-    n = np.arange(1, k + 1).reshape((k,) + (1,) * max(np.ndim(a), tau.ndim, theta1.ndim))
-    g = a ** (n - 1) * (n * tau + (k - n) * ak) * inv_inner
-    h = np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t) * inv_outer
-    total = g[0] * h[0]
-    for i in range(1, k):
-        total += g[i] * h[i]  # one full-grid temporary at a time, not k
-    return np.abs(total)
+    # the factors are formed with the term index n on a new leading axis,
+    # where each elementwise pass runs over long contiguous loops; the
+    # matrix operands are views that move n next to the |w1| or theta1 axis
+    n = np.arange(1, k + 1).reshape((k,) + (1,) * ndim)
+    g = a ** (n - 1) * (n * tau + (k - n) * ak) * inv_inner  # (k, ..., |w1|, 1)
+    h = np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t) * inv_outer  # (k, ..., 1, theta1)
+    return np.abs(np.matmul(np.moveaxis(g[..., 0], 0, -1), np.moveaxis(h[..., 0, :], 0, -2)))

@@ -281,7 +281,9 @@ class TestVerifySchur:
     # full grid).  "outer" and "corner": the 8 points of those ladders
     # (z1 = 0) at v0 = _V0_WORK_AXIS, recorded when the axis case summed
     # its (v, psi) grid as a matrix product outside tensor_sum.  "probe":
-    # _PROBE_POINT at the last probe offset, _V0_PROBE_LADDER[-1]
+    # _PROBE_POINT at the last probe offset, _V0_PROBE_LADDER[-1].  k = 3
+    # was recorded later, with the per-term sum of the separable form on
+    # the (u, v, theta1, psi) grid, before that sum became a matrix product
     SCHUR_GOLDEN = {
         2: {"inner": [55.492557805950554, 91.64573385147487, 156.33341789159346,
                       267.2707726139817, 454.85491950240066, 770.6572906043441,
@@ -303,9 +305,19 @@ class TestVerifySchur:
                        285.18040611355354, 569.105892554006, 1137.5863367295624,
                        2274.8601998157737, 4549.564194100507],
             "probe": 41.394117968562995},
+        3: {"inner": [56.50578535862159, 101.47690128375768, 186.55962604945393,
+                      336.55101452355143, 591.5405563510677, 1019.6664278025494,
+                      1737.0766194930993, 2940.318918749989],
+            "outer": [28.354835499982187, 28.27363670991795, 37.23769932034406,
+                      54.64342185942448, 84.81680346868144, 135.96850800519562,
+                      222.1928412252314, 367.3052707957328],
+            "corner": [28.354835499982187, 46.70736091624911, 89.13174931839411,
+                       176.18460374978824, 351.33688193703523, 702.1584700851072,
+                       1404.0594012406366, 2807.990046491535],
+            "probe": 26.67513221148791},
     }
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_schur_values_match_recorded(self, k):
         d, eps = DomainSpec(k), 0.75
         delta = _edge_exponent(k, eps)
@@ -317,3 +329,15 @@ class TestVerifySchur:
             assert got == pytest.approx(golden[stratum], rel=1e-12, abs=0.0), stratum
         got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
         assert got_probe == pytest.approx(golden["probe"], rel=1e-12, abs=0.0)
+
+    def test_below_window_ratio_ladder_violation(self):
+        # a true positive of the ratio ladders: below the window the
+        # integral is finite, and the corner ratio behaves like
+        # |z2|^(2 eps - 1), which grows as z2 -> 0 for eps < 1/2; its
+        # fitted slope against the gap is 2 eps - 1 = -0.4
+        eps = 0.3
+        rep = verify_schur(DomainSpec(2), SchurConfig(eps=eps, ladder_levels=6))
+        assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
+        assert "divergence_edge" not in rep.parameters
+        assert rep.parameters["growing_stratum"] == "corner"
+        assert rep.fitted_exponent == pytest.approx(2 * eps - 1, abs=0.01)

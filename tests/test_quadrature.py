@@ -236,7 +236,9 @@ class TestTensorBlockMemory:
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < self.LIMIT_MIB
 
-    # the kernel's per-term loop must hold one full-grid temporary, not k
+    # the kernel's k terms live on 3-d sub-grids and one matrix product
+    # sums them, so a block holds its complex product and modulus, not k
+    # full-grid terms
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_schur_inner_stratum(self, k):
         d = DomainSpec(k)
