@@ -16,7 +16,6 @@ from .geometry import (
     aux_h,
     boundary_ladder,
     contains,
-    rejection_sample_uniform,
     sample_uniform,
     volume,
 )

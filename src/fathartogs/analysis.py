@@ -64,7 +64,6 @@ __all__ = [
     "verify_disc_log",
     "divergence_scan",
     "norm_ratio_probe",
-    "fit_loglog_slope",
 ]
 
 VERDICT_CONSISTENT = "consistent"

@@ -307,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     node_counts(p)
     p.add_argument("--boundary-offset", type=_offset, default=1e-6)
-    p.add_argument("--strategy", choices=["tensor_polar", "stratified_mc"],
-                   default="tensor_polar")
-    # stratified_mc only; see _settle_sampling_flags
-    p.add_argument("--mc-samples", type=_at_least(1), default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--f", default="0,0:0,1",
                    type=_well_formed(_parse_monomial, "'a1,a2:b1,b2' with integer entries"),
                    help="monomial input 'a1,a2:b1,b2'")
@@ -320,22 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation point 'x1,x2' on the positive real axes")
 
     return parser
-
-
-def _settle_sampling_flags(parser: argparse.ArgumentParser, args) -> None:
-    """``--mc-samples`` and ``--seed`` steer only ``--strategy
-    stratified_mc``.  Given with another strategy they are usage errors,
-    so the report's config never lists a flag the run ignored; under
-    stratified_mc the unset ones take ``QuadratureSpec``'s defaults."""
-    if not hasattr(args, "strategy"):
-        return
-    for name in ("mc_samples", "seed"):
-        if args.strategy == "stratified_mc":
-            if not hasattr(args, name):
-                setattr(args, name, getattr(quadrature.QuadratureSpec, name))
-        elif hasattr(args, name):
-            parser.error(f"argument --{name.replace('_', '-')}: "
-                         "only read under --strategy stratified_mc")
 
 
 def _body(experiment: str, params: dict, rows: list[dict], verdict: str) -> dict:
@@ -462,10 +441,8 @@ def verdict_exit_code(verdict: str, expected_violation: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _settle_sampling_flags(parser, args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     out_dir = args.output_dir

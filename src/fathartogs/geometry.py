@@ -27,7 +27,6 @@ __all__ = [
     "volume",
     "aux_h",
     "sample_uniform",
-    "rejection_sample_uniform",
     "boundary_ladder",
 ]
 
@@ -116,22 +115,6 @@ def _box_to_z(d: DomainSpec, u, v, th1, th2):
     return u * v ** (1.0 / d.k) * np.exp(1j * th1), v * np.exp(1j * th2)
 
 
-def _core_sample(d: DomainSpec, delta: float, uu: np.ndarray, uv: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Points of the delta-offset core, uniform w.r.t. Lebesgue measure,
-    from unit-square variates (uu, uv) and angles drawn from ``rng``.
-
-    Inverse CDF in box coordinates: u has density 2u on (0, 1 - delta),
-    v density proportional to v^(1 + 2/k) on (delta, 1 - delta).
-    """
-    c = 2.0 + 2.0 / d.k
-    u = (1.0 - delta) * np.sqrt(uu)
-    v = (delta**c + uv * ((1.0 - delta) ** c - delta**c)) ** (1.0 / c)
-    th1 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
-    th2 = rng.uniform(0.0, 2.0 * math.pi, uu.size)
-    return _box_to_z(d, u, v, th1, th2)
-
-
 def sample_uniform(
     d: DomainSpec, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,39 +128,13 @@ def sample_uniform(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
+    c = 2.0 + 2.0 / d.k
     # the |z2| variates come first, so each seed keeps its points
-    uv = rng.random(n)
-    return _core_sample(d, 0.0, rng.random(n), uv, rng)
-
-
-def rejection_sample_uniform(
-    d: DomainSpec, n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform sampling by rejection from the bounding polydisc D x D.
-
-    Independent cross-check for :func:`sample_uniform`; the acceptance
-    rate is k/(k+1) so it stays usable for all k >= 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    out1 = np.empty(n, dtype=complex)
-    out2 = np.empty(n, dtype=complex)
-    filled = 0
-    while filled < n:
-        m = max(int((n - filled) * 1.5) + 16, 1024)
-        r1 = np.sqrt(rng.random(m))
-        r2 = np.sqrt(rng.random(m))
-        keep = r1 ** d.k < r2
-        kn = min(int(keep.sum()), n - filled)
-        th1 = rng.uniform(0.0, 2.0 * math.pi, m)
-        th2 = rng.uniform(0.0, 2.0 * math.pi, m)
-        z1 = (r1 * np.exp(1j * th1))[keep][:kn]
-        z2 = (r2 * np.exp(1j * th2))[keep][:kn]
-        out1[filled : filled + kn] = z1
-        out2[filled : filled + kn] = z2
-        filled += kn
-    return out1, out2
+    v = rng.random(n) ** (1.0 / c)
+    u = np.sqrt(rng.random(n))
+    th1 = rng.uniform(0.0, 2.0 * math.pi, n)
+    th2 = rng.uniform(0.0, 2.0 * math.pi, n)
+    return _box_to_z(d, u, v, th1, th2)
 
 
 _STRATA = ("outer", "inner", "corner")

@@ -37,9 +37,6 @@ __all__ = [
     "PolarLayoutError",
     "poly_p",
     "poly_q",
-    "p_coefficients",
-    "q_base_coefficients",
-    "q_shift_coefficients",
     "kernel_closed",
     "kernel_closed_st",
     "kernel_series",
@@ -411,7 +408,8 @@ def kernel_abs_polar(
     axes the sum over n is the matrix product of G (|w1| x k) and
     H (k x theta1): one batched ``np.matmul`` forms the k products and
     their sum, and only that product and its modulus run over the full
-    grid.  At k = 1 the single term is the real product |G_1| H_1.
+    grid.  At k = 1, and on the axis z1 = 0 where a = 0, only the n = 1
+    term is nonzero, and |B_k| is the product |G_1| |H_1|.
 
     Layout: the four w-arguments broadcast to a shape of at least two
     axes.  The last two axes are |w1| (second-to-last) and theta1 (last):
@@ -430,8 +428,8 @@ def kernel_abs_polar(
     inv_inner = 1.0 / np.abs(tau - ak) ** 2
     t = tau * np.exp(-1j * k * theta1)
     inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
-    if k == 1:
-        return (np.abs(tau) * inv_inner) * inv_outer
+    if k == 1 or z1_abs == 0.0:
+        return (np.abs(tau) * inv_inner) * (np.abs(1.0 + (k - 1) * t) * inv_outer)
     # the factors are formed with the term index n on a new leading axis,
     # where each elementwise pass runs over long contiguous loops; the
     # matrix operands are views that move n next to the |w1| or theta1 axis

@@ -1,6 +1,6 @@
 """Integration engine over the fat Hartogs triangles and the unit disc.
 
-Three integration paths back every verification experiment:
+Two integration paths back every verification experiment:
 
 * exact radial moments of |z1|^m1 |z2|^m2 from the closed form
   4 pi^2 / [(m1+2)(m2+2+(m1+2)/k)];
@@ -8,9 +8,7 @@ Three integration paths back every verification experiment:
   u = |z1| / v^(1/k), v = |z2|, where the domain is the box
   (0,1) x (0,1) x [0,2pi)^2 and the Jacobian is u v^(1+2/k) -- panels
   are geometrically graded toward the delta-offset boundary so that
-  algebraic endpoint behavior costs log(1/delta) panels, not accuracy;
-* Monte Carlo via inverse-CDF sampling of the same box coordinates,
-  stratified over the (u, v) square.
+  algebraic endpoint behavior costs log(1/delta) panels, not accuracy.
 
 A separate engine integrates kernel-weighted densities over the unit
 disc, with Gauss-Jacobi end rules absorbing the r^(-beta) singularity at
@@ -28,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .geometry import DomainSpec, _box_to_z, _core_sample
+from .geometry import DomainSpec, _box_to_z
 
 __all__ = [
     "QuadratureSpec",
@@ -45,8 +43,6 @@ __all__ = [
     "angle_rule",
 ]
 
-_STRATEGIES = ("tensor_polar", "stratified_mc")
-
 
 class DivergentIntegralError(ValueError):
     """A requested integral diverges; the message names the violated inequality."""
@@ -58,7 +54,7 @@ class IntegrandEvaluationError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts, boundary offset and strategy for integration.
+    """Node counts and boundary offset for integration.
 
     ``radial_nodes`` is the Gauss order used on each automatically graded
     radial panel (panel counts scale like log(1/boundary_offset));
@@ -68,19 +64,12 @@ class QuadratureSpec:
     radial_nodes: int = 10
     angular_nodes: int = 24
     boundary_offset: float = 1e-6
-    strategy: str = "tensor_polar"
-    mc_samples: int = 200_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValueError("node counts must be >= 2")
         if not 0.0 < self.boundary_offset < 0.5:
             raise ValueError("boundary_offset must lie in (0, 0.5)")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of {_STRATEGIES}")
-        if self.strategy != "tensor_polar" and self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1 for the Monte Carlo strategy")
 
 
 # ----------------------------------------------------------------------
@@ -316,49 +305,14 @@ def _core_axes(d: DomainSpec, spec: QuadratureSpec):
     return (u, u * wu), (v, v ** (1.0 + 2.0 / d.k) * wv), theta, theta
 
 
-def _core_volume(d: DomainSpec, delta: float) -> float:
-    c = 2.0 + 2.0 / d.k
-    return 4.0 * math.pi**2 * (1.0 - delta) ** 2 / 2.0 \
-        * ((1.0 - delta) ** c - delta**c) / c
-
-
-def _stratified_mc(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
-    """Monte Carlo over n x n equal-volume strata of the (u, v) square."""
-    rng = np.random.default_rng(spec.seed)
-    delta = spec.boundary_offset
-    vol = _core_volume(d, delta)
-    n_side = int(np.clip(math.isqrt(max(spec.mc_samples // 32, 1)), 2, 48))
-    per_cell = max(spec.mc_samples // (n_side * n_side), 1)
-    cell_vol = vol / (n_side * n_side)
-    total = 0.0 + 0.0j
-    complex_out = False
-    for i in range(n_side):
-        for j in range(n_side):
-            uu = (i + rng.random(per_cell)) / n_side
-            uv = (j + rng.random(per_cell)) / n_side
-            z1, z2 = _core_sample(d, delta, uu, uv, rng)
-            try:
-                vals = np.asarray(f(z1, z2)) + np.zeros(per_cell)
-            except Exception as exc:
-                raise IntegrandEvaluationError(
-                    f"integrand failed in stratum ({i}, {j})"
-                ) from exc
-            complex_out = complex_out or np.iscomplexobj(vals)
-            total += cell_vol * np.mean(vals)
-    return complex(total) if complex_out else float(total.real)
-
-
 def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | float:
     """Approximate int f dV over the delta-offset core of the domain.
 
     ``f`` must be vectorized over numpy arrays: it receives broadcast
     complex arrays ``(z1, z2)`` and returns values elementwise.  The
     result is a ``float``, or a ``complex`` when its imaginary part is
-    more than rounding (Monte Carlo: when ``f`` returns complex values).
-    The Monte Carlo strategy is deterministic for a fixed seed.
+    more than rounding.
     """
-    if spec.strategy != "tensor_polar":
-        return _stratified_mc(d, f, spec)
     value = complex(tensor_sum(_core_axes(d, spec),
                                lambda *box: f(*_box_to_z(d, *box)), axis=0))
     return value if abs(value.imag) > 1e-13 * max(abs(value), 1.0) else value.real

@@ -93,14 +93,8 @@ class TestProjectCommand:
         assert code == 0
         body = load_report(tmp_path, "project")["report"]
         assert body["parameters"]["rel_agreement"] < 1e-3
-        assert "mc_samples" not in body["config"] and "seed" not in body["config"]
-
-    def test_sampling_flags_recorded_under_stratified_mc(self, tmp_path):
-        # a short run may end inconclusive; the config is what is checked
-        assert run(["project", "--k", "1", "--strategy", "stratified_mc",
-                    "--mc-samples", "2000"], tmp_path) in (0, 3)
-        config = load_report(tmp_path, "project")["report"]["config"]
-        assert (config["mc_samples"], config["seed"]) == (2000, 0)
+        assert set(body["config"]) == {"k", "format", "radial_nodes", "angular_nodes",
+                                       "boundary_offset", "f", "z"}
 
 
 # what each label claims: a quadrature value without an error bar, a
@@ -173,8 +167,7 @@ class TestExitCodes:
         (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 4 deltas, got 1"),
         (["divergence", "--k", "1", "--deltas", "0.5,1,2,3"], "must lie in (0, 1)"),
         (["divergence", "--k", "1", "--deltas", "1e-2..0"], "invalid _deltas value"),
-        (["project", "--k", "1", "--strategy", "stratified_mc", "--mc-samples", "0"],
-         "must be at least 1"),
+        (["project", "--k", "1", "--angular-nodes", "1"], "must be at least 2"),
         (["kernel-check", "--k", "2", "--grid", "1"], "must be at least 2"),
         (["kernel-check", "--k", "2", "--tolerance", "0"], "must be finite and > 0"),
         (["kernel-check", "--k", "2", "--tolerance", "-1"], "must be finite and > 0"),
@@ -191,12 +184,10 @@ class TestExitCodes:
          "argument --p-grid: need at least 1 exponent, got 0 in ','"),
         (["probe", "--k", "2", "--p", "2", "--family", ";"],
          "argument --family: need at least 1 monomial, got 0 in ';'"),
-        (["project", "--k", "1", "--strategy", "monte_carlo"],
-         "argument --strategy: invalid choice: 'monte_carlo'"),
-        (["project", "--k", "1", "--mc-samples", "5"],
-         "argument --mc-samples: only read under --strategy stratified_mc"),
-        (["project", "--k", "1", "--strategy", "tensor_polar", "--seed", "3"],
-         "argument --seed: only read under --strategy stratified_mc"),
+        (["project", "--k", "1", "--strategy", "stratified_mc"],
+         "unrecognized arguments: --strategy"),
+        (["project", "--k", "1", "--mc-samples", "5"], "unrecognized arguments: --mc-samples"),
+        (["project", "--k", "1", "--seed", "3"], "unrecognized arguments: --seed"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):

@@ -388,7 +388,8 @@ class TestKernelBound:
 
     def test_polar_form_matches_closed_modulus(self):
         rng = np.random.default_rng(5)
-        # x = 0 is the axis-free case of the Schur verifier
+        # x = 0 is the axis case of the Schur verifier, where only the n = 1
+        # term of the numerator is nonzero
         for k, x in itertools.product((1, 2, 3), (0.0, 0.45)):
             d = DomainSpec(k)
             y = 0.7
