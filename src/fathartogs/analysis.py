@@ -279,8 +279,7 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
     axes = (_v_axis(k, eps, delta, y, v0), (psi, 2.0 * wpsi), u_axis, theta1_axis)
     return float(tensor_sum(
-        axes, lambda v, psi, u, th1: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi),
-        axis=0))
+        axes, lambda v, psi, u, th1: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi)))
 
 
 # ----------------------------------------------------------------------

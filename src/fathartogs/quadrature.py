@@ -247,45 +247,66 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 
 # entries of one tensor_sum block, 1 MiB per complex temporary.  On the
 # benchmark, 2^15 to 2^17 entries took the same time, 2^18 took 8% more,
-# and peak memory grew from 2^17 on
+# and peak memory grew from 2^17 on.  A block is never smaller than one
+# node of axis 0: the Schur inner-stratum block, one v node of
+# 64 x 80 x 32 = 163840 entries, is 2.5x this budget, and sub-blocking it
+# along psi made schur_sweep slower, since kernel_abs_polar is then
+# called more often per Schur value
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 
 
-def tensor_sum(axes, f: Callable, *, axis: int, budget: int = _TENSOR_BLOCK_ENTRIES):
+def tensor_sum(axes, f: Callable, *, budget: int = _TENSOR_BLOCK_ENTRIES):
     """Sum of ``f * w`` over the product grid of 1-d rules.
 
     ``axes`` holds one ``(nodes, weights)`` pair per dimension; ``f``
     receives the node arrays, each shaped to broadcast along its own
-    dimension, and returns values elementwise.  ``w`` is the product of
-    the weights in axis order.  The grid is summed in blocks along
-    ``axis`` of at most ``budget`` entries (one node at least), so only
+    dimension, and returns values that broadcast to the grid.  ``w`` is
+    the product of the weights.  The grid is summed in blocks along the
+    first axis of at most ``budget`` entries (one node at least), so only
     one block of the grid is ever held in memory.  The default,
     ``_TENSOR_BLOCK_ENTRIES``, keeps every temporary of a block near
     cache size: at the domain-core rule of the acceptance suite (6 Gauss
     nodes per panel, 24 angles) a block is one u-slice of 66 x 24 x 24
     entries.
+
+    The weights of the axes past the second are multiplied out once per
+    call, into one C-order vector ``rest``.  A block of ``nb`` first-axis
+    nodes, viewed as ``vals`` of shape ``(nb, n1, -1)``, is contracted
+    against ``rest`` in one pass over its values; the ``(nb, n1)`` sums
+    left are weighted by the second axis and then the first.  No weight
+    product or weighted copy of block size is made: a flat ``rest`` over
+    all axes but the first would be one, alive while ``f`` runs.  The
+    contractions run in ``np.einsum``'s own loops, not BLAS, whose sums
+    change with the thread count.  At least two axes are needed.
     """
     nodes, weights = zip(*axes)
-    sizes = [x.size for x in nodes]
-    block = max(1, budget // (math.prod(sizes) // sizes[axis]))
-
-    def on_grid(arrays, part):
-        return [a[part if i == axis else slice(None)].reshape(
-                    [-1 if j == i else 1 for j in range(len(arrays))])
-                for i, a in enumerate(arrays)]
-
+    shape = tuple(x.size for x in nodes)
+    block = max(1, budget // math.prod(shape[1:]))
+    grid = [x.reshape([-1 if j == i else 1 for j in range(len(shape))])
+            for i, x in enumerate(nodes)]
+    rest = np.ones(())
+    for w in weights[2:]:
+        rest = np.multiply.outer(rest, w)
+    rest = rest.ravel()
     total = 0.0
-    for i0 in range(0, sizes[axis], block):
+    for i0 in range(0, shape[0], block):
         part = slice(i0, i0 + block)
         try:
-            vals = f(*on_grid(nodes, part))
+            vals = f(grid[0][part], *grid[1:])
         except Exception as exc:  # propagate with location
-            x = nodes[axis][part]
+            x = nodes[0][part]
             raise IntegrandEvaluationError(
-                f"integrand failed on the block of axis {axis} with nodes in "
+                f"integrand failed on the block of axis 0 with nodes in "
                 f"[{x[0]:.6g}, {x[-1]:.6g}]"
             ) from exc
-        total += np.sum(vals * math.prod(on_grid(weights, part)))
+        w_block = weights[0][part]
+        vals = np.broadcast_to(vals, w_block.shape + shape[1:]).reshape(
+            w_block.size, shape[1], -1)
+        dtype = np.result_type(vals, rest)
+        if rest.dtype != dtype:  # rest only widens: one conversion per call
+            rest = rest.astype(dtype)
+        sums = np.einsum("ijk,k->ij", vals, rest)
+        total += np.einsum("i,i->", w_block, np.einsum("ij,j->i", sums, weights[1]))
     return total
 
 
@@ -314,7 +335,7 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | flo
     more than rounding.
     """
     value = complex(tensor_sum(_core_axes(d, spec),
-                               lambda *box: f(*_box_to_z(d, *box)), axis=0))
+                               lambda *box: f(*_box_to_z(d, *box))))
     return value if abs(value.imag) > 1e-13 * max(abs(value), 1.0) else value.real
 
 

@@ -1,8 +1,12 @@
 """Tests for moments, core quadrature, and the disc engine."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,26 +193,47 @@ class TestTensorSum:
     def f(x, y, t):
         return np.exp(1j * t) * np.cos(x * y) + x / y
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_blocks_agree_with_one_block(self, axis):
+    def test_blocks_agree_with_one_block(self):
         sizes = [x.size for x, _ in self.AXES]
-        rest = math.prod(sizes) // sizes[axis]
+        rest = math.prod(sizes[1:])
         calls = []
 
         def counted(*nodes):
-            calls.append(nodes[axis].size)
+            calls.append(nodes[0].size)
             return self.f(*nodes)
 
-        whole = tensor_sum(self.AXES, self.f, axis=axis, budget=10**9)
-        blocked = tensor_sum(self.AXES, counted, axis=axis, budget=2 * rest)
-        assert calls == [2] * (sizes[axis] // 2) + [1] * (sizes[axis] % 2)
+        whole = tensor_sum(self.AXES, self.f, budget=10**9)
+        blocked = tensor_sum(self.AXES, counted, budget=2 * rest)
+        assert calls == [2] * (sizes[0] // 2) + [1] * (sizes[0] % 2)
         assert abs(blocked - whole) <= 1e-15 * abs(whole)
 
     def test_one_block_is_the_plain_weighted_sum(self):
         (x, wx), (y, wy), (t, wt) = self.AXES
         grid = self.f(x[:, None, None], y[None, :, None], t[None, None, :])
-        plain = np.sum(grid * np.multiply.outer(np.outer(wx, wy), wt))
-        assert tensor_sum(self.AXES, self.f, axis=0, budget=10**9) == plain
+        # the contraction written out: each (x, y) row summed against the
+        # weights past axis 1 (here wt alone), then against wy and wx
+        sums = np.einsum("ijk,k->ij", grid, wt.astype(complex))
+        got = tensor_sum(self.AXES, self.f, budget=10**9)
+        assert got == 0.0 + np.einsum("i,i->", wx, np.einsum("ij,j->i", sums, wy))
+        # and it is the plain weighted sum up to rounding
+        terms = grid * np.multiply.outer(np.outer(wx, wy), wt)
+        assert abs(got - np.sum(terms)) <= 4 * np.finfo(float).eps * np.sum(np.abs(terms))
+
+    @pytest.mark.parametrize("budget", [10**9, 6], ids=["one_block", "node_blocks"])
+    def test_integrands_of_some_axes_broadcast(self, budget):
+        (x, wx), (y, wy), (t, wt) = self.AXES
+        sx, sy, st = wx.sum(), wy.sum(), wt.sum()
+        sx1, sy1 = wx @ x, wy @ y
+        cases = [
+            (lambda x, y, t: x, sx1 * sy * st),
+            (lambda x, y, t: 3, 3 * sx * sy * st),  # 0-d and integer
+            (lambda x, y, t: x * y, sx1 * sy1 * st),
+            (lambda x, y, t: x + 1j * y, (sx1 * sy + 1j * sx * sy1) * st),
+        ]
+        for f, want in cases:
+            got = tensor_sum(self.AXES, f, budget=budget)
+            assert abs(got - want) <= 1e-14 * abs(want)
+            assert isinstance(got, complex) == isinstance(want, complex)
 
     def test_failure_names_the_block(self):
         x = self.AXES[0][0]
@@ -221,7 +246,34 @@ class TestTensorSum:
 
         where = re.escape(f"[{x[4]:.6g}, {x[5]:.6g}]")
         with pytest.raises(IntegrandEvaluationError, match=where):
-            tensor_sum(self.AXES, bad, axis=0, budget=2 * rest)
+            tensor_sum(self.AXES, bad, budget=2 * rest)
+
+    def test_sums_do_not_depend_on_the_blas_thread_count(self):
+        # a BLAS contraction over the flattened block (vals @ rest) moved
+        # the last bits of this projection value between 1 and 2 threads;
+        # reports must be byte-deterministic
+        code = (
+            "from fathartogs import analysis\n"
+            "from fathartogs.geometry import DomainSpec, Point2, boundary_ladder\n"
+            "from fathartogs.projection import project_numeric\n"
+            "from fathartogs.quadrature import QuadratureSpec\n"
+            "d = DomainSpec(2)\n"
+            "z = boundary_ladder(d, 'inner', 8)[-1]\n"
+            "delta = analysis._edge_exponent(2, 0.75)\n"
+            "print(repr(analysis._schur_value(d, z, 0.75, delta, analysis._V0_WORK_FULL)))\n"
+            "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
+            "z = Point2(0.2 + 0.1j, 0.4 - 0.1j)\n"
+            "print(repr(project_numeric(d, lambda w1, w2: w1 * w2 ** 2, z, spec)))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert outs[0] == outs[1]
 
 
 def _traced_peak_mib(call) -> float:
