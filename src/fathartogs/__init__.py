@@ -34,13 +34,11 @@ from .projection import (
     MonomialInput,
     NonIntegrableInputError,
     ProjectedMonomial,
-    basis_norm_sq,
     project_monomial,
     project_numeric,
 )
 from .quadrature import (
     DivergentIntegralError,
-    IntegrandEvaluationError,
     QuadratureSpec,
     integrate,
     radial_moment,

@@ -401,7 +401,6 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     # level-to-level differences are the wrong test for boundedness.)
     worst = 0.0
     slopes: dict[str, float] = {}
-    diffs: dict[str, float] = {}
     for stratum in ("outer", "inner", "corner"):
         pts = boundary_ladder(d, stratum, cfg.ladder_levels)
         gaps, ratios = [], []
@@ -422,10 +421,7 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
             )
             worst = max(worst, ratio)
         slopes[stratum] = fit_loglog_slope(gaps, ratios, tail=min(4, len(ratios)))
-        tail = ratios[-3:]
-        diffs[stratum] = max(abs(b / a - 1.0) for a, b in zip(tail, tail[1:]))
     report.parameters["stratum_slopes"] = slopes
-    report.parameters["stratum_last_diffs"] = diffs
     report.bound_constant = worst
     growing = {s: m for s, m in slopes.items() if m < -_RATIO_GROWTH_SLOPE}
     if growing:

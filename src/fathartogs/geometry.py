@@ -44,7 +44,8 @@ class DomainSpec:
     """The fat Hartogs triangle of exponent ``k = exponent``.
 
     ``integer_exponent`` is derived on construction; kernel-formula
-    operations must call :meth:`require_integer_exponent` first.
+    operations read the exponent through :meth:`k_int`, which raises
+    ``NonIntegerExponentError`` when it is not an integer.
     """
 
     exponent: float
@@ -63,14 +64,11 @@ class DomainSpec:
 
     def k_int(self) -> int:
         """The exponent as an integer; raises if it is not one."""
-        self.require_integer_exponent()
-        return int(self.exponent)
-
-    def require_integer_exponent(self) -> None:
         if not self.integer_exponent:
             raise NonIntegerExponentError(
                 f"operation requires integer exponent, got k={self.exponent}"
             )
+        return int(self.exponent)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ __all__ = [
     "ProjectedMonomial",
     "NonIntegrableInputError",
     "ProjectionAccuracyWarning",
-    "basis_norm_sq",
     "project_monomial",
     "project_numeric",
 ]
@@ -123,11 +122,12 @@ def project_numeric(
     """Quadrature approximation of the projection integral at the point z.
 
     ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`.  Near-singular kernel
-    evaluations propagate as errors; points within two boundary offsets
-    of the boundary trigger an accuracy warning.
+    :func:`fathartogs.quadrature.integrate`.  A kernel evaluation closer
+    to its singular set than the floor raises ``NearSingularError``, and
+    a non-integer exponent ``NonIntegerExponentError``, both from
+    :func:`fathartogs.kernel.kernel_closed_st`; points within two
+    boundary offsets of the boundary trigger an accuracy warning.
     """
-    d.require_integer_exponent()
     if not contains(d, z):
         raise ValueError(f"evaluation point {z} is not interior")
     _warn_if_near_boundary(d, z, spec.boundary_offset)

@@ -31,14 +31,10 @@ from .geometry import DomainSpec, _box_to_z
 __all__ = [
     "QuadratureSpec",
     "DivergentIntegralError",
-    "IntegrandEvaluationError",
     "radial_moment",
     "integrate",
     "tensor_sum",
     "disc_kernel_moment",
-    "gauss_rule",
-    "panel_rule",
-    "graded_breaks",
     "graded_rule",
     "angle_rule",
 ]
@@ -46,10 +42,6 @@ __all__ = [
 
 class DivergentIntegralError(ValueError):
     """A requested integral diverges; the message names the violated inequality."""
-
-
-class IntegrandEvaluationError(RuntimeError):
-    """An integrand raised during evaluation; the message locates the block."""
 
 
 @dataclass(frozen=True)
@@ -255,19 +247,19 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 
 
-def tensor_sum(axes, f: Callable, *, budget: int = _TENSOR_BLOCK_ENTRIES):
+def tensor_sum(axes, f: Callable):
     """Sum of ``f * w`` over the product grid of 1-d rules.
 
     ``axes`` holds one ``(nodes, weights)`` pair per dimension; ``f``
     receives the node arrays, each shaped to broadcast along its own
     dimension, and returns values that broadcast to the grid.  ``w`` is
     the product of the weights.  The grid is summed in blocks along the
-    first axis of at most ``budget`` entries (one node at least), so only
-    one block of the grid is ever held in memory.  The default,
-    ``_TENSOR_BLOCK_ENTRIES``, keeps every temporary of a block near
-    cache size: at the domain-core rule of the acceptance suite (6 Gauss
-    nodes per panel, 24 angles) a block is one u-slice of 66 x 24 x 24
-    entries.
+    first axis of at most ``_TENSOR_BLOCK_ENTRIES`` entries (one node at
+    least), so only one block of the grid is ever held in memory, and
+    every temporary of a block stays near cache size: at the domain-core
+    rule of the acceptance suite (6 Gauss nodes per panel, 24 angles) a
+    block is one u-slice of 66 x 24 x 24 entries.  An exception raised by
+    ``f`` reaches the caller unchanged.
 
     The weights of the axes past the second are multiplied out once per
     call, into one C-order vector ``rest``.  A block of ``nb`` first-axis
@@ -281,7 +273,7 @@ def tensor_sum(axes, f: Callable, *, budget: int = _TENSOR_BLOCK_ENTRIES):
     """
     nodes, weights = zip(*axes)
     shape = tuple(x.size for x in nodes)
-    block = max(1, budget // math.prod(shape[1:]))
+    block = max(1, _TENSOR_BLOCK_ENTRIES // math.prod(shape[1:]))
     grid = [x.reshape([-1 if j == i else 1 for j in range(len(shape))])
             for i, x in enumerate(nodes)]
     rest = np.ones(())
@@ -291,14 +283,7 @@ def tensor_sum(axes, f: Callable, *, budget: int = _TENSOR_BLOCK_ENTRIES):
     total = 0.0
     for i0 in range(0, shape[0], block):
         part = slice(i0, i0 + block)
-        try:
-            vals = f(grid[0][part], *grid[1:])
-        except Exception as exc:  # propagate with location
-            x = nodes[0][part]
-            raise IntegrandEvaluationError(
-                f"integrand failed on the block of axis 0 with nodes in "
-                f"[{x[0]:.6g}, {x[-1]:.6g}]"
-            ) from exc
+        vals = f(grid[0][part], *grid[1:])
         w_block = weights[0][part]
         vals = np.broadcast_to(vals, w_block.shape + shape[1:]).reshape(
             w_block.size, shape[1], -1)
@@ -342,7 +327,7 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | flo
 # ----------------------------------------------------------------------
 # disc-level engine
 
-# node counts below which disc_kernel_moment uses these instead
+# the least node counts disc_kernel_moment accepts
 DISC_MIN_RADIAL_NODES = 6
 DISC_MIN_ANGULAR_NODES = 24
 
@@ -372,7 +357,9 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
 
     ``a`` is the modulus of the evaluation point (the integral is
     rotation invariant); W is selected by ``weight_form`` as in
-    :func:`_disc_radial_rule`.  Accepts eps in [0, 1) and beta in [0, 2).
+    :func:`_disc_radial_rule`.  Accepts eps in [0, 1) and beta in [0, 2),
+    and a ``spec`` of at least ``DISC_MIN_RADIAL_NODES`` radial and
+    ``DISC_MIN_ANGULAR_NODES`` angular nodes.
     """
     if not 0.0 <= eps < 1.0:
         raise DivergentIntegralError(f"need 0 <= eps < 1 for disc integrability, got {eps}")
@@ -380,10 +367,12 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
         raise DivergentIntegralError(f"need 0 <= beta < 2 for disc integrability, got {beta}")
     if not 0.0 <= a < 1.0:
         raise ValueError(f"evaluation point must satisfy |z| < 1, got {a}")
-    order = max(DISC_MIN_RADIAL_NODES, spec.radial_nodes)
-    order_a = max(DISC_MIN_ANGULAR_NODES, spec.angular_nodes) // 4
-    r, wr = _disc_radial_rule(eps, beta, a, order, weight_form)
-    th, wth = _aligned_angle_rule(1.0 - a, order_a)
+    if spec.radial_nodes < DISC_MIN_RADIAL_NODES or spec.angular_nodes < DISC_MIN_ANGULAR_NODES:
+        raise ValueError(f"disc rules need at least {DISC_MIN_RADIAL_NODES} radial and "
+                         f"{DISC_MIN_ANGULAR_NODES} angular nodes, got "
+                         f"{spec.radial_nodes} and {spec.angular_nodes}")
+    r, wr = _disc_radial_rule(eps, beta, a, spec.radial_nodes, weight_form)
+    th, wth = _aligned_angle_rule(1.0 - a, spec.angular_nodes // 4)
     poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)
     return float(2.0 * wr @ poisson @ wth)
 

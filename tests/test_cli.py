@@ -202,6 +202,22 @@ class TestExitCodes:
         doc = load_report(tmp_path, "range")
         assert "error" in doc["report"]
 
+    def test_near_singular_kernel_is_reported_by_name(self, tmp_path):
+        argv = ["project", "--k", "1", "--z", "0.4999999,0.5", "--boundary-offset", "1e-9"]
+        assert run(argv, tmp_path) == 2
+        error = load_report(tmp_path, "project")["report"]["error"]
+        assert error["type"] == "NearSingularError"
+        assert "|t-s^k|" in error["message"]
+
+    def test_arithmetic_error_is_a_numerical_failure(self, tmp_path, monkeypatch):
+        def failing(d):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(analysis, "critical_range", failing)
+        assert run(["range", "--k", "1"], tmp_path) == 2
+        error = load_report(tmp_path, "range")["report"]["error"]
+        assert error == {"type": "ZeroDivisionError", "message": "float division by zero"}
+
     def test_numerical_failure_removes_the_previous_csv(self, tmp_path):
         assert run(["project", "--k", "1", "--format", "csv"], tmp_path) == 0
         assert (tmp_path / "project_data.csv").exists()
@@ -234,7 +250,7 @@ class TestDiscCommands:
     @pytest.mark.parametrize("command", [["calculus1", "--eps", "0.5"], ["disc-log"]])
     @pytest.mark.parametrize("nodes", [["--radial-nodes", "5"], ["--angular-nodes", "23"]])
     def test_node_count_below_disc_minimum_is_usage_error(self, command, nodes, tmp_path):
-        # the disc rules use at least 6 radial and 24 angular nodes
+        # the disc rules reject fewer than 6 radial or 24 angular nodes
         assert run([*command, *nodes], tmp_path) == 1
         assert not (tmp_path / f"{command[0]}_report.json").exists()
 

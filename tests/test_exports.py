@@ -36,3 +36,35 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def _raised_names() -> set[str]:
+    """Names of the classes that some ``raise Name(...)`` in the package makes."""
+    names = set()
+    for path in Path(fathartogs.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                func = node.exc.func
+                names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return names
+
+
+def test_exported_errors_reach_the_report_and_are_raised():
+    # cli.main turns ValueError and ArithmeticError into exit 2 with a
+    # report; an exported error outside both would escape as a traceback,
+    # and one that nothing raises is dead surface
+    raised = _raised_names()
+    unreported, unraised = [], []
+    for info in pkgutil.iter_modules(fathartogs.__path__):
+        mod = importlib.import_module(f"fathartogs.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if not (isinstance(obj, type) and issubclass(obj, BaseException)) \
+                    or issubclass(obj, Warning):
+                continue
+            if not issubclass(obj, (ValueError, ArithmeticError)):
+                unreported.append(f"{info.name}.{name}")
+            if name not in raised:
+                unraised.append(f"{info.name}.{name}")
+    assert not unreported, f"errors main does not report: {unreported}"
+    assert not unraised, f"errors nothing raises: {unraised}"

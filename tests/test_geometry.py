@@ -55,10 +55,9 @@ class TestDomainSpec:
             DomainSpec(bad)
 
     def test_require_integer(self):
-        DomainSpec(3).require_integer_exponent()
-        with pytest.raises(NonIntegerExponentError):
-            DomainSpec(1.5).require_integer_exponent()
         assert DomainSpec(3).k_int() == 3
+        with pytest.raises(NonIntegerExponentError):
+            DomainSpec(1.5).k_int()
 
 
 class TestContains:

@@ -13,7 +13,12 @@ from fathartogs.geometry import (
     sample_uniform,
     volume,
 )
-from fathartogs.kernel import MultiIndex, basis_indices_by_weight, kernel_closed_st
+from fathartogs.kernel import (
+    MultiIndex,
+    NearSingularError,
+    basis_indices_by_weight,
+    kernel_closed_st,
+)
 from fathartogs.projection import (
     MonomialInput,
     NonIntegrableInputError,
@@ -165,4 +170,13 @@ class TestProjectNumeric:
     def test_rejects_non_integer_exponent(self):
         with pytest.raises(NonIntegerExponentError):
             project_numeric(DomainSpec(1.5), lambda w1, w2: w1, Point2(0.1, 0.5), SPEC)
+
+    def test_near_singular_kernel_raises_its_own_error(self):
+        # z1 / z2 is 2e-7 below 1, and the nodes reach 1e-9 from the
+        # boundary: some node has |t - s| below the kernel's floor
+        z = Point2(0.4999999, 0.5)
+        with pytest.raises(NearSingularError) as got:
+            project_numeric(DomainSpec(1), lambda w1, w2: w1, z,
+                            QuadratureSpec(boundary_offset=1e-9))
+        assert got.value.factor == "t-s^k"
 

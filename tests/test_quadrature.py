@@ -2,7 +2,6 @@
 
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,14 +12,13 @@ import pytest
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
-from fathartogs import analysis
+from fathartogs import analysis, quadrature
 from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
 from fathartogs.projection import project_numeric
 from fathartogs.quadrature import (
     DivergentIntegralError,
     _gauss_jacobi,
     _legendre01,
-    IntegrandEvaluationError,
     QuadratureSpec,
     angle_rule,
     disc_kernel_moment,
@@ -175,16 +173,6 @@ class TestTensorIntegrate:
         monkeypatch.setattr(projection, "integrate", real)
         assert project_numeric(d, lambda w1, w2: np.conj(w2), z, spec) == value
 
-    def test_integrand_failures_carry_location(self):
-        d = DomainSpec(1)
-        spec = QuadratureSpec(radial_nodes=4, angular_nodes=4, boundary_offset=1e-3)
-
-        def bad(z1, z2):
-            raise FloatingPointError("boom")
-
-        with pytest.raises(IntegrandEvaluationError, match="block"):
-            integrate(d, bad, spec)
-
 
 class TestTensorSum:
     AXES = (gauss_rule(0.0, 1.0, 7), gauss_rule(0.5, 2.0, 5), angle_rule(6))
@@ -193,7 +181,7 @@ class TestTensorSum:
     def f(x, y, t):
         return np.exp(1j * t) * np.cos(x * y) + x / y
 
-    def test_blocks_agree_with_one_block(self):
+    def test_blocks_agree_with_one_block(self, monkeypatch):
         sizes = [x.size for x, _ in self.AXES]
         rest = math.prod(sizes[1:])
         calls = []
@@ -202,25 +190,29 @@ class TestTensorSum:
             calls.append(nodes[0].size)
             return self.f(*nodes)
 
-        whole = tensor_sum(self.AXES, self.f, budget=10**9)
-        blocked = tensor_sum(self.AXES, counted, budget=2 * rest)
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 10**9)
+        whole = tensor_sum(self.AXES, self.f)
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 2 * rest)
+        blocked = tensor_sum(self.AXES, counted)
         assert calls == [2] * (sizes[0] // 2) + [1] * (sizes[0] % 2)
         assert abs(blocked - whole) <= 1e-15 * abs(whole)
 
-    def test_one_block_is_the_plain_weighted_sum(self):
+    def test_one_block_is_the_plain_weighted_sum(self, monkeypatch):
         (x, wx), (y, wy), (t, wt) = self.AXES
         grid = self.f(x[:, None, None], y[None, :, None], t[None, None, :])
         # the contraction written out: each (x, y) row summed against the
         # weights past axis 1 (here wt alone), then against wy and wx
         sums = np.einsum("ijk,k->ij", grid, wt.astype(complex))
-        got = tensor_sum(self.AXES, self.f, budget=10**9)
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 10**9)
+        got = tensor_sum(self.AXES, self.f)
         assert got == 0.0 + np.einsum("i,i->", wx, np.einsum("ij,j->i", sums, wy))
         # and it is the plain weighted sum up to rounding
         terms = grid * np.multiply.outer(np.outer(wx, wy), wt)
         assert abs(got - np.sum(terms)) <= 4 * np.finfo(float).eps * np.sum(np.abs(terms))
 
-    @pytest.mark.parametrize("budget", [10**9, 6], ids=["one_block", "node_blocks"])
-    def test_integrands_of_some_axes_broadcast(self, budget):
+    @pytest.mark.parametrize("entries", [10**9, 6], ids=["one_block", "node_blocks"])
+    def test_integrands_of_some_axes_broadcast(self, entries, monkeypatch):
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", entries)
         (x, wx), (y, wy), (t, wt) = self.AXES
         sx, sy, st = wx.sum(), wy.sum(), wt.sum()
         sx1, sy1 = wx @ x, wy @ y
@@ -231,22 +223,24 @@ class TestTensorSum:
             (lambda x, y, t: x + 1j * y, (sx1 * sy + 1j * sx * sy1) * st),
         ]
         for f, want in cases:
-            got = tensor_sum(self.AXES, f, budget=budget)
+            got = tensor_sum(self.AXES, f)
             assert abs(got - want) <= 1e-14 * abs(want)
             assert isinstance(got, complex) == isinstance(want, complex)
 
-    def test_failure_names_the_block(self):
+    def test_integrand_errors_reach_the_caller_unchanged(self, monkeypatch):
         x = self.AXES[0][0]
         rest = self.AXES[1][0].size * self.AXES[2][0].size
+        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 2 * rest)
+        err = FloatingPointError("boom")
 
         def bad(xx, y, t):
             if np.any(xx == x[4]):
-                raise FloatingPointError("boom")
+                raise err
             return self.f(xx, y, t)
 
-        where = re.escape(f"[{x[4]:.6g}, {x[5]:.6g}]")
-        with pytest.raises(IntegrandEvaluationError, match=where):
-            tensor_sum(self.AXES, bad, budget=2 * rest)
+        with pytest.raises(FloatingPointError) as got:
+            tensor_sum(self.AXES, bad)
+        assert got.value is err and got.value.__context__ is None
 
     def test_sums_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS contraction over the flattened block (vals @ rest) moved
@@ -350,6 +344,12 @@ class TestDiscIntegral:
             disc_kernel_moment(0.0, 0.5, 2.0, spec)
         with pytest.raises(ValueError):
             disc_kernel_moment(1.0, 0.5, 0.0, spec)
+
+    @pytest.mark.parametrize("nodes, least", [((5, 24), "6 radial"), ((6, 23), "24 angular")])
+    def test_node_counts_below_the_minimum_are_rejected(self, nodes, least):
+        spec = QuadratureSpec(radial_nodes=nodes[0], angular_nodes=nodes[1])
+        with pytest.raises(ValueError, match=least):
+            disc_kernel_moment(0.5, 0.5, 0.0, spec)
 
     def test_poisson_identity_weight_free(self):
         # int_D |1 - a conj(w)|^-2 dV = (pi/a^2) log(1/(1-a^2))
