@@ -228,11 +228,23 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _offset(text: str) -> float:
-    """A boundary offset in (0, 0.5), the range ``QuadratureSpec`` accepts."""
-    if not 0.0 < float(text) < 0.5:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 0.5), got {text}")
-    return float(text)
+def _real(inside, form: str):
+    """A float flag type that rejects values for which ``inside`` is false,
+    NaN among them.  Each flag takes the range that the code it feeds
+    accepts, so a value outside it is a usage error (exit 1), not a failed
+    run (exit 2); ``form`` names the range."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not inside(value):
+            raise argparse.ArgumentTypeError(f"must lie in {form}, got {text}")
+        return value
+
+    return parse
+
+
+_exponent = _real(lambda x: 1.0 <= x < math.inf, "[1, inf)")  # DomainSpec
+_offset = _real(lambda x: 0.0 < x < 0.5, "(0, 0.5)")  # QuadratureSpec
 
 
 _DEFAULT_FAMILY = "0,0:0,1;1,0:0,0;0,0:1,0;1,1:0,1;0,1:0,0;2,0:0,1"
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, *, needs_k=True):
         if needs_k:
-            p.add_argument("--k", type=float, required=True,
+            p.add_argument("--k", type=_exponent, required=True,
                            help="domain exponent (integer for kernel paths)")
         p.add_argument("--output-dir", type=Path,
                        default=Path(os.environ.get(OUTPUT_DIR_ENV, ".")))
@@ -273,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schur", help="Schur-test verification at one exponent")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_real(lambda x: 0.0 < x < 2.0, "(0, 2)"), required=True)
     p.add_argument("--levels", type=_at_least(2), default=6)
 
     p = sub.add_parser("calculus1", help="weighted disc-integral plateau check")
     common(p, needs_k=False)
     node_counts(p, *disc_counts)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--eps", type=_real(lambda x: 0.0 < x < 1.0, "(0, 1)"), required=True)
+    p.add_argument("--beta", type=_real(lambda x: 0.0 <= x < 2.0, "[0, 2)"), default=0.0)
     p.add_argument("--levels", type=_at_least(4), default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
@@ -298,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probe", help="norm-ratio probe over a monomial family")
     common(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_real(lambda x: x >= 1.0, "[1, inf]"), required=True)
     p.add_argument("--family", default=_DEFAULT_FAMILY,
                    type=_well_formed(_parse_family, "monomials 'a1,a2:b1,b2' joined by ';'"),
                    help="semicolon list of monomials 'a1,a2:b1,b2'")

@@ -155,23 +155,43 @@ def _require_clear(factor: str, modulus) -> None:
         raise NearSingularError(factor, least, DEFAULT_SINGULAR_FLOOR)
 
 
-def _numerator(k: int, s, t, sk):
+def _numerator(k: int, s, t, sk, out=None):
     """The kernel numerator p_k(s) t^2 + q_k(s) t + s^k p_k(s), with sk = s^k.
 
     At k = 1 (p_1 = 0, q_1 = 1) it is ``t`` itself, which need not have
-    the broadcast shape of ``s`` and ``t``.  A constant p_k (k = 2) stays
-    a scalar, so that ``ps * t`` keeps the shape of ``t``.
+    the broadcast shape of ``s`` and ``t``, and ``out`` is not used.  For
+    k >= 2 the value is written into ``out``, an array of the broadcast
+    shape (a new one without it), and a view of ``out`` is returned: the
+    caller's value until ``out`` is next written.  At 0-d it is a numpy
+    scalar.  A constant p_k (k = 2) stays a scalar, so that ``ps * t``
+    keeps the shape of ``t``.
     """
     if k == 1:
         return t
     p = p_coefficients(k)
     ps = complex(p[0]) if len(p) == 1 else _horner(p, s)
     qs = _horner(q_base_coefficients(k), s) + sk * _horner(q_shift_coefficients(k), s)
-    return (ps * t + qs) * t + sk * ps
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(s), np.shape(t)), dtype=complex)
+    # (ps * t + qs) * t + sk * ps, step by step in out.  num = out[()] is a
+    # view of out, or at 0-d the numpy scalar that the operators then
+    # combine as that expression does on scalars
+    num = np.multiply(ps, t, out=out)[()]
+    num += qs
+    num *= t
+    num += sk * ps
+    return num
 
 
-def kernel_closed_st(d: DomainSpec, s, t) -> np.ndarray:
+def kernel_closed_st(d: DomainSpec, s, t, work=None) -> np.ndarray:
     """Closed-form kernel as a function of the invariants (s, t).
+
+    ``work`` is a complex workspace of shape ``(2, *B)``, B the broadcast
+    shape of ``s`` and ``t``, with C-contiguous halves, as in a front
+    slice ``w[:, :n]`` of a C-contiguous ``w``; without it one is
+    allocated.  The result is a view of ``work[0]``, valid until the next
+    call with that workspace, so a caller that reuses one across calls
+    allocates no array of shape B here.
 
     Raises :class:`NearSingularError` when |1-t| or |t-s^k| falls below
     the singular floor anywhere in the (broadcast) input.
@@ -179,15 +199,37 @@ def kernel_closed_st(d: DomainSpec, s, t) -> np.ndarray:
     k = d.k_int()
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
+    shape = np.broadcast_shapes(s.shape, t.shape)
+    if work is None:
+        work = np.empty((2,) + shape, dtype=complex)
+    elif work.shape != (2,) + shape:
+        raise ValueError(f"workspace of shape {work.shape}, need {(2,) + shape}")
+    value, scratch = work[0, ...], work[1, ...]  # views, also for 0-d input
     one_minus_t = 1.0 - t
     sk = s**k
-    t_minus_sk = t - sk
+    np.subtract(t, sk, out=value)
     _require_clear("1-t", np.abs(one_minus_t))
-    _require_clear("t-s^k", np.abs(t_minus_sk))
+    # |t - s^k| below the floor needs both parts of t - s^k below it, so the
+    # modulus (a hypot per entry) is formed only when some part is; both
+    # screens go in the real view of scratch, which the numerator overwrites
+    parts = scratch.reshape(-1).view(float)
+    if np.min(np.abs(value.reshape(-1).view(float), out=parts),
+              initial=np.inf) < DEFAULT_SINGULAR_FLOOR:
+        _require_clear("t-s^k", np.abs(value, out=parts[: value.size].reshape(shape)))
+    num = _numerator(k, s, t, sk, out=scratch)
     # k pi^2 (1-t)^2 depends on t alone: invert it on t's shape, so that at
     # k = 1 (numerator t) a single division forms the value on the full grid
-    num = _numerator(k, s, t, sk) * (1.0 / ((k * math.pi**2) * one_minus_t**2))
-    return num / t_minus_sk**2
+    scale = 1.0 / ((k * math.pi**2) * one_minus_t**2)
+    if k == 1:  # the numerator is t, the caller's array
+        num = num * scale
+    else:
+        num *= scale
+    # sq is value, squared in place; at 0-d it is the numpy scalar t - s^k,
+    # which numpy squares by its general power, not by np.square, as the
+    # one-expression form (t - s^k)**2 did
+    sq = value[()]
+    sq **= 2
+    return np.divide(num, sq, out=value)
 
 
 def kernel_closed(d: DomainSpec, z: Point2, w: Point2) -> complex:

@@ -132,10 +132,20 @@ def project_numeric(
         raise ValueError(f"evaluation point {z} is not interior")
     _warn_if_near_boundary(d, z, spec.boundary_offset)
 
+    # one kernel workspace for every block: the first block is the largest,
+    # and a shorter last one takes the front of it
+    work = None
+
     def g(w1, w2):
+        nonlocal work
         s = z.z1 * np.conj(w1)
         t = z.z2 * np.conj(w2)
-        return kernel_closed_st(d, s, t) * f(w1, w2)
+        shape = np.broadcast_shapes(s.shape, t.shape)
+        if work is None:
+            work = np.empty((2,) + shape, dtype=complex)
+        out = kernel_closed_st(d, s, t, work=work[:, : shape[0]])
+        out *= f(w1, w2)
+        return out
 
     return complex(integrate(d, g, spec))
 

@@ -188,6 +188,12 @@ class TestExitCodes:
          "unrecognized arguments: --strategy"),
         (["project", "--k", "1", "--mc-samples", "5"], "unrecognized arguments: --mc-samples"),
         (["project", "--k", "1", "--seed", "3"], "unrecognized arguments: --seed"),
+        (["schur", "--k", "2", "--eps", "3"], "argument --eps: must lie in (0, 2), got 3"),
+        (["probe", "--k", "2", "--p", "0.5"], "argument --p: must lie in [1, inf], got 0.5"),
+        (["range", "--k", "0.5"], "argument --k: must lie in [1, inf), got 0.5"),
+        (["calculus1", "--eps", "1.5"], "argument --eps: must lie in (0, 1), got 1.5"),
+        (["calculus1", "--eps", "0.5", "--beta", "2"],
+         "argument --beta: must lie in [0, 2), got 2"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -197,9 +203,9 @@ class TestExitCodes:
         assert err.startswith("usage: fathartogs") and message in err
 
     def test_numerical_failure_is_two(self, tmp_path):
-        # k below 1 is rejected by the domain construction
-        assert run(["range", "--k", "0.5"], tmp_path) == 2
-        doc = load_report(tmp_path, "range")
+        # k = 2.5 is a domain, but the closed-form kernel needs an integer k
+        assert run(["kernel-check", "--k", "2.5"], tmp_path) == 2
+        doc = load_report(tmp_path, "kernel-check")
         assert "error" in doc["report"]
 
     def test_near_singular_kernel_is_reported_by_name(self, tmp_path):

@@ -201,6 +201,70 @@ class TestKernelClosed:
             kernel_closed(DomainSpec(1.5), Point2(0, 0.5), Point2(0, 0.5))
 
 
+def closed_oracle(k, s, t):
+    """The closed form as one expression, in the operations and order
+    that kernel_closed_st performs step by step in its workspace."""
+    s = np.asarray(s, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    p, q, sk = poly_p(k, s), poly_q(k, s), s**k
+    num = t if k == 1 else (p * t + q) * t + sk * p
+    return num * (1.0 / ((k * math.pi**2) * (1.0 - t) ** 2)) / (t - s**k) ** 2
+
+
+class TestKernelClosedWorkspace:
+    """Values written into a caller's workspace are bit-equal to the
+    one-expression form, whatever the workspace held before."""
+
+    @staticmethod
+    def grid(k, shape_s, shape_t, seed):
+        # |s|^k <= 0.3 < 0.4 <= |t|: every broadcast pair is interior
+        rng = np.random.default_rng(seed)
+        s = (0.3 * rng.random(shape_s)) ** (1.0 / k) * np.exp(2j * np.pi * rng.random(shape_s))
+        t = rng.uniform(0.4, 0.8, shape_t) * np.exp(2j * np.pi * rng.random(shape_t))
+        return s, t
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reused_workspace_is_bit_equal(self, k):
+        d = DomainSpec(k)
+        work = np.full((2, 5, 3, 4, 6), np.nan + 1j, dtype=complex)
+        for seed, rows in ((60 + k, 5), (70 + k, 2)):  # a shorter second call
+            s, t = self.grid(k, (rows, 3, 4, 1), (3, 1, 6), seed)
+            got = kernel_closed_st(d, s, t, work=work[:, :rows])
+            assert np.shares_memory(got, work)
+            assert np.array_equal(got, closed_oracle(k, s, t))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_without_workspace_and_at_0d(self, k):
+        d = DomainSpec(k)
+        s, t = self.grid(k, (7, 1), (1, 5), 80 + k)
+        assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(k, s, t))
+        work = np.full((2,), np.nan, dtype=complex)
+        got = kernel_closed_st(d, s[3, 0], t[0, 2], work=work)
+        assert got.shape == () and got == closed_oracle(k, s[3, 0], t[0, 2])
+
+    def test_near_singular_in_a_workspace(self):
+        d = DomainSpec(2)
+        s, t = self.grid(2, (4, 1), (1, 3), 90)
+        t[0, 1] = s[2, 0] ** 2 + 1e-13
+        with pytest.raises(NearSingularError) as exc:
+            kernel_closed_st(d, s, t, work=np.empty((2, 4, 3), dtype=complex))
+        assert exc.value.factor == "t-s^k"
+        assert exc.value.min_abs == np.min(np.abs(t - s**2))
+
+    def test_a_zero_part_alone_is_not_near_singular(self):
+        # on real invariants every t - s^k has imaginary part 0, below the
+        # floor, while its modulus is not
+        d = DomainSpec(2)
+        s, t = np.linspace(0.1, 0.5, 4)[:, None], np.linspace(0.6, 0.8, 3)[None, :]
+        got = kernel_closed_st(d, s, t, work=np.empty((2, 4, 3), dtype=complex))
+        assert np.array_equal(got, closed_oracle(2, s, t))
+
+    def test_workspace_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="workspace of shape"):
+            kernel_closed_st(DomainSpec(1), np.full((4, 1), 0.1j), np.full((1, 3), 0.5j),
+                             work=np.empty((2, 4, 4), dtype=complex))
+
+
 class TestBasisIndexSet:
     def test_neg_one_always_member(self):
         for k in (1, 2, 5):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -294,6 +295,49 @@ class TestTensorBlockMemory:
         z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < self.LIMIT_MIB
+
+    # one kernel workspace serves every block, and the integrand multiplies
+    # into it: 2.10 MiB at both k, against 2.63 and 3.06 MiB when each
+    # block allocated its own kernel temporaries
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_projection_reuses_one_kernel_workspace(self, k):
+        d = DomainSpec(k)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
+        assert peak < 2.5
+
+    # with block temporaries freed and allocated again, ten warm calls took
+    # 5.6k-77k minor page faults, by where the heap happened to stand; with
+    # one workspace, a few hundred in either layout
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's page faults")
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("live_objects", [0, 4])
+    def test_projection_page_faults_do_not_follow_the_heap_layout(self, k, live_objects):
+        code = (
+            "import resource\n"
+            "from fathartogs.geometry import DomainSpec, Point2\n"
+            "from fathartogs.projection import project_numeric\n"
+            "from fathartogs.quadrature import QuadratureSpec\n"
+            f"d = DomainSpec({k})\n"
+            "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
+            "z = Point2(0.2 + 0.1j, 0.4 - 0.1j)\n"
+            "f = lambda w1, w2: w1 * w2\n"
+            "project_numeric(d, f, z, spec)\n"
+            f"live = [bytearray(1 << 16) for _ in range({live_objects})]\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(10):\n"
+            "    project_numeric(d, f, z, spec)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert int(out) < 5000
 
     # the kernel's k terms live on 3-d sub-grids and one matrix product
     # sums them, so a block holds its complex product and modulus, not k
