@@ -155,7 +155,7 @@ def schur_range(a, b) -> RangeReport:
 
 @dataclass
 class VerificationReport:
-    """Structured outcome of a verification experiment."""
+    """Structured outcome of a verification experiment: every CLI report body."""
 
     experiment: str
     parameters: dict
@@ -163,7 +163,6 @@ class VerificationReport:
     fitted_exponent: Optional[float] = None
     bound_constant: Optional[float] = None
     verdict: str = VERDICT_INCONCLUSIVE
-    tolerance: float = 0.02
     expected_violation: bool = False
 
 
@@ -381,13 +380,13 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     )
 
     values = [_schur_value(d, _PROBE_POINT, eps, delta, v0=v0) for v0 in _V0_PROBE_LADDER]
-    slope = fit_loglog_slope([1.0 / v0 for v0 in _V0_PROBE_LADDER], values)
+    cls, slope = _classify_deltas(values, _V0_PROBE_LADDER)
     report.samples = [
         {"kind": "offset_ladder", "v0": v0, "value": val,
          "provenance": "quadrature"}
         for v0, val in zip(_V0_PROBE_LADDER, values)
     ]
-    if slope > _growth_threshold(_V0_PROBE_LADDER):
+    if cls == "growing":
         report.fitted_exponent = slope
         report.parameters["divergence_edge"] = "singular corner v -> 0"
         report.verdict = VERDICT_VIOLATED
@@ -420,7 +419,7 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
                  "provenance": "quadrature"}
             )
             worst = max(worst, ratio)
-        slopes[stratum] = fit_loglog_slope(gaps, ratios, tail=min(4, len(ratios)))
+        slopes[stratum] = fit_loglog_slope(gaps, ratios)
     report.parameters["stratum_slopes"] = slopes
     report.bound_constant = worst
     growing = {s: m for s, m in slopes.items() if m < -_RATIO_GROWTH_SLOPE}
@@ -436,6 +435,10 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
 
 # ----------------------------------------------------------------------
 # disc-level verifications
+
+_CALCULUS1_TOLERANCE = 0.02  # relative steps of the last three plateau levels
+_DISC_LOG_TOLERANCE = 0.10  # relative error of both fits, against pi and -1/2
+
 
 def verify_calculus1(eps: float, beta: float, levels: int,
                      quad: QuadratureSpec) -> VerificationReport:
@@ -453,7 +456,8 @@ def verify_calculus1(eps: float, beta: float, levels: int,
         raise ValueError("levels must be >= 4")
     report = VerificationReport(
         experiment="calculus1",
-        parameters={"eps": eps, "beta": beta, "levels": levels},
+        parameters={"eps": eps, "beta": beta, "levels": levels,
+                    "tolerance": _CALCULUS1_TOLERANCE},
     )
     i0 = disc_kernel_moment(0.0, eps, beta, quad)
     report.samples.append({"abs_z": 0.0, "value": i0, "product": i0,
@@ -470,7 +474,7 @@ def verify_calculus1(eps: float, beta: float, levels: int,
                                "provenance": "quadrature"})
     report.fitted_exponent = fit_loglog_slope(deltas, values)
     report.bound_constant = products[-1]
-    report.verdict = (VERDICT_CONSISTENT if _saturates(products, report.tolerance)
+    report.verdict = (VERDICT_CONSISTENT if _saturates(products, _CALCULUS1_TOLERANCE)
                       else VERDICT_INCONCLUSIVE)
     return report
 
@@ -481,14 +485,13 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
     The integral of |1 - z conj(w)|^-2 grows like pi * (-log delta(z));
     the slope against -log delta is fitted and, with the weight
     delta(w)^(-1/2) inserted, the growth switches to the delta^(-1/2)
-    power law.  Both fits must land within the report tolerance (10%).
+    power law.  Both fits must land within 10% (``_DISC_LOG_TOLERANCE``).
     """
     if levels < 4:
         raise ValueError("levels must be >= 4")
     report = VerificationReport(
         experiment="disc_log",
-        parameters={"levels": levels},
-        tolerance=0.10,
+        parameters={"levels": levels, "tolerance": _DISC_LOG_TOLERANCE},
     )
     v0 = disc_kernel_moment(0.0, 0.0, 0.0, quad)
     report.samples.append({"abs_z": 0.0, "value": v0, "kind": "plain",
@@ -513,8 +516,8 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
     report.parameters["log_law_slope"] = slope
     report.parameters["log_law_slope_over_pi"] = slope / math.pi
     report.fitted_exponent = wexp
-    slope_ok = abs(slope / math.pi - 1.0) < report.tolerance
-    weight_ok = abs(wexp / -0.5 - 1.0) < report.tolerance
+    slope_ok = abs(slope / math.pi - 1.0) < _DISC_LOG_TOLERANCE
+    weight_ok = abs(wexp / -0.5 - 1.0) < _DISC_LOG_TOLERANCE
     report.verdict = VERDICT_CONSISTENT if (slope_ok and weight_ok) else VERDICT_INCONCLUSIVE
     return report
 
@@ -522,14 +525,21 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
 # ----------------------------------------------------------------------
 # divergence scan (sharpness half; valid for real exponents)
 
-def _z2_power_mass(d: DomainSpec, p: float, delta: float) -> float:
-    """int over the domain cut at |z2| > delta of |z2|^(-p), by radial
-    quadrature in r2 (angles are exact by symmetry)."""
-    r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
-    # the inner integral of r1 dr1 over [0, r2^(1/k)]
-    inner = (r2 ** (1.0 / d.k)) ** 2 / 2.0
-    vals = inner * r2 ** (1.0 - p)
-    return 4.0 * math.pi**2 * float(np.sum(w2 * vals))
+_DIVERGENCE_TOLERANCE = 0.02  # relative error of the bisected critical p
+
+
+def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
+    """A function of p giving, for each delta, the integral of |z2|^(-p)
+    over the domain cut at |z2| > delta, by radial quadrature in r2
+    (angles are exact by symmetry); the rules do not depend on p and are
+    built once."""
+    rules = []
+    for delta in deltas:
+        r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
+        # the inner integral of r1 dr1 over [0, r2^(1/k)]
+        rules.append((r2, w2, (r2 ** (1.0 / d.k)) ** 2 / 2.0))
+    return lambda p: [4.0 * math.pi**2 * float(np.sum(w2 * (inner * r2 ** (1.0 - p))))
+                      for r2, w2, inner in rules]
 
 
 def _classify_deltas(values: Sequence[float], deltas: Sequence[float]) -> tuple[str, float]:
@@ -556,12 +566,14 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
     report = VerificationReport(
         experiment="divergence_scan",
         parameters={"k": d.k, "p_critical_formula": p_crit,
-                    "delta_min": deltas[-1], "delta_max": deltas[0]},
+                    "delta_min": deltas[-1], "delta_max": deltas[0],
+                    "tolerance": _DIVERGENCE_TOLERANCE},
     )
 
+    masses = _z2_power_masses(d, deltas)
     fit_ok = True
     for p in p_grid:
-        vals = [_z2_power_mass(d, p, dd) for dd in deltas]
+        vals = masses(p)
         cls, slope = _classify_deltas(vals, deltas)
         predicted = 2.0 - p + 2.0 / d.k
         row = {"p": p, "classification": cls, "fitted_slope": slope,
@@ -586,8 +598,7 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
     lo, hi = 2.0, p_crit + 2.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        vals = [_z2_power_mass(d, mid, dd) for dd in deltas]
-        cls, _ = _classify_deltas(vals, deltas)
+        cls, _ = _classify_deltas(masses(mid), deltas)
         if cls == "growing":
             hi = mid
         else:
@@ -596,8 +607,7 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
     report.parameters["p_critical_empirical"] = empirical
     rel = abs(empirical - p_crit) / p_crit
     report.parameters["p_critical_rel_err"] = rel
-    report.fitted_exponent = empirical
-    report.verdict = (VERDICT_CONSISTENT if rel < report.tolerance and fit_ok
+    report.verdict = (VERDICT_CONSISTENT if rel < _DIVERGENCE_TOLERANCE and fit_ok
                       else VERDICT_INCONCLUSIVE)
     return report
 
@@ -615,8 +625,8 @@ def norm_ratio_probe(d: DomainSpec, p: float,
     range the verdict is consistent when no certificate fires, outside
     it is consistent when at least one does.
     """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must lie in [1, inf), got {p}")
     rng = critical_range(d)
     inside = rng.contains(p)
     report = VerificationReport(

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import analysis, geometry, kernel, projection, quadrature
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 OUTPUT_DIR_ENV = "FATHARTOGS_OUTPUT_DIR"
 
 EXIT_OK = 0
@@ -61,8 +61,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -140,11 +138,22 @@ def _parse_deltas(text: str) -> list[float]:
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        if not (lo > 0.0 and hi > 0.0):
-            raise ValueError(f"range ends must be positive, got {text}")
+        if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+            raise ValueError(f"range ends must be positive and finite, got {text}")
         n = int(round(abs(np.log10(hi) - np.log10(lo)))) + 1
         return list(np.geomspace(lo, hi, n))
     return [float(x) for x in text.split(",") if x.strip()]
+
+
+def _parse_core_offsets(text: str) -> list[float]:
+    """Parse ``--deltas``: at least the 4 core offsets in (0, 1) that
+    growth classification needs."""
+    deltas = _parse_deltas(text)
+    if len(deltas) < 4:
+        raise argparse.ArgumentTypeError(f"need at least 4 deltas, got {len(deltas)}")
+    if not all(0.0 < x < 1.0 for x in deltas):
+        raise argparse.ArgumentTypeError(f"deltas must lie in (0, 1), got {text}")
+    return deltas
 
 
 def _parse_monomial(text: str) -> projection.MonomialInput:
@@ -181,18 +190,6 @@ def _parse_p_grid(text: str) -> list[float]:
     return grid
 
 
-def _at_least(floor: int):
-    """An int flag type that rejects values below ``floor``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
-        return value
-
-    return parse
-
-
 def _well_formed(parse, form: str):
     """A str flag type that rejects text ``parse`` cannot read; the text
     itself is kept, as the report's config records the flag as given."""
@@ -207,44 +204,34 @@ def _well_formed(parse, form: str):
     return check
 
 
-def _deltas(text: str) -> str:
-    """A ``--deltas`` value naming at least the 4 core offsets in (0, 1)
-    that growth classification needs; the text itself is kept, as the
-    report's config records the flag as given."""
-    deltas = _parse_deltas(text)
-    if len(deltas) < 4:
-        raise argparse.ArgumentTypeError(f"need at least 4 deltas, got {len(deltas)}")
-    if not all(0.0 < x < 1.0 for x in deltas):
-        raise argparse.ArgumentTypeError(f"deltas must lie in (0, 1), got {text}")
-    return text
-
-
-def _tolerance(text: str) -> float:
-    """A finite, positive tolerance; NaN would compare false against every
-    error and also write a non-JSON ``NaN`` into the report."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
-def _real(inside, form: str):
-    """A float flag type that rejects values for which ``inside`` is false,
-    NaN among them.  Each flag takes the range that the code it feeds
+def _number(cast, inside, requirement: str):
+    """A numeric flag type: text that ``cast`` (``int`` or ``float``) reads,
+    with a value that ``inside`` accepts (NaN fails every range written as
+    comparisons).  Each flag takes the range that the code it feeds
     accepts, so a value outside it is a usage error (exit 1), not a failed
-    run (exit 2); ``form`` names the range."""
+    run (exit 2); ``requirement`` words that range after "must"."""
 
-    def parse(text: str) -> float:
-        value = float(text)
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {'an integer' if cast is int else 'a number'}, got {text!r}"
+            ) from None
         if not inside(value):
-            raise argparse.ArgumentTypeError(f"must lie in {form}, got {text}")
+            raise argparse.ArgumentTypeError(f"must {requirement}, got {text}")
         return value
 
     return parse
 
 
-_exponent = _real(lambda x: 1.0 <= x < math.inf, "[1, inf)")  # DomainSpec
-_offset = _real(lambda x: 0.0 < x < 0.5, "(0, 0.5)")  # QuadratureSpec
+def _count(floor: int):
+    """An int flag type of at least ``floor``."""
+    return _number(int, lambda n: n >= floor, f"be at least {floor}")
+
+
+# DomainSpec's k and norm_ratio_probe's p
+_exponent = _number(float, lambda x: 1.0 <= x < math.inf, "lie in [1, inf)")
 
 
 _DEFAULT_FAMILY = "0,0:0,1;1,0:0,0;0,0:1,0;1,1:0,1;0,1:0,0;2,0:0,1"
@@ -267,50 +254,58 @@ def build_parser() -> argparse.ArgumentParser:
 
     # quadrature flags go only to the commands that read them
     # QuadratureSpec rejects node counts below 2
-    def node_counts(p, radial=_at_least(2), angular=_at_least(2)):
+    def node_counts(p, radial=_count(2), angular=_count(2)):
         p.add_argument("--radial-nodes", type=radial, default=10)
         p.add_argument("--angular-nodes", type=angular, default=24)
 
     # the disc rules reject smaller counts than these
-    disc_counts = (_at_least(quadrature.DISC_MIN_RADIAL_NODES),
-                   _at_least(quadrature.DISC_MIN_ANGULAR_NODES))
+    disc_counts = (_count(quadrature.DISC_MIN_RADIAL_NODES),
+                   _count(quadrature.DISC_MIN_ANGULAR_NODES))
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
-    p.add_argument("--grid", type=_at_least(2), default=16)
-    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
+    p.add_argument("--grid", type=_count(2), default=16)
+    # NaN would compare false against every error and write a non-JSON NaN
+    p.add_argument("--tolerance", default=1e-6,
+                   type=_number(float, lambda x: math.isfinite(x) and x > 0.0,
+                                "be finite and > 0"))
 
     p = sub.add_parser("range", help="critical range and Schur-window algebra")
     common(p)
 
     p = sub.add_parser("schur", help="Schur-test verification at one exponent")
     common(p)
-    p.add_argument("--eps", type=_real(lambda x: 0.0 < x < 2.0, "(0, 2)"), required=True)
-    p.add_argument("--levels", type=_at_least(2), default=6)
+    p.add_argument("--eps", required=True,
+                   type=_number(float, lambda x: 0.0 < x < 2.0, "lie in (0, 2)"))
+    p.add_argument("--levels", type=_count(2), default=6)
 
     p = sub.add_parser("calculus1", help="weighted disc-integral plateau check")
     common(p, needs_k=False)
     node_counts(p, *disc_counts)
-    p.add_argument("--eps", type=_real(lambda x: 0.0 < x < 1.0, "(0, 1)"), required=True)
-    p.add_argument("--beta", type=_real(lambda x: 0.0 <= x < 2.0, "[0, 2)"), default=0.0)
-    p.add_argument("--levels", type=_at_least(4), default=12)
+    p.add_argument("--eps", required=True,
+                   type=_number(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)"))
+    p.add_argument("--beta", default=0.0,
+                   type=_number(float, lambda x: 0.0 <= x < 2.0, "lie in [0, 2)"))
+    p.add_argument("--levels", type=_count(4), default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
     common(p, needs_k=False)
     node_counts(p, *disc_counts)
-    p.add_argument("--levels", type=_at_least(4), default=12)
+    p.add_argument("--levels", type=_count(4), default=12)
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")
     common(p)
     p.add_argument("--p-grid", default="",
                    type=_well_formed(_parse_p_grid, "a comma list of numbers"),
                    help="comma list of exponents p to classify")
-    p.add_argument("--deltas", type=_deltas, default="1e-2..1e-10",
+    p.add_argument("--deltas", default="1e-2..1e-10",
+                   type=_well_formed(_parse_core_offsets, "a decade range 'lo..hi' with finite "
+                                     "positive ends or a comma list of numbers"),
                    help="core offsets, '1e-2..1e-10' or comma list")
 
     p = sub.add_parser("probe", help="norm-ratio probe over a monomial family")
     common(p)
-    p.add_argument("--p", type=_real(lambda x: x >= 1.0, "[1, inf]"), required=True)
+    p.add_argument("--p", type=_exponent, required=True)
     p.add_argument("--family", default=_DEFAULT_FAMILY,
                    type=_well_formed(_parse_family, "monomials 'a1,a2:b1,b2' joined by ';'"),
                    help="semicolon list of monomials 'a1,a2:b1,b2'")
@@ -318,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project one monomial both ways")
     common(p)
     node_counts(p)
-    p.add_argument("--boundary-offset", type=_offset, default=1e-6)
+    p.add_argument("--boundary-offset", default=1e-6,  # QuadratureSpec's range
+                   type=_number(float, lambda x: 0.0 < x < 0.5, "lie in (0, 0.5)"))
     p.add_argument("--f", default="0,0:0,1",
                    type=_well_formed(_parse_monomial, "'a1,a2:b1,b2' with integer entries"),
                    help="monomial input 'a1,a2:b1,b2'")
@@ -329,14 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _body(experiment: str, params: dict, rows: list[dict], verdict: str) -> dict:
-    """The report body of a command that builds no ``VerificationReport``;
-    none of these commands expects a violation."""
-    return {"experiment": experiment, "parameters": params, "samples": rows,
-            "verdict": verdict, "expected_violation": False}
-
-
-def _run_kernel_check(args) -> dict:
+def _run_kernel_check(args) -> analysis.VerificationReport:
     d = geometry.DomainSpec(args.k)
     k = d.k_int()
     n_rad, n_ang = args.grid, 8
@@ -361,10 +350,10 @@ def _run_kernel_check(args) -> dict:
               "max_last_shell": float(np.max(shell))}
     verdict = (analysis.VERDICT_CONSISTENT if max_rel < args.tolerance
                else analysis.VERDICT_VIOLATED)
-    return _body("kernel_check", params, rows, verdict)
+    return analysis.VerificationReport("kernel_check", params, rows, verdict=verdict)
 
 
-def _run_project(args) -> dict:
+def _run_project(args) -> analysis.VerificationReport:
     d = geometry.DomainSpec(args.k)
     m = _parse_monomial(args.f)
     x1, x2 = _parse_point(args.z)
@@ -386,12 +375,12 @@ def _run_project(args) -> dict:
     params = {"k": d.k, "f": args.f, "z": args.z, "rel_agreement": agreement}
     verdict = (analysis.VERDICT_CONSISTENT if agreement < 1e-3
                else analysis.VERDICT_INCONCLUSIVE)
-    return _body("project", params, [row], verdict)
+    return analysis.VerificationReport("project", params, [row], verdict=verdict)
 
 
 def _dispatch(args) -> tuple[dict, int]:
     if args.command == "kernel-check":
-        body = _run_kernel_check(args)
+        rep = _run_kernel_check(args)
     elif args.command == "range":
         d = geometry.DomainSpec(args.k)
         crit = analysis.critical_range(d)
@@ -406,35 +395,32 @@ def _dispatch(args) -> tuple[dict, int]:
                                        and sch.p_high == crit.p_high)
             rows.append({"p_low": sch.p_low_float, "p_high": sch.p_high_float,
                          "source": sch.source, "provenance": "exact-formula"})
-        body = _body("range", params, rows, analysis.VERDICT_CONSISTENT)
+        rep = analysis.VerificationReport("range", params, rows,
+                                          verdict=analysis.VERDICT_CONSISTENT)
     elif args.command == "schur":
         d = geometry.DomainSpec(args.k)
         cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels)
         rep = analysis.verify_schur(d, cfg)
-        body = dataclasses.asdict(rep)
     elif args.command == "calculus1":
         rep = analysis.verify_calculus1(args.eps, args.beta, args.levels,
                                         _quad_from_args(args))
-        body = dataclasses.asdict(rep)
     elif args.command == "disc-log":
         rep = analysis.verify_disc_log(args.levels, _quad_from_args(args))
-        body = dataclasses.asdict(rep)
     elif args.command == "divergence":
         d = geometry.DomainSpec(args.k)
         p_default = 2.0 + 2.0 / d.k
         p_grid = (_parse_p_grid(args.p_grid) if args.p_grid
                   else [p_default - 1.0, p_default, p_default + 1.0])
         rep = analysis.divergence_scan(d, p_grid, _parse_deltas(args.deltas))
-        body = dataclasses.asdict(rep)
     elif args.command == "probe":
         d = geometry.DomainSpec(args.k)
         rep = analysis.norm_ratio_probe(d, args.p, _parse_family(args.family))
-        body = dataclasses.asdict(rep)
     elif args.command == "project":
-        body = _run_project(args)
+        rep = _run_project(args)
     else:  # pragma: no cover - argparse prevents this
         raise SystemExit(EXIT_USAGE)
 
+    body = dataclasses.asdict(rep)
     body["command"] = args.command
     body["config"] = {k: v for k, v in vars(args).items()
                       if k not in {"command", "output_dir"}}

@@ -200,6 +200,13 @@ class TestNormRatioProbe:
         rep = norm_ratio_probe(d, 2.0, [mono(0, 0, 1, 0)])
         assert rep.samples[0]["status"] == "projects-to-zero"
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+    def test_p_outside_one_to_inf_is_rejected(self, p):
+        # at p = inf the radial moments are NaN and bounded monomials read
+        # as divergent, which would give false certificates
+        with pytest.raises(ValueError, match=r"p must lie in \[1, inf\)"):
+            norm_ratio_probe(DomainSpec(2), p, [mono(0, 0, 0, 1), mono(1, 0, 0, 0)])
+
 
 class TestVerifySchur:
     def test_config_validation(self):

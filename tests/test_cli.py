@@ -23,7 +23,7 @@ class TestRangeCommand:
     def test_writes_report_and_exits_zero(self, tmp_path):
         assert run(["range", "--k", "1"], tmp_path) == 0
         doc = load_report(tmp_path, "range")
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         body = doc["report"]
         assert body["parameters"]["p_low"]["numerator"] == 4
         assert body["parameters"]["p_low"]["denominator"] == 3
@@ -112,7 +112,8 @@ def provenances(node):
     return []
 
 
-@pytest.mark.parametrize("argv", [
+# one short run of each command
+EVERY_COMMAND = [
     ["range", "--k", "2"],
     ["kernel-check", "--k", "2", "--grid", "2"],
     ["schur", "--k", "2", "--eps", "1.1"],
@@ -121,7 +122,10 @@ def provenances(node):
     ["divergence", "--k", "1"],
     ["probe", "--k", "2", "--p", "3"],
     ["project", "--k", "1", "--radial-nodes", "4", "--angular-nodes", "8"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_every_sample_carries_a_known_provenance(argv, tmp_path):
     # runs this short may end inconclusive (exit 3); the labels do not
     # depend on the verdict
@@ -129,6 +133,30 @@ def test_every_sample_carries_a_known_provenance(argv, tmp_path):
     body = load_report(tmp_path, argv[0])["report"]
     assert body["samples"] and all("provenance" in row for row in body["samples"])
     assert set(provenances(body)) <= PROVENANCES
+
+
+@pytest.fixture(scope="module")
+def every_body(tmp_path_factory):
+    """The report body of each command of ``EVERY_COMMAND``, by command."""
+    out = tmp_path_factory.mktemp("every_command")
+    bodies = {}
+    for argv in EVERY_COMMAND:
+        assert run(argv, out) in (0, 3)
+        bodies[argv[0]] = load_report(out, argv[0])["report"]
+    return bodies
+
+
+def test_every_body_holds_one_key_set(every_body):
+    assert {name: set(body) for name, body in every_body.items()} == {
+        name: {"experiment", "parameters", "samples", "fitted_exponent", "bound_constant",
+               "verdict", "expected_violation", "command", "config"}
+        for name in every_body}
+
+
+@pytest.mark.parametrize("command,tolerance", [
+    ("calculus1", 0.02), ("disc-log", 0.10), ("divergence", 0.02)])
+def test_fixed_tolerance_is_recorded_in_parameters(every_body, command, tolerance):
+    assert every_body[command]["parameters"]["tolerance"] == tolerance
 
 
 class TestWriteCsv:
@@ -166,7 +194,9 @@ class TestExitCodes:
         (["disc-log", "--levels", "1"], "must be at least 4"),
         (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 4 deltas, got 1"),
         (["divergence", "--k", "1", "--deltas", "0.5,1,2,3"], "must lie in (0, 1)"),
-        (["divergence", "--k", "1", "--deltas", "1e-2..0"], "invalid _deltas value"),
+        (["divergence", "--k", "1", "--deltas", "1e-2..0"],
+         "argument --deltas: expected a decade range 'lo..hi' with finite positive ends "
+         "or a comma list of numbers, got '1e-2..0'"),
         (["project", "--k", "1", "--angular-nodes", "1"], "must be at least 2"),
         (["kernel-check", "--k", "2", "--grid", "1"], "must be at least 2"),
         (["kernel-check", "--k", "2", "--tolerance", "0"], "must be finite and > 0"),
@@ -189,11 +219,15 @@ class TestExitCodes:
         (["project", "--k", "1", "--mc-samples", "5"], "unrecognized arguments: --mc-samples"),
         (["project", "--k", "1", "--seed", "3"], "unrecognized arguments: --seed"),
         (["schur", "--k", "2", "--eps", "3"], "argument --eps: must lie in (0, 2), got 3"),
-        (["probe", "--k", "2", "--p", "0.5"], "argument --p: must lie in [1, inf], got 0.5"),
+        (["probe", "--k", "2", "--p", "0.5"], "argument --p: must lie in [1, inf), got 0.5"),
         (["range", "--k", "0.5"], "argument --k: must lie in [1, inf), got 0.5"),
         (["calculus1", "--eps", "1.5"], "argument --eps: must lie in (0, 1), got 1.5"),
         (["calculus1", "--eps", "0.5", "--beta", "2"],
          "argument --beta: must lie in [0, 2), got 2"),
+        # norm_ratio_probe's moments are NaN at p = inf
+        (["probe", "--k", "2", "--p", "inf"], "argument --p: must lie in [1, inf), got inf"),
+        (["divergence", "--k", "1", "--deltas", "inf..1e-2"],
+         "argument --deltas: expected a decade range"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -201,6 +235,26 @@ class TestExitCodes:
         assert not (tmp_path / f"{argv[0]}_report.json").exists()
         err = capsys.readouterr().err
         assert err.startswith("usage: fathartogs") and message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["kernel-check", "--k", "2", "--grid", "x"],
+         "argument --grid: expected an integer, got 'x'"),
+        (["range", "--k", "abc"], "argument --k: expected a number, got 'abc'"),
+        (["schur", "--k", "2", "--eps", "x"], "argument --eps: expected a number, got 'x'"),
+        (["kernel-check", "--k", "2", "--tolerance", "x"],
+         "argument --tolerance: expected a number, got 'x'"),
+        (["project", "--k", "1", "--radial-nodes", "2.5"],
+         "argument --radial-nodes: expected an integer, got '2.5'"),
+        (["divergence", "--k", "1", "--deltas", "abc"],
+         "argument --deltas: expected a decade range 'lo..hi' with finite positive ends "
+         "or a comma list of numbers, got 'abc'"),
+    ])
+    def test_malformed_number_names_the_expected_form(self, argv, message, tmp_path, capsys):
+        assert run(argv, tmp_path) == 1
+        assert not (tmp_path / f"{argv[0]}_report.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fathartogs") and message in err
+        assert "invalid" not in err
 
     def test_numerical_failure_is_two(self, tmp_path):
         # k = 2.5 is a domain, but the closed-form kernel needs an integer k
