@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .geometry import DomainSpec, Point2, aux_h, boundary_ladder
-from .kernel import kernel_abs_polar
+from .kernel import _polar_w1_factor, kernel_abs_polar
 from .projection import MonomialInput, project_monomial
 from .quadrature import (
     DivergentIntegralError,
@@ -202,13 +202,15 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 #   W(w) dV = (1-u^(2k))^-delta u du * (1-v^2)^-delta v^(1+2/k-2eps) dv
 #             * dtheta1 dpsi
 #
-# and |B_k(z, w)| is evaluated through the rotation-reduced kernel.  The
-# grid is laid out as (v, psi, u, theta1): |w1| = u v^(1/k) and theta1 are
-# the last two axes, where kernel_abs_polar sums its k separable terms as
-# one matrix product, and the grid is summed in blocks along v.  For
-# z1 = 0 the kernel loses its u and theta1 dependence, so the u and theta1
-# axes shrink to one node each and only the inner-boundary ladder sums the
-# full 4-d tensor.
+# and |B_k(z, w)| is evaluated through the rotation-reduced kernel on the
+# grid (v, psi, u, theta1), summed in blocks along v.  The kernel is a sum
+# of k separable terms, each a |w1|-side factor times a theta1-side one;
+# the |w1|-side factor is a power of v times a function G' of (psi, u)
+# alone, formed once per Schur value, and kernel_abs_polar forms only the
+# theta1-side factor per v block and sums the k terms as one real matrix
+# product.  For z1 = 0 the kernel loses its u and theta1 dependence, so
+# the u and theta1 axes shrink to one node each and only the
+# inner-boundary ladder sums the full 4-d tensor.
 #
 # Offsets: the v -> 0 end carries the experiment's offset ladder (that
 # edge decides the Schur exponent window).  The u -> 1 and v -> 1 edges
@@ -258,11 +260,11 @@ def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
 
 
 def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
-    """I(z) as one tensor sum over (v, psi, u, theta1), in blocks along v.
-    The last two axes are the |w1| and theta1 axes of
-    :func:`kernel_abs_polar`'s layout.  For z1 = 0 the kernel modulus
-    depends on neither u nor theta1, so each of those axes is one node
-    carrying its exact integral: the u factor and 2 pi."""
+    """I(z) as one tensor sum over (v, psi, u, theta1), in blocks along v,
+    each block one :func:`kernel_abs_polar` call that shares the |w1|-side
+    factor formed here.  For z1 = 0 the kernel modulus depends on neither u
+    nor theta1, so each of those axes is one node carrying its exact
+    integral: the u factor and 2 pi."""
     k = d.k_int()
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
@@ -277,8 +279,9 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     # theta1-averaged integrand
     psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
     axes = (_v_axis(k, eps, delta, y, v0), (psi, 2.0 * wpsi), u_axis, theta1_axis)
-    return float(tensor_sum(
-        axes, lambda v, psi, u, th1: kernel_abs_polar(d, x, y, u * v ** (1.0 / k), v, th1, psi)))
+    g = _polar_w1_factor(d, x, y, psi, u_axis[0])
+    return float(tensor_sum(axes, lambda v, *_: kernel_abs_polar(
+        d, x, y, v.ravel(), psi, u_axis[0], theta1_axis[0], w1_factor=g)))
 
 
 # ----------------------------------------------------------------------
@@ -532,14 +535,26 @@ def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
     """A function of p giving, for each delta, the integral of |z2|^(-p)
     over the domain cut at |z2| > delta, by radial quadrature in r2
     (angles are exact by symmetry); the rules do not depend on p and are
-    built once."""
+    built once.  A mass that is not finite (r2^(1-p) overflows on deep
+    offsets) raises ``ValueError`` naming p and the offset."""
     rules = []
     for delta in deltas:
         r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
         # the inner integral of r1 dr1 over [0, r2^(1/k)]
         rules.append((r2, w2, (r2 ** (1.0 / d.k)) ** 2 / 2.0))
-    return lambda p: [4.0 * math.pi**2 * float(np.sum(w2 * (inner * r2 ** (1.0 - p))))
-                      for r2, w2, inner in rules]
+
+    def masses(p: float) -> list[float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [4.0 * math.pi**2 * float(np.sum(w2 * (inner * r2 ** (1.0 - p))))
+                   for r2, w2, inner in rules]
+        bad = [(delta, mass) for delta, mass in zip(deltas, out) if not math.isfinite(mass)]
+        if bad:
+            raise ValueError(f"the mass of |z2|^(-p) at p = {p} on the core "
+                             f"|z2| > {bad[0][0]} is {bad[0][1]}, not finite; use "
+                             "shallower offsets")
+        return out
+
+    return masses
 
 
 def _classify_deltas(values: Sequence[float], deltas: Sequence[float]) -> tuple[str, float]:
@@ -562,6 +577,8 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
     deltas = sorted(float(x) for x in delta_grid)[::-1]
     if len(deltas) < 4:
         raise ValueError("need at least 4 deltas for growth classification")
+    if not all(math.isfinite(p) for p in p_grid):
+        raise ValueError(f"exponents p must be finite, got {list(p_grid)}")
     p_crit = 2.0 + 2.0 / d.k
     report = VerificationReport(
         experiment="divergence_scan",

@@ -187,6 +187,9 @@ def _parse_p_grid(text: str) -> list[float]:
     grid = [float(x) for x in text.split(",") if x.strip()]
     if text and not grid:
         raise argparse.ArgumentTypeError(f"need at least 1 exponent, got 0 in {text!r}")
+    # the scan cannot classify p = inf or NaN (divergence_scan rejects them)
+    if not all(math.isfinite(p) for p in grid):
+        raise argparse.ArgumentTypeError(f"exponents must be finite, got {text!r}")
     return grid
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "SeriesResult",
     "NearSingularError",
     "SeriesDivergenceError",
-    "PolarLayoutError",
     "poly_p",
     "poly_q",
     "kernel_closed",
@@ -64,11 +63,6 @@ class NearSingularError(ArithmeticError):
 
 class SeriesDivergenceError(ArithmeticError):
     """The truncated kernel series did not meet its shell tolerance."""
-
-
-class PolarLayoutError(ValueError):
-    """Input to :func:`kernel_abs_polar` varies along an axis its layout
-    reserves for another argument."""
 
 
 @dataclass(frozen=True)
@@ -400,44 +394,46 @@ def kernel_series(d: DomainSpec, z: Point2, w: Point2, spec: SeriesSpec) -> Seri
     return SeriesResult(complex(values), last_shell, degree)
 
 
-def _polar_layout(w1_abs, w2_abs, theta1, psi) -> tuple[int, ...]:
-    """Broadcast shape of the w-arguments of :func:`kernel_abs_polar`;
-    raises :class:`PolarLayoutError` unless they follow its layout."""
-    shape = np.broadcast_shapes(*map(np.shape, (w1_abs, w2_abs, theta1, psi)))
-    if len(shape) < 2:
-        raise PolarLayoutError(
-            f"the w-arguments broadcast to {shape}; append two unit axes for "
-            "pointwise evaluation")
-    # axes counted from the end (1 = last) along which each argument is constant
-    fixed = (("w1_abs", w1_abs, (1,)), ("w2_abs", w2_abs, (1, 2)),
-             ("theta1", theta1, (2,)), ("psi", psi, (1, 2)))
-    for name, arg, axes in fixed:
-        arg_shape = np.shape(arg)
-        for i in axes:
-            if i <= len(arg_shape) and arg_shape[-i] != 1:
-                raise PolarLayoutError(
-                    f"{name} of shape {arg_shape} varies along axis {-i}; the last "
-                    "two axes are |w1| (second-to-last) and theta1 (last)")
-    return shape
+def _polar_w1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, psi, u) -> np.ndarray:
+    """The |w1|-side factor G' of :func:`kernel_abs_polar` on the grid of the
+    1-d axes ``psi`` and ``u``.
+
+    Where only the n = 1 term is nonzero (k = 1, or z1 = 0) it is |G'_1|,
+    of shape (psi, u); otherwise the real (psi, u, 2k) array
+    [Re G'_1 .. Re G'_k, Im G'_1 .. Im G'_k], the left operand of the
+    real matrix product.
+    """
+    k = d.k_int()
+    b = z1_abs * np.asarray(u, dtype=float)  # a = b v^(1/k)
+    bk = b**k
+    e = z2_abs * np.exp(-1j * np.asarray(psi, dtype=float))[:, None]  # tau = v e
+    inv = 1.0 / np.abs(e - bk) ** 2
+    if k == 1 or z1_abs == 0.0:
+        return z2_abs * inv
+    n = np.arange(1, k + 1)
+    g = b[:, None] ** (n - 1) * (n * e[..., None] + (k - n) * bk[:, None]) * inv[..., None]
+    return np.concatenate((g.real, g.imag), axis=-1)
 
 
 def kernel_abs_polar(
     d: DomainSpec,
     z1_abs: float,
     z2_abs: float,
-    w1_abs,
-    w2_abs,
-    theta1,
+    v,
     psi,
+    u,
+    theta1,
+    w1_factor=None,
 ) -> np.ndarray:
-    """|B_k(z, w)| in rotation-reduced polar coordinates.
+    """|B_k(z, w)| on the grid of the 1-d axes (v, psi, u, theta1).
 
     The kernel modulus depends on w only through |w1|, |w2| and the two
     angle combinations theta1 = arg(z1) - arg(w1) and
     psi = (arg(z2) - arg(w2)) - k * theta1, the phase of t relative to
-    s^k.  With a = |s| and tau = |t| e^(-i psi), so that
-    s = a e^(-i theta1) and t = tau e^(-ik theta1), the numerator is a sum
-    of k separable terms,
+    s^k.  The axes are the Schur box coordinates: |w2| = v and
+    |w1| = u v^(1/k).  With a = z1_abs |w1| and tau = z2_abs v e^(-i psi),
+    so that s = a e^(-i theta1) and t = tau e^(-ik theta1), the numerator
+    is a sum of k separable terms,
 
         N(s, t) = sum_{n=1}^{k} s^(n-1) (n t + (k-n) s^k) (n + (k-n) t),
 
@@ -446,36 +442,38 @@ def kernel_abs_polar(
         G_n = a^(n-1) (n tau + (k-n) a^k) / |tau - a^k|^2,
         H_n = e^(-i(n-1) theta1) (n + (k-n) t) / (k pi^2 |1-t|^2).
 
-    G_n is free of theta1 and H_n of |w1|, so on one slice of the leading
-    axes the sum over n is the matrix product of G (|w1| x k) and
-    H (k x theta1): one batched ``np.matmul`` forms the k products and
-    their sum, and only that product and its modulus run over the full
-    grid.  At k = 1, and on the axis z1 = 0 where a = 0, only the n = 1
-    term is nonzero, and |B_k| is the product |G_1| |H_1|.
+    Since tau - a^k = v (z2_abs e^(-i psi) - (z1_abs u)^k), G_n is
+    v^((n-1)/k - 1) G'_n with G'_n a function of (psi, u) alone.  The
+    power of v goes into H_n, which is free of u; on one (v, psi) slice
+    the sum over n is then the product of G' (u x k) and H (k x theta1).
+    It is taken as one real ``np.matmul``, [Re G' | Im G'] times the
+    (2k x 2 theta1) matrix whose column pairs are (Re H_n, Im H_n) over
+    (-Im H_n, Re H_n): the product holds Re and Im of the sum in
+    alternating columns, read as complex for the modulus.  At k = 1, and
+    on the axis z1 = 0 where a = 0, only the n = 1 term is nonzero, and
+    |B_k| is the product |G'_1| |H_1| / v.
 
-    Layout: the four w-arguments broadcast to a shape of at least two
-    axes.  The last two axes are |w1| (second-to-last) and theta1 (last):
-    ``w1_abs`` must not vary along the last axis, ``theta1`` not along the
-    second-to-last, and ``w2_abs`` and ``psi`` along neither (they
-    broadcast over both).  For pointwise evaluation append two unit axes.
-    Input that varies along an axis it must not vary along raises
-    :class:`PolarLayoutError`.
+    ``w1_factor`` is ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``,
+    formed here without it; a caller that evaluates many v blocks on one
+    (psi, u) grid forms it once and passes it.  Returns an array of shape
+    (v, psi, u, theta1).
     """
-    ndim = len(_polar_layout(w1_abs, w2_abs, theta1, psi))
     k = d.k_int()
-    a = z1_abs * np.asarray(w1_abs)
-    tau = z2_abs * np.asarray(w2_abs) * np.exp(-1j * np.asarray(psi))
-    theta1 = np.asarray(theta1)
-    ak = a**k
-    inv_inner = 1.0 / np.abs(tau - ak) ** 2
-    t = tau * np.exp(-1j * k * theta1)
+    v, psi, theta1 = (np.asarray(x, dtype=float) for x in (v, psi, theta1))
+    g = _polar_w1_factor(d, z1_abs, z2_abs, psi, u) if w1_factor is None else w1_factor
+    tau = (z2_abs * v[:, None]) * np.exp(-1j * psi)
+    t = tau[..., None] * np.exp(-1j * k * theta1)  # (v, psi, theta1)
     inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
     if k == 1 or z1_abs == 0.0:
-        return (np.abs(tau) * inv_inner) * (np.abs(1.0 + (k - 1) * t) * inv_outer)
-    # the factors are formed with the term index n on a new leading axis,
-    # where each elementwise pass runs over long contiguous loops; the
-    # matrix operands are views that move n next to the |w1| or theta1 axis
-    n = np.arange(1, k + 1).reshape((k,) + (1,) * ndim)
-    g = a ** (n - 1) * (n * tau + (k - n) * ak) * inv_inner  # (k, ..., |w1|, 1)
-    h = np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t) * inv_outer  # (k, ..., 1, theta1)
-    return np.abs(np.matmul(np.moveaxis(g[..., 0], 0, -1), np.moveaxis(h[..., 0, :], 0, -2)))
+        h = np.abs(1.0 + (k - 1) * t) * inv_outer / v[:, None, None]
+        return g[:, :, None] * h[:, :, None, :]
+    n = np.arange(1, k + 1)[:, None]
+    # H with the power of v, as rows n of the (v, psi) slices, and i H below
+    # it: the complex view of the real right operand
+    right = np.empty((v.size, psi.size, 2 * k, 2 * theta1.size))
+    h = right.view(complex)
+    np.multiply(np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t[:, :, None, :]),
+                inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0),
+                out=h[:, :, :k])
+    np.multiply(h[:, :, :k], 1j, out=h[:, :, k:])
+    return np.abs(np.matmul(g, right).view(complex))

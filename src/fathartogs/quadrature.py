@@ -241,9 +241,11 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # benchmark, 2^15 to 2^17 entries took the same time, 2^18 took 8% more,
 # and peak memory grew from 2^17 on.  A block is never smaller than one
 # node of axis 0: the Schur inner-stratum block, one v node of
-# 64 x 80 x 32 = 163840 entries, is 2.5x this budget, and sub-blocking it
-# along psi made schur_sweep slower, since kernel_abs_polar is then
-# called more often per Schur value
+# 64 x 80 x 32 = 163840 entries, is 2.5x this budget.  Its kernel_abs_polar
+# call forms the theta1-side factor (64 x 2k x 32) and one real product of
+# 2 x 163840 entries, whose modulus is the block; sub-blocking it along
+# psi made schur_sweep slower, since kernel_abs_polar is then called more
+# often per Schur value
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 
 

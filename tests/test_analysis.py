@@ -24,6 +24,8 @@ from fathartogs.analysis import (
     _edge_exponent,
     _schur_value,
     _u_factor,
+    _u_rule,
+    _v_axis,
     critical_range,
     divergence_scan,
     fit_loglog_slope,
@@ -168,6 +170,19 @@ class TestDivergenceScan:
     def test_needs_enough_deltas(self):
         with pytest.raises(ValueError):
             divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3])
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_p_must_be_finite(self, p):
+        with pytest.raises(ValueError, match="must be finite"):
+            divergence_scan(DomainSpec(1), [3.0, p], np.geomspace(1e-2, 1e-10, 9))
+
+    # deep cores overflow r2^(1 - p) to inf (and to NaN beyond): classified,
+    # those masses called the growing p = 5 saturating
+    @pytest.mark.parametrize("deepest", [1e-100, 1e-300])
+    def test_masses_that_are_not_finite_are_never_classified(self, deepest):
+        deltas = np.geomspace(1e-2, deepest, round(math.log10(1e-2 / deepest)) + 1)
+        with pytest.raises(ValueError, match=r"at p = \d\.0 on the core \|z2\| > 1e-\d+ is"):
+            divergence_scan(DomainSpec(1), [3.0, 4.0, 5.0], deltas)
 
 
 class TestNormRatioProbe:
@@ -336,6 +351,24 @@ class TestVerifySchur:
             assert got == pytest.approx(golden[stratum], rel=1e-12, abs=0.0), stratum
         got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
         assert got_probe == pytest.approx(golden["probe"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [0.75, 1.2])
+    def test_inner_values_match_the_exact_angular_integral_at_k1(self, eps):
+        # at k = 1 both angle integrals of |B_1| are Poisson integrals, so
+        # with |tau| = y v and a = x u v the angular integral is exactly
+        # 4 |tau| / (||tau|^2 - a^2| (1 - |tau|^2)); summed on the same u
+        # and v rules, it leaves only the angular error of the 4-d tensor
+        d = DomainSpec(1)
+        delta = _edge_exponent(1, eps)
+        for z in boundary_ladder(d, "inner", 8):
+            x, y = abs(z.z1), abs(z.z2)
+            u, wu = _u_rule(1, delta, floor=max((1.0 - x / y) / 16.0, 1e-9))
+            v, wv = _v_axis(1, eps, delta, y, _V0_WORK_FULL)
+            tau, a = y * v[:, None], x * u * v[:, None]
+            angular = 4.0 * tau / (np.abs(tau**2 - a**2) * (1.0 - tau**2))
+            exact = float(wv @ angular @ wu)
+            got = _schur_value(d, z, eps, delta, _V0_WORK_FULL)
+            assert got == pytest.approx(exact, rel=1e-7, abs=0.0)
 
     def test_below_window_ratio_ladder_violation(self):
         # a true positive of the ratio ladders: below the window the

@@ -228,6 +228,11 @@ class TestExitCodes:
         (["probe", "--k", "2", "--p", "inf"], "argument --p: must lie in [1, inf), got inf"),
         (["divergence", "--k", "1", "--deltas", "inf..1e-2"],
          "argument --deltas: expected a decade range"),
+        # the scan classified p = inf as saturating, and NaN exited 2
+        (["divergence", "--k", "1", "--p-grid", "3,inf"],
+         "argument --p-grid: exponents must be finite, got '3,inf'"),
+        (["divergence", "--k", "1", "--p-grid", "3,nan"],
+         "argument --p-grid: exponents must be finite, got '3,nan'"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -268,6 +273,15 @@ class TestExitCodes:
         error = load_report(tmp_path, "project")["report"]["error"]
         assert error["type"] == "NearSingularError"
         assert "|t-s^k|" in error["message"]
+
+    def test_overflowing_divergence_masses_are_named(self, tmp_path):
+        # r2^(1 - p) overflows on the deepest cores: the scan classified the
+        # growing p = 5 as saturating and then failed on the wrong integral
+        assert run(["divergence", "--k", "1", "--deltas", "1e-2..1e-100"], tmp_path) == 2
+        error = load_report(tmp_path, "divergence")["report"]["error"]
+        assert error["type"] == "ValueError"
+        assert "at p = 5.0 on the core |z2| > 1e-" in error["message"]
+        assert "z2 = 0" not in error["message"]
 
     def test_arithmetic_error_is_a_numerical_failure(self, tmp_path, monkeypatch):
         def failing(d):

@@ -13,7 +13,6 @@ from fathartogs.geometry import DomainSpec, Point2, sample_uniform
 from fathartogs.kernel import (
     MultiIndex,
     NearSingularError,
-    PolarLayoutError,
     SeriesDivergenceError,
     SeriesSpec,
     _SERIES_BLOCK_ELEMENTS,
@@ -464,35 +463,36 @@ class TestKernelBound:
             s = x * r1 * np.exp(-1j * th1)
             t = y * r2 * np.exp(-1j * (psi + k * th1))
             ref = np.abs(kernel_closed_st(d, s, t))
-            # pointwise evaluation: two trailing unit axes for |w1| and theta1
-            r1, r2, th1, psi = (a[:, None, None] for a in (r1, r2, th1, psi))
-            got = kernel_abs_polar(d, x, y, r1, r2, th1, psi)
-            assert got.shape == (200, 1, 1)
-            assert np.max(np.abs(got[:, 0, 0] - ref) / ref) < 1e-12
+            # pointwise evaluation: each point is a grid of one node per axis,
+            # with |w1| = r1 as u = r1 / r2^(1/k)
+            got = np.array([kernel_abs_polar(d, x, y, [v], [ps], [r / v ** (1.0 / k)], [th])
+                            for r, v, th, ps in zip(r1, r2, th1, psi)])
+            assert got.shape == (200, 1, 1, 1, 1)
+            assert np.max(np.abs(got.ravel() - ref) / ref) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_polar_form_on_a_4d_grid(self, k):
-        # the Schur inner-stratum layout (v, psi, u, theta1): |w2| = v and
-        # psi on the leading axes, |w1| = u v^(1/k) second-to-last and
-        # theta1 last
+        # the Schur inner-stratum grid (v, psi, u, theta1): |w2| = v and
+        # |w1| = u v^(1/k)
         rng = np.random.default_rng(60 + k)
         d = DomainSpec(k)
         y = 0.7
-        u = rng.random(9).reshape(1, 1, 9, 1) * 0.98
-        v = rng.random(7).reshape(7, 1, 1, 1) * 0.9 + 0.05
-        th1 = 2 * math.pi * rng.random(16).reshape(1, 1, 1, 16)
-        psi = 2 * math.pi * rng.random(12).reshape(1, 12, 1, 1)
+        u = rng.random(9) * 0.98
+        v = rng.random(7) * 0.9 + 0.05
+        th1 = 2 * math.pi * rng.random(16)
+        psi = 2 * math.pi * rng.random(12)
         # at x = 0 and k >= 3 the grid holds a zero of the kernel:
         # N(0, t) = t (1 + (k-1) t) vanishes at t = -1/(k-1)
         if k > 1:
-            v[0, 0, 0, 0] = min(1.0 / (y * (k - 1)), 0.95)
-        th1[0, 0, 0, 0], psi[0, 0, 0, 0] = 0.0, math.pi
+            v[0] = min(1.0 / (y * (k - 1)), 0.95)
+        th1[0], psi[0] = 0.0, math.pi
         for x in (0.0, 0.45, 0.69 ** (1.0 / k)):
-            r1 = u * v ** (1.0 / k)
-            got = kernel_abs_polar(d, x, y, r1, v, th1, psi)
+            got = kernel_abs_polar(d, x, y, v, psi, u, th1)
             assert got.shape == (7, 12, 9, 16)
+            vg, psig = v[:, None, None, None], psi[None, :, None, None]
+            r1 = u[None, None, :, None] * vg ** (1.0 / k)
             s = x * r1 * np.exp(-1j * th1)
-            t = y * v * np.exp(-1j * (psi + k * th1))
+            t = y * vg * np.exp(-1j * (psig + k * th1))
             ref = np.abs(kernel_closed_st(d, s, t))
             # where N(s, t) nearly cancels, both forms are accurate only to
             # rounding of the moduli of its separable terms
@@ -501,16 +501,3 @@ class TestKernelBound:
             scale = terms / (k * math.pi**2 * np.abs(1 - t) ** 2 * np.abs(t - s**k) ** 2)
             tol = np.maximum(1e-12 * ref, 64 * np.finfo(float).eps * scale)
             assert np.all(np.abs(got - ref) <= tol)
-
-    def test_polar_form_rejects_the_wrong_layout(self):
-        # the (u, v, theta1, psi) order puts theta1 on the |w1| axis and psi
-        # on the theta1 axis; the matrix product would silently pick one
-        # slice of each
-        d = DomainSpec(2)
-        u = np.linspace(0.1, 0.9, 9).reshape(9, 1, 1, 1)
-        v = np.linspace(0.1, 0.9, 7).reshape(1, 7, 1, 1)
-        th1 = np.linspace(0.0, 6.0, 16).reshape(1, 1, 16, 1)
-        psi = np.linspace(0.0, 3.0, 12).reshape(1, 1, 1, 12)
-        wrong = r"theta1 of shape \(1, 1, 16, 1\) varies along axis -2"
-        with pytest.raises(PolarLayoutError, match=wrong):
-            kernel_abs_polar(d, 0.45, 0.7, u * np.sqrt(v), v, th1, psi)

@@ -246,16 +246,20 @@ class TestTensorSum:
     def test_sums_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS contraction over the flattened block (vals @ rest) moved
         # the last bits of this projection value between 1 and 2 threads;
-        # reports must be byte-deterministic
+        # reports must be byte-deterministic.  The inner-stratum Schur
+        # values sum the kernel's k terms as a real BLAS product of inner
+        # dimension 2k
         code = (
             "from fathartogs import analysis\n"
             "from fathartogs.geometry import DomainSpec, Point2, boundary_ladder\n"
             "from fathartogs.projection import project_numeric\n"
             "from fathartogs.quadrature import QuadratureSpec\n"
+            "for k in (2, 3):\n"
+            "    d = DomainSpec(k)\n"
+            "    z = boundary_ladder(d, 'inner', 8)[-1]\n"
+            "    delta = analysis._edge_exponent(k, 0.75)\n"
+            "    print(repr(analysis._schur_value(d, z, 0.75, delta, analysis._V0_WORK_FULL)))\n"
             "d = DomainSpec(2)\n"
-            "z = boundary_ladder(d, 'inner', 8)[-1]\n"
-            "delta = analysis._edge_exponent(2, 0.75)\n"
-            "print(repr(analysis._schur_value(d, z, 0.75, delta, analysis._V0_WORK_FULL)))\n"
             "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
             "z = Point2(0.2 + 0.1j, 0.4 - 0.1j)\n"
             "print(repr(project_numeric(d, lambda w1, w2: w1 * w2 ** 2, z, spec)))\n"
