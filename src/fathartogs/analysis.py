@@ -535,18 +535,20 @@ def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
     """A function of p giving, for each delta, the integral of |z2|^(-p)
     over the domain cut at |z2| > delta, by radial quadrature in r2
     (angles are exact by symmetry); the rules do not depend on p and are
-    built once.  A mass that is not finite (r2^(1-p) overflows on deep
-    offsets) raises ``ValueError`` naming p and the offset."""
-    rules = []
-    for delta in deltas:
-        r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
-        # the inner integral of r1 dr1 over [0, r2^(1/k)]
-        rules.append((r2, w2, (r2 ** (1.0 / d.k)) ** 2 / 2.0))
+    built once.  The integrand, with the inner integral of r1 dr1 over
+    [0, r2^(1/k)] done, is the single power r2^(1 + 2/k - p) / 2.  A mass
+    that is not finite raises ``ValueError`` naming p and the offset: the
+    power overflows at the deepest nodes once r2^(1 + 2/k - p) leaves the
+    double range (below about 1e-155 at p = 5, k = 1), although the
+    weighted sum may not."""
+    rules = [graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
+             for delta in deltas]
 
     def masses(p: float) -> list[float]:
+        power = 1.0 + 2.0 / d.k - p
         with np.errstate(over="ignore", invalid="ignore"):
-            out = [4.0 * math.pi**2 * float(np.sum(w2 * (inner * r2 ** (1.0 - p))))
-                   for r2, w2, inner in rules]
+            out = [4.0 * math.pi**2 * float(np.sum(w2 * (r2**power / 2.0)))
+                   for r2, w2 in rules]
         bad = [(delta, mass) for delta, mass in zip(deltas, out) if not math.isfinite(mass)]
         if bad:
             raise ValueError(f"the mass of |z2|^(-p) at p = {p} on the core "

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DomainSpec, Point2
+from .quadrature import angle_rule
 
 __all__ = [
     "MultiIndex",
@@ -177,7 +178,7 @@ def _numerator(k: int, s, t, sk, out=None):
     return num
 
 
-def kernel_closed_st(d: DomainSpec, s, t, work=None) -> np.ndarray:
+def kernel_closed_st(d: DomainSpec, s, t, work=None, *, t_factor=None) -> np.ndarray:
     """Closed-form kernel as a function of the invariants (s, t).
 
     ``work`` is a complex workspace of shape ``(2, *B)``, B the broadcast
@@ -187,10 +188,23 @@ def kernel_closed_st(d: DomainSpec, s, t, work=None) -> np.ndarray:
     call with that workspace, so a caller that reuses one across calls
     allocates no array of shape B here.
 
+    With ``t_factor=_closed_t_factor(d, t0, n)`` the kernel is evaluated
+    on a block of the domain core's tensor grid instead (the grid form).
+    ``s`` is then the (u, v) array of the zero-angle invariants
+    s0 = z1 u v^(1/k) and ``t`` the (v,) array t0 = z2 v, both angles run
+    over the n nodes of :func:`fathartogs.quadrature.angle_rule`, with
+    s = s0 e^(-i theta1) and t = t0 e^(-i theta2), and the result has
+    shape (u, v, n, n) over (u, v, theta1, theta2); B is that shape.
+    See :func:`_closed_grid` for the factored form it evaluates.
+
     Raises :class:`NearSingularError` when |1-t| or |t-s^k| falls below
-    the singular floor anywhere in the (broadcast) input.
+    the singular floor anywhere in the (broadcast) input; in the grid
+    form, |1-t| is screened when ``t_factor`` is formed.
     """
     k = d.k_int()
+    if t_factor is not None:
+        return _closed_grid(k, np.asarray(s, dtype=complex), np.asarray(t, dtype=complex),
+                            t_factor, work)
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
     shape = np.broadcast_shapes(s.shape, t.shape)
@@ -224,6 +238,78 @@ def kernel_closed_st(d: DomainSpec, s, t, work=None) -> np.ndarray:
     sq = value[()]
     sq **= 2
     return np.divide(num, sq, out=value)
+
+
+def _closed_t_factor(d: DomainSpec, t0, n: int) -> np.ndarray:
+    """The (v, theta2) factor of the grid form of :func:`kernel_closed_st`.
+
+    ``t0`` is the (v,) array z2 v and theta2 runs over the n nodes of
+    :func:`fathartogs.quadrature.angle_rule`.  Returns the (k, v, n) array
+    of G_n = e^(i theta2) (n + (k-n) t) / (k pi^2 t0 (1-t)^2), n = 1..k,
+    with t = t0 e^(-i theta2).  It depends on neither u nor theta1, so a
+    caller that walks the grid in u blocks forms it once.  Raises
+    :class:`NearSingularError` when |1-t| falls below the singular floor.
+    """
+    k = d.k_int()
+    t0 = np.asarray(t0, dtype=complex)
+    e = np.exp(1j * angle_rule(n)[0])
+    t = t0[:, None] * np.conj(e)
+    one_minus_t = 1.0 - t
+    _require_clear("1-t", np.abs(one_minus_t))
+    base = e / ((k * math.pi**2) * t0[:, None] * one_minus_t**2)
+    terms = np.arange(1, k + 1)[:, None, None]
+    return (terms + (k - terms) * t) * base
+
+
+def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
+                 work) -> np.ndarray:
+    """The grid form of :func:`kernel_closed_st`.
+
+    With theta_j = 2 pi j / n on both angles, s^k / t = rho e^(i theta_m),
+    where rho = s0^k / t0 = (z1 u)^k / z2 is the same at every v of a u
+    node and m = (j2 - k j1) mod n.  Since the numerator is the sum over
+    n = 1..k of s^(n-1) (n t + (k-n) s^k) (n + (k-n) t), the kernel is a
+    sum of k separable terms, B = sum_n F1_n[u, j1, j2] s0^(n-1) G_n[v, j2],
+
+        F1_n = e^(-i(n-1) theta1) (n + (k-n) rho e^(i theta_m)) / (1 - rho e^(i theta_m))^2,
+
+    with G_n the ``t_factor`` of :func:`_closed_t_factor`.  F1_n is
+    gathered per u node from a table of n entries in m, so a block costs
+    k broadcast products and no full-grid division.  The factor t - s^k is
+    t0 e^(-i theta2) (1 - rho e^(i theta_m)), so the block minimum of its
+    modulus is the product of the minima of |t0| and of the table's
+    |1 - rho e^(i theta_m)|.
+    """
+    rows, cols = s0.shape
+    n = t_factor.shape[-1]
+    shape = (rows, cols, n, n)
+    if t0.shape != (cols,) or t_factor.shape != (k, cols, n):
+        raise ValueError(f"grid form needs t0 of shape {(cols,)} and t_factor of shape "
+                         f"{(k, cols, n)}, got {t0.shape} and {t_factor.shape}")
+    if work is None:
+        work = np.empty((2,) + shape, dtype=complex)
+    elif work.shape != (2,) + shape:
+        raise ValueError(f"workspace of shape {work.shape}, need {(2,) + shape}")
+    theta = angle_rule(n)[0]
+    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)  # (u, m)
+    gap = 1.0 - rho_e
+    least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
+    if least < DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
+    table = 1.0 / gap**2
+    j = np.arange(n)
+    m = (j - k * j[:, None]) % n  # (theta1, theta2)
+    value, scratch = work[0], work[1]
+    for i in range(k):  # the term n = i + 1
+        f1 = (((i + 1) + (k - 1 - i) * rho_e) * table)[:, m]
+        g = t_factor[i]
+        if i:  # s^i = s0^i e^(-i i theta1)
+            f1 *= np.exp(-1j * i * theta)[:, None]
+            g = s0[:, :, None] ** i * g
+        np.multiply(f1[:, None], g[..., None, :], out=scratch if i else value)
+        if i:
+            value += scratch
+    return value
 
 
 def kernel_closed(d: DomainSpec, z: Point2, w: Point2) -> complex:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
-from .kernel import MultiIndex, kernel_closed_st
+from .kernel import MultiIndex, _closed_t_factor, kernel_closed_st
 from .quadrature import DivergentIntegralError, QuadratureSpec, integrate, radial_moment
 
 __all__ = [
@@ -55,8 +55,10 @@ class MonomialInput:
         a1, a2 = self.hol.a1, self.hol.a2
         b1, b2 = self.antihol.a1, self.antihol.a2
 
+        # each variable's factor on its own (smaller) shape, so that only
+        # the last product is formed on the full grid
         def f(z1, z2):
-            return z1**a1 * z2**a2 * np.conj(z1) ** b1 * np.conj(z2) ** b2
+            return (z1**a1 * np.conj(z1) ** b1) * (z2**a2 * np.conj(z2) ** b2)
 
         return f
 
@@ -122,28 +124,35 @@ def project_numeric(
     """Quadrature approximation of the projection integral at the point z.
 
     ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`.  A kernel evaluation closer
-    to its singular set than the floor raises ``NearSingularError``, and
-    a non-integer exponent ``NonIntegerExponentError``, both from
-    :func:`fathartogs.kernel.kernel_closed_st`; points within two
-    boundary offsets of the boundary trigger an accuracy warning.
+    :func:`fathartogs.quadrature.integrate`, whose core grid is walked in
+    u blocks; each block's kernel values come from one call of the grid
+    form of :func:`fathartogs.kernel.kernel_closed_st`.  A kernel
+    evaluation closer to its singular set than the floor raises
+    ``NearSingularError``, and a non-integer exponent
+    ``NonIntegerExponentError``, both from :mod:`fathartogs.kernel`;
+    points within two boundary offsets of the boundary trigger an
+    accuracy warning.
     """
     if not contains(d, z):
         raise ValueError(f"evaluation point {z} is not interior")
     _warn_if_near_boundary(d, z, spec.boundary_offset)
 
     # one kernel workspace for every block: the first block is the largest,
-    # and a shorter last one takes the front of it
-    work = None
+    # and a shorter last one takes the front of it.  Every block has the
+    # same v and theta2 nodes, so the kernel's (v, theta2) factor is formed
+    # once, on the first block
+    work = t0 = t_factor = None
 
     def g(w1, w2):
-        nonlocal work
-        s = z.z1 * np.conj(w1)
-        t = z.z2 * np.conj(w2)
-        shape = np.broadcast_shapes(s.shape, t.shape)
+        nonlocal work, t0, t_factor
+        # the invariants at zero angles, where exp(0) = 1: s and t there
+        s0 = z.z1 * np.conj(w1[:, :, 0, 0])
         if work is None:
-            work = np.empty((2,) + shape, dtype=complex)
-        out = kernel_closed_st(d, s, t, work=work[:, : shape[0]])
+            rows, cols, n = w1.shape[:3]
+            work = np.empty((2, rows, cols, n, n), dtype=complex)
+            t0 = z.z2 * np.conj(w2[0, :, 0, 0])
+            t_factor = _closed_t_factor(d, t0, n)
+        out = kernel_closed_st(d, s0, t0, work=work[:, : s0.shape[0]], t_factor=t_factor)
         out *= f(w1, w2)
         return out
 

@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 import sympy
 
-from fathartogs.geometry import DomainSpec, Point2, sample_uniform
+from fathartogs.geometry import DomainSpec, Point2, _box_to_z, sample_uniform
 from fathartogs.kernel import (
     MultiIndex,
     NearSingularError,
     SeriesDivergenceError,
     SeriesSpec,
     _SERIES_BLOCK_ELEMENTS,
+    _closed_t_factor,
     _numerator,
     basis_indices_by_weight,
     kernel_bound,
@@ -31,6 +32,7 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
+from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES
 
 
 def interior_invariants(k, n, seed):
@@ -262,6 +264,90 @@ class TestKernelClosedWorkspace:
         with pytest.raises(ValueError, match="workspace of shape"):
             kernel_closed_st(DomainSpec(1), np.full((4, 1), 0.1j), np.full((1, 3), 0.5j),
                              work=np.empty((2, 4, 4), dtype=complex))
+
+
+
+def core_blocks(d, z, spec):
+    """The tensor blocks of the domain core that ``project_numeric`` walks:
+    per block, the pair invariants (s, t) on the full block and the
+    zero-angle invariants (s0, t0) of the grid form."""
+    (u, _), (v, _), (theta, _), _ = _core_axes(d, spec)
+    rows = max(1, _TENSOR_BLOCK_ENTRIES // (v.size * theta.size**2))
+    for lo in range(0, u.size, rows):
+        w1, w2 = _box_to_z(d, u[lo:lo + rows, None, None, None], v[None, :, None, None],
+                           theta[None, None, :, None], theta[None, None, None, :])
+        yield (z.z1 * np.conj(w1), z.z2 * np.conj(w2),
+               z.z1 * np.conj(w1[:, :, 0, 0]), z.z2 * np.conj(w2[0, :, 0, 0]))
+
+
+class TestKernelClosedGridForm:
+    """The factored grid form against the pair form on the blocks that
+    ``project_numeric`` evaluates."""
+
+    CRITERION_4 = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
+    # eight angles: blocks of 15, 15 and 6 of the 36 u nodes
+    FEW_ANGLES = QuadratureSpec(radial_nodes=6, angular_nodes=8, boundary_offset=1e-6)
+
+    @staticmethod
+    def worst_error(d, z, spec, scale_by_bound):
+        worst = 0.0
+        for s, t, s0, t0 in core_blocks(d, z, spec):
+            pair = kernel_closed_st(d, s, t)
+            grid = kernel_closed_st(d, s0, t0, t_factor=_closed_t_factor(d, t0, spec.angular_nodes))
+            assert grid.shape == pair.shape
+            scale = np.abs(pair)
+            if scale_by_bound:
+                scale = np.maximum(scale, kernel_bound_st(d, s, t))
+            worst = max(worst, float(np.max(np.abs(grid - pair) / scale)))
+        return worst
+
+    # measured: at most 3.3e-15, 3.2e-14 and 5.5e-14 at k = 1, 2, 3 (the
+    # pair and grid forms round differently where the k terms partly cancel)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_at_criterion_4_spec(self, k):
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        assert self.worst_error(DomainSpec(k), z, self.CRITERION_4, False) < 1e-13
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_on_blocks_of_several_u_nodes(self, k):
+        d = DomainSpec(k)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        assert next(core_blocks(d, z, self.FEW_ANGLES))[2].shape[0] > 1
+        assert self.worst_error(d, z, self.FEW_ANGLES, False) < 1e-13
+
+    # |z1|^k / |z2| = 0.999: |1 - rho e^(i theta_m)| reaches about 1e-3.  At
+    # k >= 2 the kernel also has zeros where its k terms cancel; there both
+    # forms lose the same digits against a 40-digit reference (up to 5.8e-12
+    # relative to the value), so the error is taken against the larger of
+    # |B| and the dominating bound.  Measured: at most 5.4e-15, 7.2e-15 and
+    # 1.8e-14 at k = 1, 2, 3
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_near_t_equal_s_to_the_k(self, k):
+        z = Point2(0.3 * np.exp(0.4j), 0.3**k / 0.999 * np.exp(-0.7j))
+        assert self.worst_error(DomainSpec(k), z, self.CRITERION_4, True) < 1e-13
+
+    def test_screens_name_the_factor(self):
+        d = DomainSpec(2)
+        # 1 - t vanishes at theta2 = 0 when t0 is 1
+        with pytest.raises(NearSingularError) as exc:
+            _closed_t_factor(d, np.array([0.5, 1.0 - 1e-13]) + 0j, 6)
+        assert exc.value.factor == "1-t"
+        # s0^2 = t0 on u row 1: t - s^2 vanishes wherever theta2 = 2 theta1
+        t0 = np.array([0.5, 0.7]) + 0j
+        s0 = np.array([[0.3, 0.3], [0.5**0.5, 0.7**0.5]]) + 0j
+        with pytest.raises(NearSingularError) as exc:
+            kernel_closed_st(d, s0, t0, t_factor=_closed_t_factor(d, t0, 6))
+        assert exc.value.factor == "t-s^k"
+        assert exc.value.min_abs < 1e-15
+
+    def test_block_of_another_shape_is_rejected(self):
+        d = DomainSpec(1)
+        t0 = np.array([0.5, 0.6]) + 0j
+        with pytest.raises(ValueError, match="workspace of shape"):
+            kernel_closed_st(d, np.full((3, 2), 0.1 + 0j), t0, t_factor=_closed_t_factor(d, t0, 4),
+                             work=np.empty((2, 3, 2, 4, 3), dtype=complex))
+        with pytest.raises(ValueError, match="grid form needs"):
+            kernel_closed_st(d, np.full((3, 2), 0.1 + 0j), t0[:1], t_factor=_closed_t_factor(d, t0, 4))
 
 
 class TestBasisIndexSet:
