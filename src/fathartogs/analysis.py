@@ -281,7 +281,7 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     axes = (_v_axis(k, eps, delta, y, v0), (psi, 2.0 * wpsi), u_axis, theta1_axis)
     g = _polar_w1_factor(d, x, y, psi, u_axis[0])
     return float(tensor_sum(axes, lambda v, *_: kernel_abs_polar(
-        d, x, y, v.ravel(), psi, u_axis[0], theta1_axis[0], w1_factor=g)))
+        d, x, y, v.ravel(), psi, theta1_axis[0], g)))
 
 
 # ----------------------------------------------------------------------
@@ -536,19 +536,20 @@ def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
     over the domain cut at |z2| > delta, by radial quadrature in r2
     (angles are exact by symmetry); the rules do not depend on p and are
     built once.  The integrand, with the inner integral of r1 dr1 over
-    [0, r2^(1/k)] done, is the single power r2^(1 + 2/k - p) / 2.  A mass
-    that is not finite raises ``ValueError`` naming p and the offset: the
-    power overflows at the deepest nodes once r2^(1 + 2/k - p) leaves the
-    double range (below about 1e-155 at p = 5, k = 1), although the
-    weighted sum may not."""
-    rules = [graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
-             for delta in deltas]
+    [0, r2^(1/k)] done, is the single power r2^(1 + 2/k - p) / 2, and each
+    weighted term is formed as one exponential, so that it overflows only
+    where the term itself does, not where the power alone would.  A mass
+    that is not finite raises ``ValueError`` naming p and the offset."""
+    logs = []
+    for delta in deltas:
+        r2, w2 = graded_rule(delta, 1.0, 8, toward="lower", floor=3.0 * delta)
+        logs.append((np.log(w2 / 2.0), np.log(r2)))
 
     def masses(p: float) -> list[float]:
         power = 1.0 + 2.0 / d.k - p
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = [4.0 * math.pi**2 * float(np.sum(w2 * (r2**power / 2.0)))
-                   for r2, w2 in rules]
+        with np.errstate(over="ignore"):
+            out = [4.0 * math.pi**2 * float(np.sum(np.exp(log_w + power * log_r)))
+                   for log_w, log_r in logs]
         bad = [(delta, mass) for delta, mass in zip(deltas, out) if not math.isfinite(mass)]
         if bad:
             raise ValueError(f"the mass of |z2|^(-p) at p = {p} on the core "

@@ -150,43 +150,29 @@ def _require_clear(factor: str, modulus) -> None:
         raise NearSingularError(factor, least, DEFAULT_SINGULAR_FLOOR)
 
 
-def _numerator(k: int, s, t, sk, out=None):
-    """The kernel numerator p_k(s) t^2 + q_k(s) t + s^k p_k(s), with sk = s^k.
+def _numerator(k: int, s, t, sk):
+    """The kernel numerator (p_k(s) t + q_k(s)) t + s^k p_k(s), with sk = s^k.
 
     At k = 1 (p_1 = 0, q_1 = 1) it is ``t`` itself, which need not have
-    the broadcast shape of ``s`` and ``t``, and ``out`` is not used.  For
-    k >= 2 the value is written into ``out``, an array of the broadcast
-    shape (a new one without it), and a view of ``out`` is returned: the
-    caller's value until ``out`` is next written.  At 0-d it is a numpy
-    scalar.  A constant p_k (k = 2) stays a scalar, so that ``ps * t``
-    keeps the shape of ``t``.
+    the broadcast shape of ``s`` and ``t``.
     """
     if k == 1:
         return t
-    p = p_coefficients(k)
-    ps = complex(p[0]) if len(p) == 1 else _horner(p, s)
-    qs = _horner(q_base_coefficients(k), s) + sk * _horner(q_shift_coefficients(k), s)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(s), np.shape(t)), dtype=complex)
-    # (ps * t + qs) * t + sk * ps, step by step in out.  num = out[()] is a
-    # view of out, or at 0-d the numpy scalar that the operators then
-    # combine as that expression does on scalars
-    num = np.multiply(ps, t, out=out)[()]
-    num += qs
-    num *= t
-    num += sk * ps
-    return num
+    p = poly_p(k, s)
+    return (p * t + poly_q(k, s)) * t + sk * p
 
 
-def kernel_closed_st(d: DomainSpec, s, t, work=None, *, t_factor=None) -> np.ndarray:
+def _screen(one_minus_t, gap):
+    """Screen the kernel's denominator factors ``one_minus_t`` = 1 - t and
+    ``gap`` = t - s^k, in that order; returns their moduli."""
+    moduli = np.abs(one_minus_t), np.abs(gap)
+    _require_clear("1-t", moduli[0])
+    _require_clear("t-s^k", moduli[1])
+    return moduli
+
+
+def kernel_closed_st(d: DomainSpec, s, t, *, t_factor=None, work=None) -> np.ndarray:
     """Closed-form kernel as a function of the invariants (s, t).
-
-    ``work`` is a complex workspace of shape ``(2, *B)``, B the broadcast
-    shape of ``s`` and ``t``, with C-contiguous halves, as in a front
-    slice ``w[:, :n]`` of a C-contiguous ``w``; without it one is
-    allocated.  The result is a view of ``work[0]``, valid until the next
-    call with that workspace, so a caller that reuses one across calls
-    allocates no array of shape B here.
 
     With ``t_factor=_closed_t_factor(d, t0, n)`` the kernel is evaluated
     on a block of the domain core's tensor grid instead (the grid form).
@@ -194,50 +180,25 @@ def kernel_closed_st(d: DomainSpec, s, t, work=None, *, t_factor=None) -> np.nda
     s0 = z1 u v^(1/k) and ``t`` the (v,) array t0 = z2 v, both angles run
     over the n nodes of :func:`fathartogs.quadrature.angle_rule`, with
     s = s0 e^(-i theta1) and t = t0 e^(-i theta2), and the result has
-    shape (u, v, n, n) over (u, v, theta1, theta2); B is that shape.
-    See :func:`_closed_grid` for the factored form it evaluates.
+    shape (u, v, n, n) over (u, v, theta1, theta2).  See
+    :func:`_closed_grid` for the factored form it evaluates, and for its
+    workspace ``work``, which only the grid form takes.
 
     Raises :class:`NearSingularError` when |1-t| or |t-s^k| falls below
     the singular floor anywhere in the (broadcast) input; in the grid
     form, |1-t| is screened when ``t_factor`` is formed.
     """
     k = d.k_int()
-    if t_factor is not None:
-        return _closed_grid(k, np.asarray(s, dtype=complex), np.asarray(t, dtype=complex),
-                            t_factor, work)
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    shape = np.broadcast_shapes(s.shape, t.shape)
-    if work is None:
-        work = np.empty((2,) + shape, dtype=complex)
-    elif work.shape != (2,) + shape:
-        raise ValueError(f"workspace of shape {work.shape}, need {(2,) + shape}")
-    value, scratch = work[0, ...], work[1, ...]  # views, also for 0-d input
-    one_minus_t = 1.0 - t
+    if t_factor is not None:
+        return _closed_grid(k, s, t, t_factor, work)
+    if work is not None:
+        raise ValueError("a workspace is taken only by the grid form (t_factor=)")
     sk = s**k
-    np.subtract(t, sk, out=value)
-    _require_clear("1-t", np.abs(one_minus_t))
-    # |t - s^k| below the floor needs both parts of t - s^k below it, so the
-    # modulus (a hypot per entry) is formed only when some part is; both
-    # screens go in the real view of scratch, which the numerator overwrites
-    parts = scratch.reshape(-1).view(float)
-    if np.min(np.abs(value.reshape(-1).view(float), out=parts),
-              initial=np.inf) < DEFAULT_SINGULAR_FLOOR:
-        _require_clear("t-s^k", np.abs(value, out=parts[: value.size].reshape(shape)))
-    num = _numerator(k, s, t, sk, out=scratch)
-    # k pi^2 (1-t)^2 depends on t alone: invert it on t's shape, so that at
-    # k = 1 (numerator t) a single division forms the value on the full grid
-    scale = 1.0 / ((k * math.pi**2) * one_minus_t**2)
-    if k == 1:  # the numerator is t, the caller's array
-        num = num * scale
-    else:
-        num *= scale
-    # sq is value, squared in place; at 0-d it is the numpy scalar t - s^k,
-    # which numpy squares by its general power, not by np.square, as the
-    # one-expression form (t - s^k)**2 did
-    sq = value[()]
-    sq **= 2
-    return np.divide(num, sq, out=value)
+    one_minus_t, gap = 1.0 - t, t - sk
+    _screen(one_minus_t, gap)
+    return _numerator(k, s, t, sk) * (1.0 / ((k * math.pi**2) * one_minus_t**2)) / gap**2
 
 
 def _closed_t_factor(d: DomainSpec, t0, n: int) -> np.ndarray:
@@ -279,6 +240,12 @@ def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
     t0 e^(-i theta2) (1 - rho e^(i theta_m)), so the block minimum of its
     modulus is the product of the minima of |t0| and of the table's
     |1 - rho e^(i theta_m)|.
+
+    ``work`` is a complex workspace of shape (2, u, v, n, n) with
+    C-contiguous halves, as in a front slice ``w[:, :u]`` of a
+    C-contiguous ``w``; without it one is allocated.  The result is a view
+    of ``work[0]``, valid until the next call with that workspace, so a
+    caller that reuses one across blocks allocates no block-sized array.
     """
     rows, cols = s0.shape
     n = t_factor.shape[-1]
@@ -322,10 +289,7 @@ def kernel_bound_st(d: DomainSpec, s, t) -> np.ndarray:
     k = d.k_int()
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    a1 = np.abs(1.0 - t)
-    a2 = np.abs(t - s**k)
-    _require_clear("1-t", a1)
-    _require_clear("t-s^k", a2)
+    a1, a2 = _screen(1.0 - t, t - s**k)
     return np.abs(t) / (a1**2 * a2**2)
 
 
@@ -501,16 +465,8 @@ def _polar_w1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, psi, u) -> np.
     return np.concatenate((g.real, g.imag), axis=-1)
 
 
-def kernel_abs_polar(
-    d: DomainSpec,
-    z1_abs: float,
-    z2_abs: float,
-    v,
-    psi,
-    u,
-    theta1,
-    w1_factor=None,
-) -> np.ndarray:
+def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1,
+                     w1_factor) -> np.ndarray:
     """|B_k(z, w)| on the grid of the 1-d axes (v, psi, u, theta1).
 
     The kernel modulus depends on w only through |w1|, |w2| and the two
@@ -539,20 +495,19 @@ def kernel_abs_polar(
     on the axis z1 = 0 where a = 0, only the n = 1 term is nonzero, and
     |B_k| is the product |G'_1| |H_1| / v.
 
-    ``w1_factor`` is ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``,
-    formed here without it; a caller that evaluates many v blocks on one
-    (psi, u) grid forms it once and passes it.  Returns an array of shape
+    ``w1_factor`` is ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``, the
+    only place the u axis enters, so a caller that evaluates many v blocks
+    on one (psi, u) grid forms it once.  Returns an array of shape
     (v, psi, u, theta1).
     """
     k = d.k_int()
     v, psi, theta1 = (np.asarray(x, dtype=float) for x in (v, psi, theta1))
-    g = _polar_w1_factor(d, z1_abs, z2_abs, psi, u) if w1_factor is None else w1_factor
     tau = (z2_abs * v[:, None]) * np.exp(-1j * psi)
     t = tau[..., None] * np.exp(-1j * k * theta1)  # (v, psi, theta1)
     inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
     if k == 1 or z1_abs == 0.0:
         h = np.abs(1.0 + (k - 1) * t) * inv_outer / v[:, None, None]
-        return g[:, :, None] * h[:, :, None, :]
+        return w1_factor[:, :, None] * h[:, :, None, :]
     n = np.arange(1, k + 1)[:, None]
     # H with the power of v, as rows n of the (v, psi) slices, and i H below
     # it: the complex view of the real right operand
@@ -562,4 +517,4 @@ def kernel_abs_polar(
                 inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0),
                 out=h[:, :, :k])
     np.multiply(h[:, :, :k], 1j, out=h[:, :, k:])
-    return np.abs(np.matmul(g, right).view(complex))
+    return np.abs(np.matmul(w1_factor, right).view(complex))

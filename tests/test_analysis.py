@@ -176,14 +176,14 @@ class TestDivergenceScan:
         with pytest.raises(ValueError, match="must be finite"):
             divergence_scan(DomainSpec(1), [3.0, p], np.geomspace(1e-2, 1e-10, 9))
 
-    # on cores deeper than about 1e-155, r2^(-2) (p = 5 at k = 1) overflows
-    # at the deepest nodes: classified, such masses called the growing p = 5
+    # at p = 8 (k = 1) the mass itself, about 2 pi^2 delta^(-4) / 4, is not
+    # finite on these cores: classified, such masses once called a growing p
     # saturating
     @pytest.mark.parametrize("deepest", [1e-200, 1e-300])
     def test_masses_that_are_not_finite_are_never_classified(self, deepest):
         deltas = np.geomspace(1e-2, deepest, round(math.log10(1e-2 / deepest)) + 1)
         with pytest.raises(ValueError, match=r"at p = \d\.0 on the core \|z2\| > 1e-\d+ is"):
-            divergence_scan(DomainSpec(1), [3.0, 4.0, 5.0], deltas)
+            divergence_scan(DomainSpec(1), [3.0, 4.0, 8.0], deltas)
 
     # the integrand is one power r2^(1 + 2/k - p): formed as r2^(2/k) times
     # r2^(1 - p), r2^(-4) overflowed at 1e-100 although the p = 5 mass is

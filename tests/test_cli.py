@@ -275,21 +275,25 @@ class TestExitCodes:
         assert "|t-s^k|" in error["message"]
 
     def test_overflowing_divergence_masses_are_named(self, tmp_path):
-        # r2^(-2) overflows at the deepest nodes of cores below about 1e-155:
-        # the scan classified the growing p = 5 as saturating and then failed
-        # on the wrong integral
-        assert run(["divergence", "--k", "1", "--deltas", "1e-2..1e-200"], tmp_path) == 2
+        # the p = 8 mass, about 2 pi^2 delta^(-4) / 4, itself leaves the double
+        # range on cores below about 1e-77: a mass that is not finite was
+        # once classified, the growing p as saturating, and the scan then
+        # failed on the wrong integral
+        argv = ["divergence", "--k", "1", "--p-grid", "3,4,8", "--deltas", "1e-2..1e-100"]
+        assert run(argv, tmp_path) == 2
         error = load_report(tmp_path, "divergence")["report"]["error"]
         assert error["type"] == "ValueError"
-        assert "at p = 5.0 on the core |z2| > 1e-" in error["message"]
+        assert "at p = 8.0 on the core |z2| > 1e-" in error["message"]
         assert "z2 = 0" not in error["message"]
 
     def test_finite_divergence_masses_on_deep_cores_are_scanned(self, tmp_path):
         # the p = 3 mass is about 2 pi^2 on every core; its integrand r2^0
-        # was formed as r2^2 times r2^(-2), which overflowed at 1e-300
-        argv = ["divergence", "--k", "1", "--p-grid", "3", "--deltas", "1e-2..1e-300"]
-        assert run(argv, tmp_path) == 0
-        assert load_report(tmp_path, "divergence")["report"]["verdict"] == "consistent"
+        # was formed as r2^2 times r2^(-2), which overflowed at 1e-300.  The
+        # p = 5 mass at 1e-200 is about 2 pi^2 1e200, while its power r2^(-3)
+        # alone overflows at the deepest nodes
+        for flags in (["--p-grid", "3", "--deltas", "1e-2..1e-300"], ["--deltas", "1e-2..1e-200"]):
+            assert run(["divergence", "--k", "1", *flags], tmp_path) == 0
+            assert load_report(tmp_path, "divergence")["report"]["verdict"] == "consistent"
 
     def test_arithmetic_error_is_a_numerical_failure(self, tmp_path, monkeypatch):
         def failing(d):

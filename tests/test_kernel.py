@@ -18,6 +18,7 @@ from fathartogs.kernel import (
     _SERIES_BLOCK_ELEMENTS,
     _closed_t_factor,
     _numerator,
+    _polar_w1_factor,
     basis_indices_by_weight,
     kernel_bound,
     kernel_bound_st,
@@ -32,7 +33,7 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
-from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES
+from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES, angle_rule
 
 
 def interior_invariants(k, n, seed):
@@ -203,8 +204,8 @@ class TestKernelClosed:
 
 
 def closed_oracle(k, s, t):
-    """The closed form as one expression, in the operations and order
-    that kernel_closed_st performs step by step in its workspace."""
+    """The closed form as one expression, in the operations and order of
+    the pair form of kernel_closed_st."""
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
     p, q, sk = poly_p(k, s), poly_q(k, s), s**k
@@ -212,9 +213,19 @@ def closed_oracle(k, s, t):
     return num * (1.0 / ((k * math.pi**2) * (1.0 - t) ** 2)) / (t - s**k) ** 2
 
 
-class TestKernelClosedWorkspace:
-    """Values written into a caller's workspace are bit-equal to the
-    one-expression form, whatever the workspace held before."""
+def kernel_check_grid(k, n_rad):
+    """The (s, t) grid of the ``kernel-check`` command at ``--grid n_rad``."""
+    t_abs = np.linspace(0.05, 0.8, n_rad)
+    ratio = np.linspace(0.0, 0.8, n_rad)
+    th, _ = angle_rule(8)
+    T = t_abs[:, None, None, None] * np.exp(1j * th[None, None, None, :])
+    s_abs = (ratio[None, :, None, None] * t_abs[:, None, None, None]) ** (1.0 / k)
+    return s_abs * np.exp(1j * th[None, None, :, None]), T
+
+
+class TestKernelClosedPairForm:
+    """The pair form is bit-equal to the one-expression form and takes no
+    workspace."""
 
     @staticmethod
     def grid(k, shape_s, shape_t, seed):
@@ -225,30 +236,21 @@ class TestKernelClosedWorkspace:
         return s, t
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_reused_workspace_is_bit_equal(self, k):
+    def test_broadcast_and_0d(self, k):
         d = DomainSpec(k)
-        work = np.full((2, 5, 3, 4, 6), np.nan + 1j, dtype=complex)
-        for seed, rows in ((60 + k, 5), (70 + k, 2)):  # a shorter second call
-            s, t = self.grid(k, (rows, 3, 4, 1), (3, 1, 6), seed)
-            got = kernel_closed_st(d, s, t, work=work[:, :rows])
-            assert np.shares_memory(got, work)
-            assert np.array_equal(got, closed_oracle(k, s, t))
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_without_workspace_and_at_0d(self, k):
-        d = DomainSpec(k)
-        s, t = self.grid(k, (7, 1), (1, 5), 80 + k)
-        assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(k, s, t))
-        work = np.full((2,), np.nan, dtype=complex)
-        got = kernel_closed_st(d, s[3, 0], t[0, 2], work=work)
+        for seed, shape_s, shape_t in ((60 + k, (5, 3, 4, 1), (3, 1, 6)),
+                                       (80 + k, (7, 1), (1, 5))):
+            s, t = self.grid(k, shape_s, shape_t, seed)
+            assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(k, s, t))
+        got = kernel_closed_st(d, s[3, 0], t[0, 2])
         assert got.shape == () and got == closed_oracle(k, s[3, 0], t[0, 2])
 
-    def test_near_singular_in_a_workspace(self):
+    def test_near_singular_names_the_factor(self):
         d = DomainSpec(2)
         s, t = self.grid(2, (4, 1), (1, 3), 90)
         t[0, 1] = s[2, 0] ** 2 + 1e-13
         with pytest.raises(NearSingularError) as exc:
-            kernel_closed_st(d, s, t, work=np.empty((2, 4, 3), dtype=complex))
+            kernel_closed_st(d, s, t)
         assert exc.value.factor == "t-s^k"
         assert exc.value.min_abs == np.min(np.abs(t - s**2))
 
@@ -257,14 +259,33 @@ class TestKernelClosedWorkspace:
         # floor, while its modulus is not
         d = DomainSpec(2)
         s, t = np.linspace(0.1, 0.5, 4)[:, None], np.linspace(0.6, 0.8, 3)[None, :]
-        got = kernel_closed_st(d, s, t, work=np.empty((2, 4, 3), dtype=complex))
-        assert np.array_equal(got, closed_oracle(2, s, t))
+        assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(2, s, t))
 
-    def test_workspace_of_another_shape_is_rejected(self):
-        with pytest.raises(ValueError, match="workspace of shape"):
+    def test_a_workspace_is_rejected(self):
+        with pytest.raises(ValueError, match="only by the grid form"):
             kernel_closed_st(DomainSpec(1), np.full((4, 1), 0.1j), np.full((1, 3), 0.5j),
-                             work=np.empty((2, 4, 4), dtype=complex))
+                             work=np.empty((2, 4, 3), dtype=complex))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_pinned_values(self, k):
+        # recorded from the pair form as it was when it took a workspace:
+        # 256 interior pairs per k, one 0-d pair (k = 2), and the k = 3
+        # kernel-check grid at --grid 6, which holds the kernel zero
+        # s = 0, t = -1/2, where the value is the rounding of an exact 0
+        pins = np.load(Path(__file__).parent / "data" / "closed_pins.npz")
+        d = DomainSpec(k)
+        s, t = pins[f"s{k}"], pins[f"t{k}"]
+        assert np.array_equal(kernel_closed_st(d, s, t), pins[f"closed{k}"])
+        assert np.array_equal(kernel_bound_st(d, s, t), pins[f"bound{k}"])
+        if k == 2:
+            s, t = pins["s0d"][()], pins["t0d"][()]
+            got = kernel_closed_st(d, s, t)
+            assert got.shape == () and got == pins["closed0d"]
+            assert kernel_bound_st(d, s, t) == pins["bound0d"]
+        if k == 3:
+            got = kernel_closed_st(d, *kernel_check_grid(3, 6))
+            assert np.min(np.abs(got)) < 1e-16
+            assert np.array_equal(got, pins["check3"])
 
 
 def core_blocks(d, z, spec):
@@ -551,8 +572,10 @@ class TestKernelBound:
             ref = np.abs(kernel_closed_st(d, s, t))
             # pointwise evaluation: each point is a grid of one node per axis,
             # with |w1| = r1 as u = r1 / r2^(1/k)
-            got = np.array([kernel_abs_polar(d, x, y, [v], [ps], [r / v ** (1.0 / k)], [th])
-                            for r, v, th, ps in zip(r1, r2, th1, psi)])
+            got = np.array([
+                kernel_abs_polar(d, x, y, [v], [ps], [th],
+                                 _polar_w1_factor(d, x, y, [ps], [r / v ** (1.0 / k)]))
+                for r, v, th, ps in zip(r1, r2, th1, psi)])
             assert got.shape == (200, 1, 1, 1, 1)
             assert np.max(np.abs(got.ravel() - ref) / ref) < 1e-12
 
@@ -573,7 +596,7 @@ class TestKernelBound:
             v[0] = min(1.0 / (y * (k - 1)), 0.95)
         th1[0], psi[0] = 0.0, math.pi
         for x in (0.0, 0.45, 0.69 ** (1.0 / k)):
-            got = kernel_abs_polar(d, x, y, v, psi, u, th1)
+            got = kernel_abs_polar(d, x, y, v, psi, th1, _polar_w1_factor(d, x, y, psi, u))
             assert got.shape == (7, 12, 9, 16)
             vg, psig = v[:, None, None, None], psi[None, :, None, None]
             r1 = u[None, None, :, None] * vg ** (1.0 / k)

@@ -8,11 +8,12 @@ The module is loaded from its file, unchanged.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from fathartogs import projection, quadrature
+from fathartogs import analysis, projection, quadrature
 from fathartogs.geometry import DomainSpec, Point2
 from fathartogs.quadrature import QuadratureSpec, _core_axes
 
@@ -57,3 +58,32 @@ def test_projection_records_one_kernel_span_per_block(tracing, k):
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert metrics["kernel.closed.evals"] == sum(blocks) == u.size * per_node
     assert metrics["quadrature.integrate.nodes_per_call"] == sum(blocks)
+
+
+# an inner point, and the axis z1 = 0, where u and theta1 have one node each
+@pytest.mark.parametrize("z", [Point2(0.3 + 0.1j, 0.5 - 0.2j), Point2(0j, 0.6 + 0j)],
+                         ids=["inner", "axis"])
+def test_schur_value_records_one_polar_span_per_v_block(tracing, monkeypatch, z):
+    sums = []
+
+    def recording_sum(axes, f):
+        sums.append([x.size for x, _ in axes])
+        return quadrature.tensor_sum(axes, f)
+
+    monkeypatch.setattr(analysis, "tensor_sum", recording_sum)
+    tracer = tracing.Tracer()
+    tracer.op = "schur"
+    tracer.install()
+    try:
+        analysis._schur_value(DomainSpec(2), z, 0.75, 0.75, 1e-3)
+    finally:
+        tracer.uninstall()
+    ((n_v, *rest),) = sums
+    if z.z1 == 0:
+        assert rest[1:] == [1, 1]
+    per_node = math.prod(rest)
+    rows = max(1, quadrature._TENSOR_BLOCK_ENTRIES // per_node)
+    blocks = [min(rows, n_v - lo) * per_node for lo in range(0, n_v, rows)]
+    polar = [s for s in tracer.spans if s.name == "kernel.abs_polar"]
+    assert [s.counts["evals"] for s in polar] == blocks
+    assert tracing.layer_metrics(tracer.spans, 1)["kernel.abs_polar.evals"] == n_v * per_node
