@@ -223,31 +223,22 @@ def kernel_check_grid(k, n_rad):
     return s_abs * np.exp(1j * th[None, None, :, None]), T
 
 
+def interior_pairs(k, shape_s, shape_t, seed):
+    """Random invariants s and t of the given shapes; |s|^k <= 0.3 < 0.4
+    <= |t|, so every broadcast pair is interior."""
+    rng = np.random.default_rng(seed)
+    s = (0.3 * rng.random(shape_s)) ** (1.0 / k) * np.exp(2j * np.pi * rng.random(shape_s))
+    t = rng.uniform(0.4, 0.8, shape_t) * np.exp(2j * np.pi * rng.random(shape_t))
+    return s, t
+
+
 class TestKernelClosedPairForm:
-    """The pair form is bit-equal to the one-expression form and takes no
-    workspace."""
-
-    @staticmethod
-    def grid(k, shape_s, shape_t, seed):
-        # |s|^k <= 0.3 < 0.4 <= |t|: every broadcast pair is interior
-        rng = np.random.default_rng(seed)
-        s = (0.3 * rng.random(shape_s)) ** (1.0 / k) * np.exp(2j * np.pi * rng.random(shape_s))
-        t = rng.uniform(0.4, 0.8, shape_t) * np.exp(2j * np.pi * rng.random(shape_t))
-        return s, t
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_broadcast_and_0d(self, k):
-        d = DomainSpec(k)
-        for seed, shape_s, shape_t in ((60 + k, (5, 3, 4, 1), (3, 1, 6)),
-                                       (80 + k, (7, 1), (1, 5))):
-            s, t = self.grid(k, shape_s, shape_t, seed)
-            assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(k, s, t))
-        got = kernel_closed_st(d, s[3, 0], t[0, 2])
-        assert got.shape == () and got == closed_oracle(k, s[3, 0], t[0, 2])
+    """The pair form's screens, its rejection of a workspace and its
+    pinned values."""
 
     def test_near_singular_names_the_factor(self):
         d = DomainSpec(2)
-        s, t = self.grid(2, (4, 1), (1, 3), 90)
+        s, t = interior_pairs(2, (4, 1), (1, 3), 90)
         t[0, 1] = s[2, 0] ** 2 + 1e-13
         with pytest.raises(NearSingularError) as exc:
             kernel_closed_st(d, s, t)
@@ -369,6 +360,36 @@ class TestKernelClosedGridForm:
                              work=np.empty((2, 3, 2, 4, 3), dtype=complex))
         with pytest.raises(ValueError, match="grid form needs"):
             kernel_closed_st(d, np.full((3, 2), 0.1 + 0j), t0[:1], t_factor=_closed_t_factor(d, t0, 4))
+
+
+class TestKernelClosedWorkspace:
+    """A workspace reused by the grid form, first filled with NaN, gives
+    values bit-equal to a call without one; the pair form, which takes no
+    workspace, is bit-equal to the one-expression form."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reused_workspace_is_bit_equal(self, k):
+        d = DomainSpec(k)
+        n, z = 6, Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        v = np.linspace(0.2, 0.9, 3)
+        t0 = z.z2 * v
+        t_factor = _closed_t_factor(d, t0, n)
+        work = np.full((2, 5, 3, n, n), np.nan + 1j, dtype=complex)
+        for rows in (5, 2):  # a shorter second call
+            s0 = z.z1 * np.linspace(0.1, 0.9, rows)[:, None] * v ** (1.0 / k)
+            got = kernel_closed_st(d, s0, t0, t_factor=t_factor, work=work[:, :rows])
+            assert np.shares_memory(got, work)
+            assert np.array_equal(got, kernel_closed_st(d, s0, t0, t_factor=t_factor))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_without_workspace_and_at_0d(self, k):
+        d = DomainSpec(k)
+        for seed, shape_s, shape_t in ((60 + k, (5, 3, 4, 1), (3, 1, 6)),
+                                       (80 + k, (7, 1), (1, 5))):
+            s, t = interior_pairs(k, shape_s, shape_t, seed)
+            assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(k, s, t))
+        got = kernel_closed_st(d, s[3, 0], t[0, 2])
+        assert got.shape == () and got == closed_oracle(k, s[3, 0], t[0, 2])
 
 
 class TestBasisIndexSet:
