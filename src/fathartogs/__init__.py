@@ -36,6 +36,7 @@ from .projection import (
     ProjectedMonomial,
     project_monomial,
     project_numeric,
+    project_numeric_monomial,
 )
 from .quadrature import (
     DivergentIntegralError,

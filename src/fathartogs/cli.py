@@ -362,7 +362,7 @@ def _run_project(args) -> analysis.VerificationReport:
     x1, x2 = _parse_point(args.z)
     z = geometry.Point2(complex(x1), complex(x2))
     exact = projection.project_monomial(d, m)
-    numeric = projection.project_numeric(d, m.integrand(), z, _quad_from_args(args))
+    numeric = projection.project_numeric_monomial(d, m, z, _quad_from_args(args))
     if exact is None:
         agreement = abs(numeric)
         exact_val = 0j

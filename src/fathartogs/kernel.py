@@ -279,6 +279,49 @@ def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
     return value
 
 
+def _closed_modes(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
+                  mu1: int, mu2: int) -> np.ndarray:
+    """Angular mode (mu1, mu2) of the grid form of :func:`kernel_closed_st`:
+    the sum over both angle axes of B[u, v, j1, j2] e^(i(mu1 theta_j1 + mu2 theta_j2)),
+    an array of shape (u, v), without forming B.
+
+    ``s0``, ``t0`` and ``t_factor`` are as in the grid form, with ``s0``
+    over the whole u axis.  In :func:`_closed_grid`'s factored form
+    B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2], with T_i the
+    n-entry table in m = (j2 - k j1) mod n and G_i = ``t_factor[i]``,
+    write T_i through its DFT, fft(T_i)[u, l].  The sum over j1 keeps only
+    the indices l with k l = mu1 - i (mod n), and the sum over j2 is an
+    inverse DFT of G_i, so the mode is
+
+        n sum_i s0^i sum_l fft(T_i)[u, l] ifft(G_i)[v, (l + mu2) mod n].
+
+    With g = gcd(k, n), a term keeps g indices l or none, and k/g terms
+    keep some, so the mode is k outer products of a u and a v column in
+    place of n^2 kernel entries per (u, v) node.  It is the same sum as
+    over the block, aliasing included.
+    The screen of |t - s^k| is the grid form's, the product of the minima
+    of |t0| and of |1 - rho e^(i theta_m)|, here over the whole u axis.
+    """
+    n = t_factor.shape[-1]
+    theta = angle_rule(n)[0]
+    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)  # (u, m)
+    gap = 1.0 - rho_e
+    least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
+    if least < DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
+    terms = np.arange(1, k + 1)[:, None, None]
+    t_hat = np.fft.fft((terms + (k - terms) * rho_e) / gap**2)  # (k, u, l)
+    g_hat = np.fft.ifft(t_factor)  # (k, v, l)
+    l = np.arange(n)
+    modes = np.zeros(s0.shape, dtype=complex)
+    for i in range(k):
+        kept = l[(k * l - (mu1 - i)) % n == 0]
+        if kept.size:
+            term = np.einsum("ul,vl->uv", t_hat[i][:, kept], g_hat[i][:, (kept + mu2) % n])
+            modes += s0**i * term
+    return n * modes
+
+
 def kernel_closed(d: DomainSpec, z: Point2, w: Point2) -> complex:
     """Closed-form Bergman kernel value B_k(z, w)."""
     return complex(kernel_closed_st(d, z.z1 * np.conj(w.z1), z.z2 * np.conj(w.z2)))

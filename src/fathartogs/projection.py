@@ -2,9 +2,11 @@
 
 Two evaluation paths are provided.  ``project_numeric`` applies the
 closed-form kernel under the quadrature engine and works for any
-integrand.  ``project_monomial`` is exact for inputs of the form
-w^a * conj(w)^b: the angular integrals kill every basis term except
-gamma = a - b, so the projection is a single monomial
+integrand; ``project_numeric_monomial`` sums the same quadrature for a
+monomial input from 1-d angular DFTs of the kernel's factors.
+``project_monomial`` is exact for inputs of the form w^a * conj(w)^b:
+the angular integrals kill every basis term except gamma = a - b, so
+the projection is a single monomial
 
     B_k(w^a conj(w)^b) = [ M(gamma + a + b) / ||z^gamma||^2 ] z^gamma
 
@@ -23,8 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
-from .kernel import MultiIndex, _closed_t_factor, kernel_closed_st
-from .quadrature import DivergentIntegralError, QuadratureSpec, integrate, radial_moment
+from .kernel import MultiIndex, _closed_modes, _closed_t_factor, kernel_closed_st
+from .quadrature import (DivergentIntegralError, QuadratureSpec, _core_axes,
+                         _real_unless_complex, integrate, radial_moment)
 
 __all__ = [
     "MonomialInput",
@@ -33,6 +36,7 @@ __all__ = [
     "ProjectionAccuracyWarning",
     "project_monomial",
     "project_numeric",
+    "project_numeric_monomial",
 ]
 
 
@@ -65,6 +69,10 @@ class MonomialInput:
     def modulus_exponents(self) -> tuple[int, int]:
         """Exponents (m1, m2) of |f| = |z1|^m1 |z2|^m2."""
         return (self.hol.a1 + self.antihol.a1, self.hol.a2 + self.antihol.a2)
+
+    def angular_modes(self) -> tuple[int, int]:
+        """Modes (mu1, mu2) = hol - antihol of f = |f| e^(i(mu1 theta1 + mu2 theta2))."""
+        return (self.hol.a1 - self.antihol.a1, self.hol.a2 - self.antihol.a2)
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ def project_monomial(d: DomainSpec, m: MonomialInput) -> Optional[ProjectedMonom
         radial_moment(d, m1, m2)
     except DivergentIntegralError as exc:
         raise NonIntegrableInputError(f"input monomial is not integrable: {exc}") from exc
-    gamma = MultiIndex(m.hol.a1 - m.antihol.a1, m.hol.a2 - m.antihol.a2)
+    gamma = MultiIndex(*m.angular_modes())
     if not gamma.in_basis(k):
         return None
     overlap = radial_moment(d, gamma.a1 + m1, gamma.a2 + m2)
@@ -158,3 +166,36 @@ def project_numeric(
 
     return complex(integrate(d, g, spec))
 
+
+def project_numeric_monomial(
+    d: DomainSpec, m: MonomialInput, z: Point2, spec: QuadratureSpec
+) -> complex:
+    """The quadrature sum of ``project_numeric(d, m.integrand(), z, spec)``
+    for a monomial input, without a kernel block.
+
+    The input w^a conj(w)^b is R e^(i(mu1 theta1 + mu2 theta2)) with
+    mu = a - b and R = |w1|^(a1+b1) |w2|^(a2+b2).  The angle sums keep
+    only the kernel's angular mode that matches mu, the selection rule
+    that :func:`project_monomial` applies exactly; on the uniform angle
+    nodes that mode is a sum of 1-d DFTs of the kernel's factors, so the
+    trapezoid sum over (theta1, theta2) costs k outer products on the
+    (u, v) grid in place of n^2 kernel entries per node (see
+    ``kernel._closed_modes``).  The (u, v) sum is then weighted by
+    ``wu R wv`` on the same graded Gauss rule.  It is the same sum as the
+    callable path's, aliasing included, and the result follows the same
+    rule for a negligible imaginary part.  Raises the same errors and
+    warning as :func:`project_numeric`.
+    """
+    if not contains(d, z):
+        raise ValueError(f"evaluation point {z} is not interior")
+    _warn_if_near_boundary(d, z, spec.boundary_offset)
+    k = d.k_int()
+    (u, wu), (v, wv), (theta, w_theta), _ = _core_axes(d, spec)
+    r1 = u[:, None] * v ** (1.0 / d.k)  # |w1| on the (u, v) grid
+    t0 = z.z2 * v
+    modes = _closed_modes(k, z.z1 * r1, t0, _closed_t_factor(d, t0, theta.size),
+                          *m.angular_modes())
+    m1, m2 = m.modulus_exponents()
+    total = np.einsum("u,uv,v->", wu, modes * (r1**m1 * v**m2), wv)
+    # the trapezoid weights are all equal
+    return complex(_real_unless_complex(total * w_theta[0] ** 2))

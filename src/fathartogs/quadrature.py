@@ -325,6 +325,12 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | flo
     """
     value = complex(tensor_sum(_core_axes(d, spec),
                                lambda *box: f(*_box_to_z(d, *box))))
+    return _real_unless_complex(value)
+
+
+def _real_unless_complex(value: complex) -> complex | float:
+    """``value``, or its real part when the imaginary part is rounding:
+    at most 1e-13 of ``max(|value|, 1)``."""
     return value if abs(value.imag) > 1e-13 * max(abs(value), 1.0) else value.real
 
 

@@ -96,6 +96,15 @@ class TestProjectCommand:
         assert set(body["config"]) == {"k", "format", "radial_nodes", "angular_nodes",
                                        "boundary_offset", "f", "z"}
 
+    @pytest.mark.parametrize("k, f", [(1, "0,0:0,1"), (1, "2,1:1,0"), (2, "1,1:1,1")])
+    def test_a_real_projection_reports_an_imaginary_part_of_zero(self, tmp_path, k, f):
+        # on the positive real axes the projection is real: the imaginary
+        # part of the quadrature sum is rounding, which is dropped by the
+        # rule quadrature.integrate applies
+        assert run(["project", "--k", str(k), "--f", f, "--z", "0.1,0.5"], tmp_path) == 0
+        row = load_report(tmp_path, "project")["report"]["samples"][0]
+        assert row["numeric_im"] == 0.0 and row["numeric_re"] != 0.0
+
 
 # what each label claims: a quadrature value without an error bar, a
 # truncated basis series, or a closed form

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fathartogs import kernel
 from fathartogs.geometry import (
     DomainSpec,
     NonIntegerExponentError,
@@ -26,6 +27,7 @@ from fathartogs.projection import (
     basis_norm_sq,
     project_monomial,
     project_numeric,
+    project_numeric_monomial,
 )
 from fathartogs.quadrature import QuadratureSpec, integrate, radial_moment
 
@@ -180,3 +182,76 @@ class TestProjectNumeric:
                             QuadratureSpec(boundary_offset=1e-9))
         assert got.value.factor == "t-s^k"
 
+
+# mixed modes: (3,1):(1,2), conj(z2), z2^-1 and w1 w2
+MIXED = [mono(3, 1, 1, 2), mono(0, 0, 0, 1), mono(0, -1, 0, 0), mono(1, 1, 0, 0)]
+
+
+class TestProjectNumericMonomial:
+    """The monomial path sums the callable path's quadrature from 1-d
+    angular DFTs; the two agree to rounding, aliasing included."""
+
+    Z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+
+    # angle counts that k does not divide change the set of kept DFT indices
+    @pytest.mark.parametrize("k, n", [(1, 24), (2, 24), (2, 25), (3, 20), (3, 24), (3, 32)])
+    def test_matches_the_callable_path(self, k, n):
+        d = DomainSpec(k)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=n, boundary_offset=1e-6)
+        for m in MIXED:
+            want = project_numeric(d, m.integrand(), self.Z, spec)
+            got = project_numeric_monomial(d, m, self.Z, spec)
+            assert abs(got - want) <= 1e-13 * max(abs(want), 1e-3), (m, got, want)
+            assert type(got) is complex and (got.imag == 0.0) == (want.imag == 0.0)
+
+    @pytest.mark.parametrize("k, n", [(1, 24), (2, 25), (3, 20), (3, 32)])
+    def test_a_zero_projection_is_rounding_on_both_paths(self, k, n):
+        # the exact projection of conj(w1) is 0: both sums are rounding
+        d = DomainSpec(k)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=n, boundary_offset=1e-6)
+        m = mono(0, 0, 1, 0)
+        assert project_monomial(d, m) is None
+        want = project_numeric(d, m.integrand(), self.Z, spec)
+        got = project_numeric_monomial(d, m, self.Z, spec)
+        assert abs(got - want) <= 1e-15
+
+    def test_warns_near_boundary(self):
+        spec = QuadratureSpec(radial_nodes=4, angular_nodes=4, boundary_offset=1e-2)
+        with pytest.warns(ProjectionAccuracyWarning):
+            project_numeric_monomial(DomainSpec(1), mono(1, 0, 0, 0), Point2(0.0, 0.985), spec)
+
+    def test_rejects_exterior_point(self):
+        with pytest.raises(ValueError, match="not interior"):
+            project_numeric_monomial(DomainSpec(2), mono(1, 0, 0, 0), Point2(0.9, 0.5), SPEC)
+
+    def test_rejects_non_integer_exponent(self):
+        with pytest.raises(NonIntegerExponentError):
+            project_numeric_monomial(DomainSpec(1.5), mono(1, 0, 0, 0), Point2(0.1, 0.5), SPEC)
+
+    def test_near_singular_gap_reports_the_grid_minimum(self):
+        # the callable path stops at the first u block that fails the
+        # screen; this path screens the whole u axis at once, so its
+        # minimum is the grid's and no larger
+        z = Point2(0.4999999, 0.5)
+        spec = QuadratureSpec(boundary_offset=1e-9)
+        m = mono(1, 0, 0, 0)
+        with pytest.raises(NearSingularError) as got:
+            project_numeric_monomial(DomainSpec(1), m, z, spec)
+        with pytest.raises(NearSingularError) as old:
+            project_numeric(DomainSpec(1), m.integrand(), z, spec)
+        assert got.value.factor == old.value.factor == "t-s^k"
+        assert got.value.min_abs <= old.value.min_abs < kernel.DEFAULT_SINGULAR_FLOOR
+
+    def test_near_singular_one_minus_t_is_screened_first(self, monkeypatch):
+        # |1 - t| >= 1 - |z2| v stays far above the floor on the domain
+        # core, so the floor is raised above it: the (v, theta2) factor is
+        # screened before the gap on both paths
+        monkeypatch.setattr(kernel, "DEFAULT_SINGULAR_FLOOR", 0.2)
+        z = Point2(0.0, 0.9)
+        spec = QuadratureSpec(radial_nodes=4, angular_nodes=8, boundary_offset=1e-2)
+        m = mono(0, 0, 0, 1)
+        for call in (lambda: project_numeric_monomial(DomainSpec(2), m, z, spec),
+                     lambda: project_numeric(DomainSpec(2), m.integrand(), z, spec)):
+            with pytest.raises(NearSingularError) as got:
+                call()
+            assert got.value.factor == "1-t"

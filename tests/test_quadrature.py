@@ -248,11 +248,14 @@ class TestTensorSum:
         # the last bits of this projection value between 1 and 2 threads;
         # reports must be byte-deterministic.  The inner-stratum Schur
         # values sum the kernel's k terms as a real BLAS product of inner
-        # dimension 2k
+        # dimension 2k.  The monomial projection path contracts its DFT
+        # tables in np.einsum's own loops
         code = (
             "from fathartogs import analysis\n"
             "from fathartogs.geometry import DomainSpec, Point2, boundary_ladder\n"
-            "from fathartogs.projection import project_numeric\n"
+            "from fathartogs.kernel import MultiIndex\n"
+            "from fathartogs.projection import MonomialInput, project_numeric, "
+            "project_numeric_monomial\n"
             "from fathartogs.quadrature import QuadratureSpec\n"
             "for k in (2, 3):\n"
             "    d = DomainSpec(k)\n"
@@ -263,6 +266,8 @@ class TestTensorSum:
             "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
             "z = Point2(0.2 + 0.1j, 0.4 - 0.1j)\n"
             "print(repr(project_numeric(d, lambda w1, w2: w1 * w2 ** 2, z, spec)))\n"
+            "m = MonomialInput(MultiIndex(1, 2), MultiIndex(0, 0))\n"
+            "print(repr(project_numeric_monomial(d, m, z, spec)))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
@@ -323,7 +328,9 @@ class TestTensorBlockMemory:
         code = (
             "import resource\n"
             "from fathartogs.geometry import DomainSpec, Point2\n"
-            "from fathartogs.projection import project_numeric\n"
+            "from fathartogs.kernel import MultiIndex\n"
+            "from fathartogs.projection import MonomialInput, project_numeric, "
+            "project_numeric_monomial\n"
             "from fathartogs.quadrature import QuadratureSpec\n"
             f"d = DomainSpec({k})\n"
             "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
