@@ -206,9 +206,11 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 # grid (v, psi, u, theta1), summed in blocks along v.  The kernel is a sum
 # of k separable terms, each a |w1|-side factor times a theta1-side one;
 # the |w1|-side factor is a power of v times a function G' of (psi, u)
-# alone, formed once per Schur value, and kernel_abs_polar forms only the
-# theta1-side factor per v block and sums the k terms as one real matrix
-# product.  For z1 = 0 the kernel loses its u and theta1 dependence, so
+# alone.  The square of the modulus is a sum over the k^2 products of a
+# pair of terms; their |w1|-side factors are formed once per Schur value,
+# and kernel_abs_polar forms only the theta1-side ones per v block, sums
+# the square as one real matrix product and takes its square root.  For
+# z1 = 0 the kernel loses its u and theta1 dependence, so
 # the u and theta1 axes shrink to one node each and only the
 # inner-boundary ladder sums the full 4-d tensor.
 #

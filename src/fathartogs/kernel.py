@@ -492,9 +492,9 @@ def _polar_w1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, psi, u) -> np.
     1-d axes ``psi`` and ``u``.
 
     Where only the n = 1 term is nonzero (k = 1, or z1 = 0) it is |G'_1|,
-    of shape (psi, u); otherwise the real (psi, u, 2k) array
-    [Re G'_1 .. Re G'_k, Im G'_1 .. Im G'_k], the left operand of the
-    real matrix product.
+    of shape (psi, u); otherwise the real (psi, u, k^2) array
+    [|G'_n|^2 | Re G'_n conj(G'_m) | Im G'_n conj(G'_m)] over n < m, the
+    left operand of the real matrix product that gives |B_k|^2.
     """
     k = d.k_int()
     b = z1_abs * np.asarray(u, dtype=float)  # a = b v^(1/k)
@@ -505,7 +505,9 @@ def _polar_w1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, psi, u) -> np.
         return z2_abs * inv
     n = np.arange(1, k + 1)
     g = b[:, None] ** (n - 1) * (n * e[..., None] + (k - n) * bk[:, None]) * inv[..., None]
-    return np.concatenate((g.real, g.imag), axis=-1)
+    i, j = np.triu_indices(k, 1)
+    gg = g[..., i] * np.conj(g[..., j])
+    return np.concatenate((g.real**2 + g.imag**2, gg.real, gg.imag), axis=-1)
 
 
 def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1,
@@ -531,12 +533,28 @@ def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1
     v^((n-1)/k - 1) G'_n with G'_n a function of (psi, u) alone.  The
     power of v goes into H_n, which is free of u; on one (v, psi) slice
     the sum over n is then the product of G' (u x k) and H (k x theta1).
-    It is taken as one real ``np.matmul``, [Re G' | Im G'] times the
-    (2k x 2 theta1) matrix whose column pairs are (Re H_n, Im H_n) over
-    (-Im H_n, Re H_n): the product holds Re and Im of the sum in
-    alternating columns, read as complex for the modulus.  At k = 1, and
-    on the axis z1 = 0 where a = 0, only the n = 1 term is nonzero, and
+    The block is taken from the square of the modulus,
+
+        |sum_n G'_n H_n|^2 = sum_n |G'_n|^2 |H_n|^2
+                             + 2 sum_{n<m} Re(G'_n conj(G'_m) H_n conj(H_m)),
+
+    as one real ``np.matmul`` of [|G'_n|^2 | Re G'_n conj(G'_m) |
+    Im G'_n conj(G'_m)] (u x k^2) and the (k^2 x theta1) matrix with rows
+    [|H_n|^2 | 2 Re H_n conj(H_m) | -2 Im H_n conj(H_m)], over n < m; its
+    square root, with rounding below zero clamped to 0, is |B_k|.  At k = 1,
+    and on the axis z1 = 0 where a = 0, only the n = 1 term is nonzero, and
     |B_k| is the product |G'_1| |H_1| / v.
+
+    Accuracy.  With scale = sum_n |G'_n H_n|, the sum of the term moduli,
+    the square is accurate to about k^2 eps scale^2, so an entry is
+    accurate to about k^2 eps scale^2 / |B_k|, not to eps scale as the
+    modulus of the complex sum would be; at a zero of the kernel the error
+    is about k sqrt(eps) scale.  On the Schur inner grids (10 ladder levels,
+    corner exponent 0.75) min |B_k| / scale is 1.3e-4 at k = 2, 5.4e-5 at
+    k = 3 and 1.3e-4 at k = 4, and the entries agree with the modulus of
+    the complex sum to 5.4e-9 relative at worst, far below the 3.4e-6
+    error of the 32-node theta1 rule; the Schur values move by at most
+    3.3e-16 relative.
 
     ``w1_factor`` is ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``, the
     only place the u axis enters, so a caller that evaluates many v blocks
@@ -552,12 +570,13 @@ def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1
         h = np.abs(1.0 + (k - 1) * t) * inv_outer / v[:, None, None]
         return w1_factor[:, :, None] * h[:, :, None, :]
     n = np.arange(1, k + 1)[:, None]
-    # H with the power of v, as rows n of the (v, psi) slices, and i H below
-    # it: the complex view of the real right operand
-    right = np.empty((v.size, psi.size, 2 * k, 2 * theta1.size))
-    h = right.view(complex)
-    np.multiply(np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t[:, :, None, :]),
-                inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0),
-                out=h[:, :, :k])
-    np.multiply(h[:, :, :k], 1j, out=h[:, :, k:])
-    return np.abs(np.matmul(w1_factor, right).view(complex))
+    # H with the power of v, as rows n of the (v, psi) slices
+    h = (np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t[:, :, None, :])
+         * (inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0)))
+    i, j = np.triu_indices(k, 1)
+    hh = h[:, :, i] * np.conj(h[:, :, j])
+    right = np.concatenate((h.real**2 + h.imag**2, 2.0 * hh.real, -2.0 * hh.imag), axis=2)
+    q = np.matmul(w1_factor, right)
+    if q.min() < 0.0:
+        np.maximum(q, 0.0, out=q)
+    return np.sqrt(q, out=q)

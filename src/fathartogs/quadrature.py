@@ -241,10 +241,12 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # benchmark, 2^15 to 2^17 entries took the same time, 2^18 took 8% more,
 # and peak memory grew from 2^17 on.  A block is never smaller than one
 # node of axis 0: the Schur inner-stratum block, one v node of
-# 64 x 80 x 32 = 163840 entries, is 2.5x this budget.  Its kernel_abs_polar
-# call forms the theta1-side factor (64 x 2k x 32) and one real product of
-# 2 x 163840 entries, whose modulus is the block; sub-blocking it along
-# psi made schur_sweep slower, since kernel_abs_polar is then called more
+# psi x u x theta1 entries, is 32 x 50 x 32 to 72 x 90 x 32 on 10-level
+# inner ladders at k = 2-4, and 64 x 80 x 32 = 163840, 2.5x this budget,
+# at the deepest level of schur_sweep.  Its kernel_abs_polar call forms
+# the theta1-side factor (psi x k^2 x theta1) and one real product of the
+# block's size, whose square root is the block; sub-blocking it along psi
+# made schur_sweep slower, since kernel_abs_polar is then called more
 # often per Schur value
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 

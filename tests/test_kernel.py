@@ -631,3 +631,46 @@ class TestKernelBound:
             scale = terms / (k * math.pi**2 * np.abs(1 - t) ** 2 * np.abs(t - s**k) ** 2)
             tol = np.maximum(1e-12 * ref, 64 * np.finfo(float).eps * scale)
             assert np.all(np.abs(got - ref) <= tol)
+
+    @pytest.mark.parametrize("a", [0.05, 0.1])
+    def test_polar_form_at_a_kernel_zero_off_the_axis(self, a):
+        # k = 3, theta1 = 0: s = a is real and N(a, t) = p t^2 + q t + a^3 p
+        # with p = 2 (1 + a) and q = 1 + 4a + 9a^2 + 4a^3 + a^4, so N has a
+        # zero at t = -0.58217 (a = 0.05) and t = -0.67766 (a = 0.1), both
+        # inside the domain on psi = pi
+        k, x, y = 3, 0.45, 0.7
+        d = DomainSpec(k)
+        p = 2.0 * (1.0 + a)
+        q = 1.0 + 4.0 * a + 9.0 * a**2 + 4.0 * a**3 + a**4
+        t0 = min(np.roots([p, q, a**k * p]).real)
+        v = -t0 / y
+        u = a / (x * v ** (1.0 / k))
+        assert 0.0 < u < 1.0 and 0.0 < v < 1.0
+
+        def polar(psi):
+            psi = np.atleast_1d(psi)
+            return kernel_abs_polar(d, x, y, [v], psi, [0.0],
+                                    _polar_w1_factor(d, x, y, psi, [u]))[0, :, 0, 0]
+
+        # at a = 0.05 the squared modulus rounds to about -2e-21 at the zero
+        # and is clamped to 0 before its square root
+        at_zero = polar(math.pi)
+        assert np.isfinite(at_zero).all() and (at_zero >= 0.0).all()
+        near = polar(math.pi + np.linspace(-1e-7, 1e-7, 41))
+        assert np.isfinite(near).all() and (near >= 0.0).all()
+        # the square is accurate to c k^2 eps scale^2 with scale the sum of
+        # the term moduli, so the modulus to the square root of that; c = 1
+        # bounds the rounding of the k^2-term product, and near these zeros
+        # c = 5e-3 was the largest seen
+        c = 1.0
+        offsets = 10.0 ** -np.arange(4, 9)
+        psi = math.pi + np.concatenate((offsets, -offsets))
+        got = polar(psi)
+        s = a + 0j
+        t = y * v * np.exp(-1j * psi)
+        ref = np.abs(kernel_closed_st(d, s, t))
+        terms = sum(np.abs(s) ** (n - 1) * np.abs(n * t + (k - n) * s**k)
+                    * np.abs(n + (k - n) * t) for n in range(1, k + 1))
+        scale = terms / (k * math.pi**2 * np.abs(1 - t) ** 2 * np.abs(t - s**k) ** 2)
+        q_err = c * k**2 * np.finfo(float).eps * scale**2
+        assert np.all(np.abs(got - ref) <= np.sqrt(q_err) + 1e-12 * ref)
