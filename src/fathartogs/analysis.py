@@ -36,9 +36,10 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .geometry import DomainSpec, Point2, aux_h, boundary_ladder
-from .kernel import _polar_w1_factor, kernel_abs_polar
+from .kernel import _polar_phases, _polar_theta1_factor, _polar_w1_factor, kernel_abs_polar
 from .projection import MonomialInput, project_monomial
 from .quadrature import (
+    _TENSOR_BLOCK_ENTRIES,
     DivergentIntegralError,
     QuadratureSpec,
     _aligned_angle_rule,
@@ -208,9 +209,11 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 # the |w1|-side factor is a power of v times a function G' of (psi, u)
 # alone.  The square of the modulus is a sum over the k^2 products of a
 # pair of terms; their |w1|-side factors are formed once per Schur value,
-# and kernel_abs_polar forms only the theta1-side ones per v block, sums
-# the square as one real matrix product and takes its square root.  For
-# z1 = 0 the kernel loses its u and theta1 dependence, so
+# and their theta1-side factors once per chunk of v nodes, after the
+# constants of the (psi, theta1) grid are formed once per value.  Each v
+# block is then one kernel_abs_polar call: the square as one real matrix
+# product, written into a buffer reused by every block, and its square
+# root in place.  For z1 = 0 the kernel loses its u and theta1 dependence, so
 # the u and theta1 axes shrink to one node each and only the
 # inner-boundary ladder sums the full 4-d tensor.
 #
@@ -263,10 +266,14 @@ def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
 
 def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
     """I(z) as one tensor sum over (v, psi, u, theta1), in blocks along v,
-    each block one :func:`kernel_abs_polar` call that shares the |w1|-side
-    factor formed here.  For z1 = 0 the kernel modulus depends on neither u
-    nor theta1, so each of those axes is one node carrying its exact
-    integral: the u factor and 2 pi."""
+    each block one :func:`kernel_abs_polar` call written into one buffer,
+    which ``tensor_sum`` sums before the next block.  The |w1|-side factor
+    and the constants of the (psi, theta1) grid are formed once here, and
+    the theta1-side factor once per chunk of v nodes of at most
+    ``_TENSOR_BLOCK_ENTRIES`` real entries (at least one block).  For
+    z1 = 0 the kernel modulus depends on neither u nor theta1, so each of
+    those axes is one node carrying its exact integral: the u factor and
+    2 pi."""
     k = d.k_int()
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
@@ -280,10 +287,29 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     # psi on [0, pi], weights doubled for the even symmetry of the
     # theta1-averaged integrand
     psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
-    axes = (_v_axis(k, eps, delta, y, v0), (psi, 2.0 * wpsi), u_axis, theta1_axis)
+    v_axis = _v_axis(k, eps, delta, y, v0)
+    axes = (v_axis, (psi, 2.0 * wpsi), u_axis, theta1_axis)
     g = _polar_w1_factor(d, x, y, psi, u_axis[0])
-    return float(tensor_sum(axes, lambda v, *_: kernel_abs_polar(
-        d, x, y, v.ravel(), psi, theta1_axis[0], g)))
+    phases = _polar_phases(k, psi, theta1_axis[0])
+    chunk = max(1, _TENSOR_BLOCK_ENTRIES // (k * k * psi.size * theta1_axis[0].size))
+    # the next v node, the rows of the chunk's factor not used yet, and the
+    # block buffer
+    start, held, work = 0, None, None
+
+    def block(v, *_):
+        nonlocal start, held, work
+        rows = v.size
+        if held is None or len(held) < rows:
+            held = None  # free the spent chunk before forming the next
+            held = _polar_theta1_factor(d, x, y, v_axis[0][start:start + max(chunk, rows)],
+                                        phases)
+        factor, held = held[:rows], held[rows:]
+        start += rows
+        if work is None:  # the first block is the largest
+            work = np.empty((rows,) + g.shape[:2] + theta1_axis[0].shape)
+        return kernel_abs_polar(g, factor, out=work[:rows])
+
+    return float(tensor_sum(axes, block))
 
 
 # ----------------------------------------------------------------------

@@ -222,6 +222,20 @@ def _closed_t_factor(d: DomainSpec, t0, n: int) -> np.ndarray:
     return (terms + (k - terms) * t) * base
 
 
+def _closed_gap(k: int, s0: np.ndarray, t0: np.ndarray, theta: np.ndarray):
+    """The (u, m) tables rho e^(i theta_m) and 1 - rho e^(i theta_m) of the
+    grid form, with rho = s0^k / t0 taken from the first v node, and the
+    screen of |t - s^k| = |t0| |1 - rho e^(i theta_m)|: raises
+    :class:`NearSingularError` when the product of the minima of |t0| and
+    of the table's modulus falls below the singular floor."""
+    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)
+    gap = 1.0 - rho_e
+    least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
+    if least < DEFAULT_SINGULAR_FLOOR:
+        raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
+    return rho_e, gap
+
+
 def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
                  work) -> np.ndarray:
     """The grid form of :func:`kernel_closed_st`.
@@ -258,11 +272,7 @@ def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
     elif work.shape != (2,) + shape:
         raise ValueError(f"workspace of shape {work.shape}, need {(2,) + shape}")
     theta = angle_rule(n)[0]
-    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)  # (u, m)
-    gap = 1.0 - rho_e
-    least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
-    if least < DEFAULT_SINGULAR_FLOOR:
-        raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
+    rho_e, gap = _closed_gap(k, s0, t0, theta)
     table = 1.0 / gap**2
     j = np.arange(n)
     m = (j - k * j[:, None]) % n  # (theta1, theta2)
@@ -303,12 +313,7 @@ def _closed_modes(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
     of |t0| and of |1 - rho e^(i theta_m)|, here over the whole u axis.
     """
     n = t_factor.shape[-1]
-    theta = angle_rule(n)[0]
-    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)  # (u, m)
-    gap = 1.0 - rho_e
-    least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
-    if least < DEFAULT_SINGULAR_FLOOR:
-        raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
+    rho_e, gap = _closed_gap(k, s0, t0, angle_rule(n)[0])
     terms = np.arange(1, k + 1)[:, None, None]
     t_hat = np.fft.fft((terms + (k - terms) * rho_e) / gap**2)  # (k, u, l)
     g_hat = np.fft.ifft(t_factor)  # (k, v, l)
@@ -510,8 +515,62 @@ def _polar_w1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, psi, u) -> np.
     return np.concatenate((g.real**2 + g.imag**2, gg.real, gg.imag), axis=-1)
 
 
-def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1,
-                     w1_factor) -> np.ndarray:
+def _polar_phases(k: int, psi, theta1):
+    """The constants of :func:`_polar_theta1_factor` on the 1-d axes ``psi``
+    and ``theta1``: e^(-i psi), e^(-ik theta1), the (k, theta1) rows
+    e^(-i(n-1) theta1), n = 1..k, and the index pairs n < m.  They depend
+    on neither v nor u, so a caller that forms the factor in chunks of v
+    forms them once."""
+    psi, theta1 = (np.asarray(x, dtype=float) for x in (psi, theta1))
+    n = np.arange(1, k + 1)[:, None]
+    return (np.exp(-1j * psi), np.exp(-1j * k * theta1), np.exp(-1j * (n - 1) * theta1),
+            np.triu_indices(k, 1))
+
+
+def _polar_theta1_factor(d: DomainSpec, z1_abs: float, z2_abs: float, v, phases) -> np.ndarray:
+    """The theta1-side factor H of :func:`kernel_abs_polar` on the grid of
+    the 1-d axis ``v`` and the (psi, theta1) axes of
+    ``phases = _polar_phases(k, psi, theta1)``.
+
+    Where only the n = 1 term is nonzero (k = 1, or z1 = 0) it is
+    |H_1| / v, of shape (v, psi, theta1); otherwise the real
+    (v, psi, k^2, theta1) array [|H_n|^2 | 2 Re H_n conj(H_m) |
+    -2 Im H_n conj(H_m)] over n < m, with H_n scaled by v^((n-1)/k - 1),
+    the right operand of the real matrix product that gives |B_k|^2.
+    ``z1_abs`` only selects the form.  Each entry depends on its own v
+    node alone, so the factor of a run of v nodes is, bit for bit, the
+    factors of its nodes stacked.  H is formed in place and the operand
+    filled pair by pair, so the temporaries of a run stay near the size
+    of H and the operand.
+    """
+    k = d.k_int()
+    e_psi, e_k, e_n, (i, j) = phases
+    v = np.asarray(v, dtype=float)
+    t = ((z2_abs * v[:, None]) * e_psi)[..., None] * e_k  # (v, psi, theta1)
+    inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
+    if k == 1 or z1_abs == 0.0:
+        return np.abs(1.0 + (k - 1) * t) * inv_outer / v[:, None, None]
+    n = np.arange(1, k + 1)[:, None]
+    # H with the power of v, as rows n of the (v, psi) slices
+    h = np.multiply(k - n, t[:, :, None, :])
+    del t
+    np.add(n, h, out=h)
+    np.multiply(e_n, h, out=h)
+    h *= inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0)
+    del inv_outer
+    right = np.empty(h.shape[:2] + (k * k,) + h.shape[3:])
+    norm = right[:, :, :k]
+    np.square(h.real, out=norm)
+    norm += np.square(h.imag)
+    for col, (a, b) in enumerate(zip(i, j), start=k):
+        hh = np.conj(h[:, :, b])
+        np.multiply(h[:, :, a], hh, out=hh)
+        np.multiply(2.0, hh.real, out=right[:, :, col])
+        np.multiply(-2.0, hh.imag, out=right[:, :, col + i.size])
+    return right
+
+
+def kernel_abs_polar(w1_factor: np.ndarray, theta1_factor: np.ndarray, out=None) -> np.ndarray:
     """|B_k(z, w)| on the grid of the 1-d axes (v, psi, u, theta1).
 
     The kernel modulus depends on w only through |w1|, |w2| and the two
@@ -556,27 +615,20 @@ def kernel_abs_polar(d: DomainSpec, z1_abs: float, z2_abs: float, v, psi, theta1
     error of the 32-node theta1 rule; the Schur values move by at most
     3.3e-16 relative.
 
-    ``w1_factor`` is ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``, the
-    only place the u axis enters, so a caller that evaluates many v blocks
-    on one (psi, u) grid forms it once.  Returns an array of shape
-    (v, psi, u, theta1).
+    The factors are formed apart: ``w1_factor`` is
+    ``_polar_w1_factor(d, z1_abs, z2_abs, psi, u)``, the only place the u
+    axis enters, and ``theta1_factor`` is
+    ``_polar_theta1_factor(d, z1_abs, z2_abs, v, _polar_phases(k, psi, theta1))``,
+    the only place v enters.  A caller that evaluates many v blocks on one
+    (psi, u) grid forms the first once and the second for a chunk of v
+    nodes at a time; this function is only the per-block product, clamp
+    and square root.  The result, of shape (v, psi, u, theta1), is written
+    into ``out`` when given, so a caller that sums each block before the
+    next can reuse one buffer for every block.
     """
-    k = d.k_int()
-    v, psi, theta1 = (np.asarray(x, dtype=float) for x in (v, psi, theta1))
-    tau = (z2_abs * v[:, None]) * np.exp(-1j * psi)
-    t = tau[..., None] * np.exp(-1j * k * theta1)  # (v, psi, theta1)
-    inv_outer = 1.0 / ((k * math.pi**2) * np.abs(1.0 - t) ** 2)
-    if k == 1 or z1_abs == 0.0:
-        h = np.abs(1.0 + (k - 1) * t) * inv_outer / v[:, None, None]
-        return w1_factor[:, :, None] * h[:, :, None, :]
-    n = np.arange(1, k + 1)[:, None]
-    # H with the power of v, as rows n of the (v, psi) slices
-    h = (np.exp(-1j * (n - 1) * theta1) * (n + (k - n) * t[:, :, None, :])
-         * (inv_outer[:, :, None, :] * v[:, None, None, None] ** ((n - 1) / k - 1.0)))
-    i, j = np.triu_indices(k, 1)
-    hh = h[:, :, i] * np.conj(h[:, :, j])
-    right = np.concatenate((h.real**2 + h.imag**2, 2.0 * hh.real, -2.0 * hh.imag), axis=2)
-    q = np.matmul(w1_factor, right)
+    if w1_factor.ndim == 2:  # the n = 1 term alone
+        return np.multiply(w1_factor[:, :, None], theta1_factor[:, :, None, :], out=out)
+    q = np.matmul(w1_factor, theta1_factor, out=out)
     if q.min() < 0.0:
         np.maximum(q, 0.0, out=q)
     return np.sqrt(q, out=q)

@@ -243,11 +243,14 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # node of axis 0: the Schur inner-stratum block, one v node of
 # psi x u x theta1 entries, is 32 x 50 x 32 to 72 x 90 x 32 on 10-level
 # inner ladders at k = 2-4, and 64 x 80 x 32 = 163840, 2.5x this budget,
-# at the deepest level of schur_sweep.  Its kernel_abs_polar call forms
-# the theta1-side factor (psi x k^2 x theta1) and one real product of the
-# block's size, whose square root is the block; sub-blocking it along psi
-# made schur_sweep slower, since kernel_abs_polar is then called more
-# often per Schur value
+# at the deepest level of schur_sweep.  Its kernel_abs_polar call is one
+# real product of the block's size, written into a buffer reused by every
+# block, whose square root is the block; sub-blocking it along psi made
+# schur_sweep slower, since kernel_abs_polar is then called more often per
+# Schur value.  The theta1-side factor, k^2 x psi x theta1 real entries
+# per v node, is formed for a chunk of v nodes of at most this many
+# entries: 8, 4 and 2 nodes at k = 2, 3 and 4 on the deepest level of an
+# 8-level inner ladder
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 
 

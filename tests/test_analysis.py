@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
-from fathartogs.geometry import DomainSpec, boundary_ladder
+from fathartogs import analysis, quadrature
+from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
 from fathartogs.analysis import (
     RangeReport,
     SchurConfig,
@@ -35,7 +36,13 @@ from fathartogs.analysis import (
     verify_disc_log,
     verify_schur,
 )
-from fathartogs.kernel import MultiIndex
+from fathartogs.kernel import (
+    MultiIndex,
+    _polar_phases,
+    _polar_theta1_factor,
+    _polar_w1_factor,
+    kernel_abs_polar,
+)
 from fathartogs.projection import MonomialInput
 from fathartogs.quadrature import DivergentIntegralError, QuadratureSpec
 
@@ -362,6 +369,44 @@ class TestVerifySchur:
             assert got == pytest.approx(golden[stratum], rel=1e-12, abs=0.0), stratum
         got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
         assert got_probe == pytest.approx(golden["probe"], rel=1e-12, abs=0.0)
+
+    # at v0 = 1e-6 the v axis has 170 nodes, not a multiple of the chunk
+    # at any k (51, 16, 7 and 4 v nodes at the inner point); "multirow"
+    # puts 3-4 v nodes in a block, so chunks end inside blocks at k = 2, 3
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["inner", "axis", "multirow"])
+    def test_chunked_blocks_equal_each_v_node_alone(self, monkeypatch, k, case):
+        d = DomainSpec(k)
+        z = Point2(0j, 0.6 + 0j) if case == "axis" else Point2(0.3 + 0.1j, 0.5 - 0.2j)
+        if case == "multirow":
+            monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 3 << 16)
+        sums, blocks = [], []
+
+        def recording_sum(axes, f):
+            sums.append(axes)
+
+            def recorded(v, *rest):
+                block = f(v, *rest)
+                blocks.append((v.ravel().copy(), block.copy()))
+                return block
+
+            return quadrature.tensor_sum(axes, recorded)
+
+        monkeypatch.setattr(analysis, "tensor_sum", recording_sum)
+        _schur_value(d, z, 0.75, _edge_exponent(k, 0.75), 1e-6)
+        (((v, _), (psi, _), (u, _), (theta1, _)),) = sums
+        chunk = max(1, analysis._TENSOR_BLOCK_ENTRIES // (k * k * psi.size * theta1.size))
+        assert v.size % chunk != 0
+        if case == "multirow":
+            assert len(blocks[0][0]) > 1
+        assert np.array_equal(np.concatenate([nodes for nodes, _ in blocks]), v)
+        got = np.concatenate([block for _, block in blocks])
+        x, y = abs(z.z1), abs(z.z2)
+        w1_factor = _polar_w1_factor(d, x, y, psi, u)
+        phases = _polar_phases(k, psi, theta1)
+        for node, row in zip(v, got):
+            alone = kernel_abs_polar(w1_factor, _polar_theta1_factor(d, x, y, [node], phases))
+            assert np.array_equal(row, alone[0])
 
     @pytest.mark.parametrize("eps", [0.75, 1.2])
     def test_inner_values_match_the_exact_angular_integral_at_k1(self, eps):

@@ -18,6 +18,8 @@ from fathartogs.kernel import (
     _SERIES_BLOCK_ELEMENTS,
     _closed_t_factor,
     _numerator,
+    _polar_phases,
+    _polar_theta1_factor,
     _polar_w1_factor,
     basis_indices_by_weight,
     kernel_bound,
@@ -594,8 +596,8 @@ class TestKernelBound:
             # pointwise evaluation: each point is a grid of one node per axis,
             # with |w1| = r1 as u = r1 / r2^(1/k)
             got = np.array([
-                kernel_abs_polar(d, x, y, [v], [ps], [th],
-                                 _polar_w1_factor(d, x, y, [ps], [r / v ** (1.0 / k)]))
+                kernel_abs_polar(_polar_w1_factor(d, x, y, [ps], [r / v ** (1.0 / k)]),
+                                 _polar_theta1_factor(d, x, y, [v], _polar_phases(k, [ps], [th])))
                 for r, v, th, ps in zip(r1, r2, th1, psi)])
             assert got.shape == (200, 1, 1, 1, 1)
             assert np.max(np.abs(got.ravel() - ref) / ref) < 1e-12
@@ -617,7 +619,8 @@ class TestKernelBound:
             v[0] = min(1.0 / (y * (k - 1)), 0.95)
         th1[0], psi[0] = 0.0, math.pi
         for x in (0.0, 0.45, 0.69 ** (1.0 / k)):
-            got = kernel_abs_polar(d, x, y, v, psi, th1, _polar_w1_factor(d, x, y, psi, u))
+            got = kernel_abs_polar(_polar_w1_factor(d, x, y, psi, u),
+                                   _polar_theta1_factor(d, x, y, v, _polar_phases(k, psi, th1)))
             assert got.shape == (7, 12, 9, 16)
             vg, psig = v[:, None, None, None], psi[None, :, None, None]
             r1 = u[None, None, :, None] * vg ** (1.0 / k)
@@ -649,8 +652,9 @@ class TestKernelBound:
 
         def polar(psi):
             psi = np.atleast_1d(psi)
-            return kernel_abs_polar(d, x, y, [v], psi, [0.0],
-                                    _polar_w1_factor(d, x, y, psi, [u]))[0, :, 0, 0]
+            return kernel_abs_polar(
+                _polar_w1_factor(d, x, y, psi, [u]),
+                _polar_theta1_factor(d, x, y, [v], _polar_phases(k, psi, [0.0])))[0, :, 0, 0]
 
         # at a = 0.05 the squared modulus rounds to about -2e-21 at the zero
         # and is clamped to 0 before its square root

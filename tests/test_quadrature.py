@@ -316,6 +316,21 @@ class TestTensorBlockMemory:
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < 2.5
 
+    # the theta1-side factor is formed in place once per chunk of v nodes,
+    # and every block is written into one buffer: 2.82, 2.59 and 2.36 MiB
+    # at k = 2, 3 and 4, against 2.89, 2.86 and 2.96 MiB when each block
+    # formed its factor and product anew.  Chunks of a fixed 4 v nodes,
+    # 1.75x the entry budget at k = 4, read 3.13 MiB there.  With the
+    # factor formed by concatenation, chunks read 3.56 and 3.24 MiB at
+    # k = 2 and 3, and fixed 4-node chunks 3.24 and 4.48 MiB at k = 3, 4
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_schur_inner_stratum_reuses_one_block_buffer(self, k):
+        d = DomainSpec(k)
+        z = boundary_ladder(d, "inner", 8)[-1]
+        delta = analysis._edge_exponent(k, 0.75)
+        peak = _traced_peak_mib(lambda: analysis._schur_value(d, z, 0.75, delta, 1e-8))
+        assert peak < 3.0
+
     # with block temporaries freed and allocated again, ten warm calls took
     # 5.6k-77k minor page faults, by where the heap happened to stand; with
     # one workspace, a few hundred in either layout
