@@ -2,12 +2,10 @@
 
 On monomial inputs w^a conj(w)^b the angular integrals collapse to a
 single surviving basis index gamma = a - b, so the projection is exact
-arithmetic on radial moments.  The quadrature path reproduces it, and
-reproduces holomorphic inputs themselves (the defining property of the
-kernel).
+arithmetic on radial moments.  The quadrature path, ``project_numeric``
+of the same ``MonomialInput``, reproduces it, and reproduces holomorphic
+inputs themselves (the defining property of the kernel).
 """
-
-import numpy as np
 
 from fathartogs import (
     DomainSpec,
@@ -28,7 +26,7 @@ for k in (1, 2, 3):
     d = DomainSpec(k)
     res = project_monomial(d, m)
     z = Point2(0.1, 0.5)
-    numeric = project_numeric(d, lambda w1, w2: np.conj(w2), z, spec)
+    numeric = project_numeric(d, m, z, spec)
     exact = res.evaluate(z.z1, z.z2)
     print(f"  k={k}: B(conj(z2)) = {res.coeff:.6f} * z2^({res.index.a2})"
           f"   numeric at z: {numeric:.6f} vs exact {exact:.6f}")
@@ -40,8 +38,7 @@ print("\nreproducing property, numerically, for a few basis monomials (k=2):")
 d = DomainSpec(2)
 z = Point2(0.35, 0.5)
 for alpha in (MultiIndex(1, 0), MultiIndex(0, -1), MultiIndex(2, 1)):
-    f = lambda w1, w2, a=alpha: w1**a.a1 * w2**a.a2
-    got = project_numeric(d, f, z, spec)
+    got = project_numeric(d, MonomialInput(alpha, MultiIndex(0, 0)), z, spec)
     want = z.z1**alpha.a1 * z.z2**alpha.a2
     print(f"  alpha=({alpha.a1},{alpha.a2}): projected {got:.8f}"
           f"  vs  z^alpha {want:.8f}  (rel {abs(got - want) / abs(want):.1e})")

@@ -36,7 +36,6 @@ from .projection import (
     ProjectedMonomial,
     project_monomial,
     project_numeric,
-    project_numeric_monomial,
 )
 from .quadrature import (
     DivergentIntegralError,

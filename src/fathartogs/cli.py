@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     node_counts(p)
     p.add_argument("--boundary-offset", default=1e-6,  # QuadratureSpec's range
-                   type=_number(float, lambda x: 0.0 < x < 0.5, "lie in (0, 0.5)"))
+                   type=_number(float, lambda x: 0.0 < x < 0.25, "lie in (0, 0.25)"))
     p.add_argument("--f", default="0,0:0,1",
                    type=_well_formed(_parse_monomial, "'a1,a2:b1,b2' with integer entries"),
                    help="monomial input 'a1,a2:b1,b2'")
@@ -362,7 +362,7 @@ def _run_project(args) -> analysis.VerificationReport:
     x1, x2 = _parse_point(args.z)
     z = geometry.Point2(complex(x1), complex(x2))
     exact = projection.project_monomial(d, m)
-    numeric = projection.project_numeric_monomial(d, m, z, _quad_from_args(args))
+    numeric = projection.project_numeric(d, m, z, _quad_from_args(args))
     if exact is None:
         agreement = abs(numeric)
         exact_val = 0j

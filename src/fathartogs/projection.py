@@ -1,9 +1,9 @@
 """The Bergman projection as a computable operator.
 
 Two evaluation paths are provided.  ``project_numeric`` applies the
-closed-form kernel under the quadrature engine and works for any
-integrand; ``project_numeric_monomial`` sums the same quadrature for a
-monomial input from 1-d angular DFTs of the kernel's factors.
+closed-form kernel under the quadrature engine: a :class:`MonomialInput`
+is summed from 1-d angular DFTs of the kernel's factors, and any other
+vectorized integrand over kernel blocks of the tensor grid.
 ``project_monomial`` is exact for inputs of the form w^a * conj(w)^b:
 the angular integrals kill every basis term except gamma = a - b, so
 the projection is a single monomial
@@ -36,7 +36,6 @@ __all__ = [
     "ProjectionAccuracyWarning",
     "project_monomial",
     "project_numeric",
-    "project_numeric_monomial",
 ]
 
 
@@ -50,7 +49,8 @@ class ProjectionAccuracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class MonomialInput:
-    """An input w^hol * conj(w)^antihol for the exact projection path."""
+    """An input w^hol * conj(w)^antihol, for :func:`project_monomial` and
+    :func:`project_numeric`."""
 
     hol: MultiIndex
     antihol: MultiIndex
@@ -127,75 +127,51 @@ def _warn_if_near_boundary(d: DomainSpec, z: Point2, delta: float) -> None:
 
 
 def project_numeric(
-    d: DomainSpec, f: Callable, z: Point2, spec: QuadratureSpec
+    d: DomainSpec, f: MonomialInput | Callable, z: Point2, spec: QuadratureSpec
 ) -> complex:
-    """Quadrature approximation of the projection integral at the point z.
+    """Quadrature approximation of the projection integral at the point z,
+    over the domain core's rule against the grid form of
+    :func:`fathartogs.kernel.kernel_closed_st`.
 
-    ``f`` follows the vectorized integrand contract of
-    :func:`fathartogs.quadrature.integrate`, whose core grid is walked in
-    u blocks; each block's kernel values come from one call of the grid
-    form of :func:`fathartogs.kernel.kernel_closed_st`.  A kernel
-    evaluation closer to its singular set than the floor raises
-    ``NearSingularError``, and a non-integer exponent
-    ``NonIntegerExponentError``, both from :mod:`fathartogs.kernel`;
-    points within two boundary offsets of the boundary trigger an
-    accuracy warning.
+    A :class:`MonomialInput` w^a conj(w)^b is R e^(i(mu1 theta1 + mu2 theta2))
+    with mu = a - b.  The angle sums keep only the kernel's mode that
+    matches mu, the selection rule of :func:`project_monomial`, which is a
+    sum of 1-d DFTs of the kernel's factors (``kernel._closed_modes``); no
+    kernel block is formed.  Any other ``f`` follows the integrand
+    contract of :func:`fathartogs.quadrature.integrate`, with one grid-form
+    call per block.  Both give the same sum, aliasing included.
+
+    Raises ``NearSingularError`` and ``NonIntegerExponentError`` from
+    :mod:`fathartogs.kernel`; points within two boundary offsets of the
+    boundary trigger an accuracy warning.
     """
     if not contains(d, z):
         raise ValueError(f"evaluation point {z} is not interior")
     _warn_if_near_boundary(d, z, spec.boundary_offset)
+    (u, wu), (v, wv), (theta, w_theta), _ = _core_axes(d, spec)
+    n = theta.size
+    t0 = z.z2 * v
+    t_factor = _closed_t_factor(d, t0, n)
+    if isinstance(f, MonomialInput):
+        r1 = u[:, None] * v ** (1.0 / d.k)  # |w1| on the (u, v) grid
+        modes = _closed_modes(d.k_int(), z.z1 * r1, t0, t_factor, *f.angular_modes())
+        m1, m2 = f.modulus_exponents()
+        total = np.einsum("u,uv,v->", wu, modes * (r1**m1 * v**m2), wv)
+        # the trapezoid weights are all equal
+        return complex(_real_unless_complex(total * w_theta[0] ** 2))
 
     # one kernel workspace for every block: the first block is the largest,
-    # and a shorter last one takes the front of it.  Every block has the
-    # same v and theta2 nodes, so the kernel's (v, theta2) factor is formed
-    # once, on the first block
-    work = t0 = t_factor = None
+    # and a shorter last one takes the front of it
+    work = None
 
     def g(w1, w2):
-        nonlocal work, t0, t_factor
-        # the invariants at zero angles, where exp(0) = 1: s and t there
+        nonlocal work
+        # the invariant s at zero angle, where exp(0) = 1
         s0 = z.z1 * np.conj(w1[:, :, 0, 0])
         if work is None:
-            rows, cols, n = w1.shape[:3]
-            work = np.empty((2, rows, cols, n, n), dtype=complex)
-            t0 = z.z2 * np.conj(w2[0, :, 0, 0])
-            t_factor = _closed_t_factor(d, t0, n)
+            work = np.empty((2,) + s0.shape + (n, n), dtype=complex)
         out = kernel_closed_st(d, s0, t0, work=work[:, : s0.shape[0]], t_factor=t_factor)
         out *= f(w1, w2)
         return out
 
     return complex(integrate(d, g, spec))
-
-
-def project_numeric_monomial(
-    d: DomainSpec, m: MonomialInput, z: Point2, spec: QuadratureSpec
-) -> complex:
-    """The quadrature sum of ``project_numeric(d, m.integrand(), z, spec)``
-    for a monomial input, without a kernel block.
-
-    The input w^a conj(w)^b is R e^(i(mu1 theta1 + mu2 theta2)) with
-    mu = a - b and R = |w1|^(a1+b1) |w2|^(a2+b2).  The angle sums keep
-    only the kernel's angular mode that matches mu, the selection rule
-    that :func:`project_monomial` applies exactly; on the uniform angle
-    nodes that mode is a sum of 1-d DFTs of the kernel's factors, so the
-    trapezoid sum over (theta1, theta2) costs k outer products on the
-    (u, v) grid in place of n^2 kernel entries per node (see
-    ``kernel._closed_modes``).  The (u, v) sum is then weighted by
-    ``wu R wv`` on the same graded Gauss rule.  It is the same sum as the
-    callable path's, aliasing included, and the result follows the same
-    rule for a negligible imaginary part.  Raises the same errors and
-    warning as :func:`project_numeric`.
-    """
-    if not contains(d, z):
-        raise ValueError(f"evaluation point {z} is not interior")
-    _warn_if_near_boundary(d, z, spec.boundary_offset)
-    k = d.k_int()
-    (u, wu), (v, wv), (theta, w_theta), _ = _core_axes(d, spec)
-    r1 = u[:, None] * v ** (1.0 / d.k)  # |w1| on the (u, v) grid
-    t0 = z.z2 * v
-    modes = _closed_modes(k, z.z1 * r1, t0, _closed_t_factor(d, t0, theta.size),
-                          *m.angular_modes())
-    m1, m2 = m.modulus_exponents()
-    total = np.einsum("u,uv,v->", wu, modes * (r1**m1 * v**m2), wv)
-    # the trapezoid weights are all equal
-    return complex(_real_unless_complex(total * w_theta[0] ** 2))

@@ -60,8 +60,10 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.radial_nodes < 2 or self.angular_nodes < 2:
             raise ValueError("node counts must be >= 2")
-        if not 0.0 < self.boundary_offset < 0.5:
-            raise ValueError("boundary_offset must lie in (0, 0.5)")
+        # the core's u rule has a fixed Gauss panel on [0, 0.75] below its
+        # graded panels on [0.75, 1 - boundary_offset]
+        if not 0.0 < self.boundary_offset < 0.25:
+            raise ValueError(f"boundary_offset must lie in (0, 0.25), got {self.boundary_offset}")
 
 
 # ----------------------------------------------------------------------
@@ -388,6 +390,10 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
                          f"{spec.radial_nodes} and {spec.angular_nodes}")
     r, wr = _disc_radial_rule(eps, beta, a, spec.radial_nodes, weight_form)
     th, wth = _aligned_angle_rule(1.0 - a, spec.angular_nodes // 4)
-    poisson = 1.0 / (1.0 - 2.0 * a * np.outer(r, np.cos(th)) + (a * r[:, None]) ** 2)
+    # |1 - a r e^(i th)|^2 as (1 - ar)^2 + 4 ar sin^2(th/2): the form
+    # 1 - 2 ar cos(th) + (ar)^2 cancels as a -> 1, by 9e-5 relative at
+    # a = 1 - 2^-24 and to 0 from a = 1 - 2^-28
+    ar = a * r[:, None]
+    poisson = 1.0 / ((1.0 - ar) ** 2 + 4.0 * ar * np.sin(th / 2.0) ** 2)
     return float(2.0 * wr @ poisson @ wth)
 

@@ -7,9 +7,9 @@ see them all).  The criteria:
  2. exact k = 1 specialization of the kernel;
  3. Hermitian symmetry and diagonal positivity of the kernel;
  4. reproducing property of the numerical projection
-    (``project_numeric_monomial``), basis weight <= 6;
+    (``project_numeric`` of a ``MonomialInput``), basis weight <= 6;
  5. projection of conj(z2) equals z2^(-1)/(k+1) on both paths
-    (``project_monomial`` and ``project_numeric_monomial``);
+    (``project_monomial`` and ``project_numeric``);
  6. exact sharp-range algebra and its Schur-window factorization;
  7. divergence scan: empirical critical exponent and growth exponents;
  8. Schur verification sweep: bounded inside the stated exponent
@@ -44,7 +44,7 @@ from fathartogs.kernel import (
     kernel_closed_st,
     kernel_series_st,
 )
-from fathartogs.projection import MonomialInput, project_monomial, project_numeric_monomial
+from fathartogs.projection import MonomialInput, project_monomial, project_numeric
 from fathartogs.kernel import MultiIndex
 from fathartogs.quadrature import QuadratureSpec, angle_rule, radial_moment
 
@@ -145,7 +145,7 @@ def test_criterion_4_reproducing(k):
     for alpha in basis_indices_by_weight(k, 6):
         m = MonomialInput(alpha, MultiIndex(0, 0))
         for z in pts:
-            got = project_numeric_monomial(d, m, z, spec)
+            got = project_numeric(d, m, z, spec)
             want = z.z1**alpha.a1 * z.z2**alpha.a2
             rel = abs(got - want) / abs(want)
             if rel > worst:
@@ -175,7 +175,7 @@ def test_criterion_5_zbar2(k):
     spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
     worst = 0.0
     for z in (Point2(0.1, 0.45), Point2(0.3, 0.6)):
-        got = project_numeric_monomial(d, m, z, spec)
+        got = project_numeric(d, m, z, spec)
         want = 1.0 / ((k + 1) * z.z2)
         worst = max(worst, abs(got - want) / abs(want))
     check(

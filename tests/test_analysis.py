@@ -150,6 +150,15 @@ class TestVerifyDiscLog:
         assert rep.fitted_exponent == pytest.approx(-0.5, abs=0.05)
         assert rep.samples[0]["value"] == pytest.approx(math.pi, rel=1e-8)
 
+    def test_deep_ladder_stays_finite(self):
+        # 1 - 2 a r cos(th) + (ar)^2 cancelled on the ladder a = 1 - 2^-j:
+        # 9e-5 relative at j = 24, and inf from j = 28 on
+        rep = verify_disc_log(levels=30, quad=QuadratureSpec(12, 32))
+        values = [s[key] for s in rep.samples for key in ("value", "weighted_value") if key in s]
+        assert len(values) == 61 and all(math.isfinite(x) for x in values)
+        assert rep.verdict == VERDICT_CONSISTENT
+        assert rep.parameters["log_law_slope_over_pi"] == pytest.approx(1.0, abs=1e-3)
+
 
 class TestDivergenceScan:
     def test_k1_classifications(self):

@@ -195,7 +195,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv,message", [
         (["calculus1", "--eps", "0.5", "--radial-nodes", "5"], "must be at least 6"),
         (["project", "--k", "1", "--radial-nodes", "1"], "must be at least 2"),
-        (["project", "--k", "1", "--boundary-offset", "0.7"], "must lie in (0, 0.5)"),
+        (["project", "--k", "1", "--boundary-offset", "0.7"], "must lie in (0, 0.25)"),
         (["schur", "--k", "2", "--eps", "0.75", "--levels", "1"], "must be at least 2"),
         (["schur", "--k", "2", "--eps", "0.75", "--tolerance", "0.9"],
          "unrecognized arguments: --tolerance"),
@@ -242,6 +242,11 @@ class TestExitCodes:
          "argument --p-grid: exponents must be finite, got '3,inf'"),
         (["divergence", "--k", "1", "--p-grid", "3,nan"],
          "argument --p-grid: exponents must be finite, got '3,nan'"),
+        # offsets from 0.25 on exited 2: the core's u rule cannot be built
+        (["project", "--k", "1", "--boundary-offset", "0.25"],
+         "argument --boundary-offset: must lie in (0, 0.25), got 0.25"),
+        (["project", "--k", "1", "--boundary-offset", "0.3"],
+         "argument --boundary-offset: must lie in (0, 0.25), got 0.3"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -354,6 +359,17 @@ class TestDiscCommands:
                     "--angular-nodes", "24", "--format", "csv"], tmp_path)
         assert code == 0
         assert (tmp_path / "disc-log_data.csv").exists()
+
+    def test_deep_disc_log_report_is_strict_json(self, tmp_path):
+        # a deep ladder wrote NaN and Infinity tokens and exited 3
+        assert run(["disc-log", "--levels", "30"], tmp_path) == 0
+        text = (tmp_path / "disc-log_report.json").read_text()
+
+        def reject(token):
+            raise ValueError(f"non-finite token {token} in the report")
+
+        body = json.loads(text, parse_constant=reject)["report"]
+        assert body["verdict"] == "consistent"
 
 
 class TestSchurCommand:

@@ -27,7 +27,6 @@ from fathartogs.projection import (
     basis_norm_sq,
     project_monomial,
     project_numeric,
-    project_numeric_monomial,
 )
 from fathartogs.quadrature import QuadratureSpec, integrate, radial_moment
 
@@ -188,8 +187,9 @@ MIXED = [mono(3, 1, 1, 2), mono(0, 0, 0, 1), mono(0, -1, 0, 0), mono(1, 1, 0, 0)
 
 
 class TestProjectNumericMonomial:
-    """The monomial path sums the callable path's quadrature from 1-d
-    angular DFTs; the two agree to rounding, aliasing included."""
+    """``project_numeric`` of a ``MonomialInput`` sums the quadrature of its
+    callable ``integrand()`` from 1-d angular DFTs; the two agree to
+    rounding, aliasing included."""
 
     Z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
 
@@ -200,7 +200,7 @@ class TestProjectNumericMonomial:
         spec = QuadratureSpec(radial_nodes=6, angular_nodes=n, boundary_offset=1e-6)
         for m in MIXED:
             want = project_numeric(d, m.integrand(), self.Z, spec)
-            got = project_numeric_monomial(d, m, self.Z, spec)
+            got = project_numeric(d, m, self.Z, spec)
             assert abs(got - want) <= 1e-13 * max(abs(want), 1e-3), (m, got, want)
             assert type(got) is complex and (got.imag == 0.0) == (want.imag == 0.0)
 
@@ -212,21 +212,21 @@ class TestProjectNumericMonomial:
         m = mono(0, 0, 1, 0)
         assert project_monomial(d, m) is None
         want = project_numeric(d, m.integrand(), self.Z, spec)
-        got = project_numeric_monomial(d, m, self.Z, spec)
+        got = project_numeric(d, m, self.Z, spec)
         assert abs(got - want) <= 1e-15
 
     def test_warns_near_boundary(self):
         spec = QuadratureSpec(radial_nodes=4, angular_nodes=4, boundary_offset=1e-2)
         with pytest.warns(ProjectionAccuracyWarning):
-            project_numeric_monomial(DomainSpec(1), mono(1, 0, 0, 0), Point2(0.0, 0.985), spec)
+            project_numeric(DomainSpec(1), mono(1, 0, 0, 0), Point2(0.0, 0.985), spec)
 
     def test_rejects_exterior_point(self):
         with pytest.raises(ValueError, match="not interior"):
-            project_numeric_monomial(DomainSpec(2), mono(1, 0, 0, 0), Point2(0.9, 0.5), SPEC)
+            project_numeric(DomainSpec(2), mono(1, 0, 0, 0), Point2(0.9, 0.5), SPEC)
 
     def test_rejects_non_integer_exponent(self):
         with pytest.raises(NonIntegerExponentError):
-            project_numeric_monomial(DomainSpec(1.5), mono(1, 0, 0, 0), Point2(0.1, 0.5), SPEC)
+            project_numeric(DomainSpec(1.5), mono(1, 0, 0, 0), Point2(0.1, 0.5), SPEC)
 
     def test_near_singular_gap_reports_the_grid_minimum(self):
         # the callable path stops at the first u block that fails the
@@ -236,7 +236,7 @@ class TestProjectNumericMonomial:
         spec = QuadratureSpec(boundary_offset=1e-9)
         m = mono(1, 0, 0, 0)
         with pytest.raises(NearSingularError) as got:
-            project_numeric_monomial(DomainSpec(1), m, z, spec)
+            project_numeric(DomainSpec(1), m, z, spec)
         with pytest.raises(NearSingularError) as old:
             project_numeric(DomainSpec(1), m.integrand(), z, spec)
         assert got.value.factor == old.value.factor == "t-s^k"
@@ -250,7 +250,7 @@ class TestProjectNumericMonomial:
         z = Point2(0.0, 0.9)
         spec = QuadratureSpec(radial_nodes=4, angular_nodes=8, boundary_offset=1e-2)
         m = mono(0, 0, 0, 1)
-        for call in (lambda: project_numeric_monomial(DomainSpec(2), m, z, spec),
+        for call in (lambda: project_numeric(DomainSpec(2), m, z, spec),
                      lambda: project_numeric(DomainSpec(2), m.integrand(), z, spec)):
             with pytest.raises(NearSingularError) as got:
                 call()

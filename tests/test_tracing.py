@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fathartogs import analysis, projection, quadrature
+from fathartogs import analysis, cli, projection, quadrature
 from fathartogs.geometry import DomainSpec, Point2
 from fathartogs.quadrature import QuadratureSpec, _core_axes
 
@@ -58,6 +58,24 @@ def test_projection_records_one_kernel_span_per_block(tracing, k):
     metrics = tracing.layer_metrics(tracer.spans, 1)
     assert metrics["kernel.closed.evals"] == sum(blocks) == u.size * per_node
     assert metrics["quadrature.integrate.nodes_per_call"] == sum(blocks)
+
+
+# a monomial input takes the angular-mode path: the command's one
+# projection.numeric span holds no kernel block and no integrate call
+def test_project_command_records_one_numeric_span(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.op = "project"
+    tracer.install()
+    try:
+        code = cli.main(["project", "--k", "2", "--f", "1,1:1,1", "--z", "0.4,0.4",
+                         "--output-dir", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [s.name for s in tracer.spans]
+    assert names.count("projection.numeric") == 1
+    assert "kernel.closed" not in names and "quadrature.integrate" not in names
+    assert tracing.layer_metrics(tracer.spans, 1)["projection.numeric.calls"] == 1
 
 
 # an inner point, and the axis z1 = 0, where u and theta1 have one node each
