@@ -27,10 +27,12 @@ level-to-level differences.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -217,6 +219,13 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 # the u and theta1 axes shrink to one node each and only the
 # inner-boundary ladder sums the full 4-d tensor.
 #
+# The boundary-ladder values are independent of each other, and
+# verify_schur evaluates them on every usable core (_map_on_cores): one
+# value per thread, each the same serial sum, so every value keeps its
+# bits.  The numpy kernels release the GIL, so two values in flight run
+# side by side; each holds its own block buffer and theta1-side chunk,
+# which is why a chunk takes half the block budget.
+#
 # Offsets: the v -> 0 end carries the experiment's offset ladder (that
 # edge decides the Schur exponent window).  The u -> 1 and v -> 1 edges
 # are integrable uniformly over delta < 1 and are integrated to the
@@ -226,6 +235,9 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 _U_ORDER = 10
 _PSI_ORDER = 8
 _N_THETA1 = 32
+# real entries of one chunk of the theta1-side factor: half the block
+# budget, as verify_schur keeps one Schur value in flight per core
+_THETA1_CHUNK_ENTRIES = _TENSOR_BLOCK_ENTRIES // 2
 
 
 def _u_rule(k: int, delta: float, *, floor: float):
@@ -270,7 +282,7 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     which ``tensor_sum`` sums before the next block.  The |w1|-side factor
     and the constants of the (psi, theta1) grid are formed once here, and
     the theta1-side factor once per chunk of v nodes of at most
-    ``_TENSOR_BLOCK_ENTRIES`` real entries (at least one block).  For
+    ``_THETA1_CHUNK_ENTRIES`` real entries (at least one block).  For
     z1 = 0 the kernel modulus depends on neither u nor theta1, so each of
     those axes is one node carrying its exact integral: the u factor and
     2 pi."""
@@ -291,7 +303,7 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     axes = (v_axis, (psi, 2.0 * wpsi), u_axis, theta1_axis)
     g = _polar_w1_factor(d, x, y, psi, u_axis[0])
     phases = _polar_phases(k, psi, theta1_axis[0])
-    chunk = max(1, _TENSOR_BLOCK_ENTRIES // (k * k * psi.size * theta1_axis[0].size))
+    chunk = max(1, _THETA1_CHUNK_ENTRIES // (k * k * psi.size * theta1_axis[0].size))
     # the next v node, the rows of the chunk's factor not used yet, and the
     # block buffer
     start, held, work = 0, None, None
@@ -368,6 +380,68 @@ def _edge_exponent(k: int, eps: float) -> float:
     return eps
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(n_items: int) -> int:
+    """Threads :func:`_map_on_cores` runs ``n_items`` values on: one per
+    usable core, at most one per item and at least one."""
+    return max(1, min(_usable_cores(), n_items))
+
+
+def _map_on_cores(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]`` on the calling thread plus one worker
+    thread per further usable core, at most one thread per item.
+
+    Every thread takes the next index from one shared iterator, so values
+    start in list order.  Once a value raises (``KeyboardInterrupt`` on
+    the calling thread included), no further value starts; the values in
+    flight finish, the workers are joined, and the exception of the
+    lowest index, the one the serial loop would raise, is re-raised
+    unchanged.  With one usable core or one item no thread is started and
+    every value runs inline.
+    """
+    workers = _workers(len(items)) - 1
+    if not workers:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = threading.Event()
+
+    def run():
+        while True:
+            with lock:
+                i = None if stop.is_set() else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                stop.set()
+                return
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    for t in threads:
+        t.start()
+    try:
+        run()
+    finally:
+        stop.set()  # an interrupt between two values stops the workers too
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 _PROBE_POINT = Point2(0j, 0.6 + 0j)
 _V0_PROBE_LADDER = tuple(10.0 ** -np.arange(2, 13))
 _V0_WORK_AXIS = 1e-16
@@ -389,6 +463,12 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     integral saturates, the ratio I(z) / W(z) is computed along the three
     boundary ladders and the verdict is "consistent" exactly when every
     ladder of ratios saturates.
+
+    The probe ladder runs serially.  The 3 x ``ladder_levels`` boundary
+    values are independent, and :func:`_map_on_cores` evaluates them on
+    every usable core; each is the same :func:`_schur_value` call as in a
+    serial loop, so samples, slopes and verdict do not depend on the core
+    count.
     """
     k = d.k_int()
     eps = cfg.eps
@@ -429,14 +509,17 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     # log(ratio) against log(gap) below -_RATIO_GROWTH_SLOPE.  (On the
     # corner ladder the ratio decays like |z2|^(2 eps - 1), so raw
     # level-to-level differences are the wrong test for boundedness.)
+    ladders = {s: boundary_ladder(d, s, cfg.ladder_levels) for s in ("outer", "inner", "corner")}
+    values = iter(_map_on_cores(
+        lambda z: _schur_value(d, z, eps, delta,
+                               v0=_V0_WORK_FULL if abs(z.z1) > 0 else _V0_WORK_AXIS),
+        [z for pts in ladders.values() for z in pts]))
     worst = 0.0
     slopes: dict[str, float] = {}
-    for stratum in ("outer", "inner", "corner"):
-        pts = boundary_ladder(d, stratum, cfg.ladder_levels)
+    for stratum, pts in ladders.items():
         gaps, ratios = [], []
         for j, z in enumerate(pts, start=1):
-            v0 = _V0_WORK_FULL if abs(z.z1) > 0 else _V0_WORK_AXIS
-            val = _schur_value(d, z, eps, delta, v0=v0)
+            val = next(values)
             h = aux_h(d, z)
             # W(z)^-1 = |z2|^(2 eps) E(z)^delta with E(z) = h / |z2|^2
             y2 = abs(z.z2) ** 2

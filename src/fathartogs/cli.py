@@ -97,13 +97,17 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def write_report(path: Path, report_body: dict, elapsed: float) -> None:
+def write_report(path: Path, report_body: dict, elapsed: float,
+                 metadata: dict | None = None) -> None:
+    """Write the report; ``metadata`` adds run diagnostics beside the
+    wall-clock data, outside the deterministic body."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "report": _jsonable(report_body),
         "metadata": {
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "elapsed_seconds": elapsed,
+            **(metadata or {}),
         },
     }
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -381,7 +385,9 @@ def _run_project(args) -> analysis.VerificationReport:
     return analysis.VerificationReport("project", params, [row], verdict=verdict)
 
 
-def _dispatch(args) -> tuple[dict, int]:
+def _dispatch(args) -> tuple[dict, int, dict]:
+    """The report body, the exit code and the run's metadata entries."""
+    metadata = {}
     if args.command == "kernel-check":
         rep = _run_kernel_check(args)
     elif args.command == "range":
@@ -404,6 +410,10 @@ def _dispatch(args) -> tuple[dict, int]:
         d = geometry.DomainSpec(args.k)
         cfg = analysis.SchurConfig(eps=args.eps, ladder_levels=args.levels)
         rep = analysis.verify_schur(d, cfg)
+        # the threads that evaluated the boundary-ladder values; the
+        # probe ladder runs on one
+        metadata["workers"] = analysis._workers(
+            sum(s["kind"] == "ladder" for s in rep.samples))
     elif args.command == "calculus1":
         rep = analysis.verify_calculus1(args.eps, args.beta, args.levels,
                                         _quad_from_args(args))
@@ -428,7 +438,7 @@ def _dispatch(args) -> tuple[dict, int]:
     body["config"] = {k: v for k, v in vars(args).items()
                       if k not in {"command", "output_dir"}}
     code = verdict_exit_code(body["verdict"], body["expected_violation"])
-    return body, code
+    return body, code, metadata
 
 
 def verdict_exit_code(verdict: str, expected_violation: bool) -> int:
@@ -448,9 +458,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     out_dir = args.output_dir
     t0 = time.perf_counter()
-    failure = None
+    failure, metadata = None, {}
     try:
-        body, code = _dispatch(args)
+        body, code, metadata = _dispatch(args)
     # every error of the package derives from one of these two
     except (ValueError, ArithmeticError) as exc:
         failure = exc
@@ -459,7 +469,7 @@ def main(argv=None) -> int:
         code = EXIT_NUMERICAL
     elapsed = time.perf_counter() - t0
     report_path = out_dir / f"{args.command}_report.json"
-    write_report(report_path, body, elapsed)
+    write_report(report_path, body, elapsed, metadata)
     if args.format == "csv":
         csv_path = out_dir / f"{args.command}_data.csv"
         if body.get("samples"):

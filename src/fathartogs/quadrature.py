@@ -250,9 +250,12 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # block, whose square root is the block; sub-blocking it along psi made
 # schur_sweep slower, since kernel_abs_polar is then called more often per
 # Schur value.  The theta1-side factor, k^2 x psi x theta1 real entries
-# per v node, is formed for a chunk of v nodes of at most this many
-# entries: 8, 4 and 2 nodes at k = 2, 3 and 4 on the deepest level of an
-# 8-level inner ladder
+# per v node, is formed for a chunk of v nodes of at most half this many
+# entries, since verify_schur keeps one Schur value in flight per usable
+# core: 4, 2 and 1 nodes at k = 2, 3 and 4 on the deepest level of an
+# 8-level inner ladder.  A serial pass ran as fast with these chunks as
+# with chunks of the full budget (8, 4 and 2 nodes), and with 2 workers
+# the traced peak of one verify_schur at k = 2 fell from 5.6 to 4.4 MiB
 _TENSOR_BLOCK_ENTRIES = 1 << 16
 
 

@@ -1,6 +1,8 @@
 """Tests for range algebra and the verification experiments."""
 
 import math
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,7 @@ from fathartogs.analysis import (
 )
 from fathartogs.kernel import (
     MultiIndex,
+    NearSingularError,
     _polar_phases,
     _polar_theta1_factor,
     _polar_w1_factor,
@@ -380,8 +383,11 @@ class TestVerifySchur:
         assert got_probe == pytest.approx(golden["probe"], rel=1e-12, abs=0.0)
 
     # at v0 = 1e-6 the v axis has 170 nodes, not a multiple of the chunk
-    # at any k (51, 16, 7 and 4 v nodes at the inner point); "multirow"
-    # puts 3-4 v nodes in a block, so chunks end inside blocks at k = 2, 3
+    # at k = 1-3 (25, 8 and 3 v nodes at the inner point).  At k = 4 the
+    # chunk is 2 v nodes, which divides every v axis (a multiple of
+    # _U_ORDER nodes), so the off-axis cases take 3-node chunks there.
+    # "multirow" puts 3-4 v nodes in a block, so chunks end inside blocks
+    # at k = 1, 2; at k = 3, 4 each chunk is one block of 4 v nodes
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["inner", "axis", "multirow"])
     def test_chunked_blocks_equal_each_v_node_alone(self, monkeypatch, k, case):
@@ -389,6 +395,8 @@ class TestVerifySchur:
         z = Point2(0j, 0.6 + 0j) if case == "axis" else Point2(0.3 + 0.1j, 0.5 - 0.2j)
         if case == "multirow":
             monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 3 << 16)
+        if case != "axis" and k == 4:  # 3 nodes of the 16 x 32 x 32 factor
+            monkeypatch.setattr(analysis, "_THETA1_CHUNK_ENTRIES", 3 * 16 * 32 * 32)
         sums, blocks = [], []
 
         def recording_sum(axes, f):
@@ -404,7 +412,7 @@ class TestVerifySchur:
         monkeypatch.setattr(analysis, "tensor_sum", recording_sum)
         _schur_value(d, z, 0.75, _edge_exponent(k, 0.75), 1e-6)
         (((v, _), (psi, _), (u, _), (theta1, _)),) = sums
-        chunk = max(1, analysis._TENSOR_BLOCK_ENTRIES // (k * k * psi.size * theta1.size))
+        chunk = max(1, analysis._THETA1_CHUNK_ENTRIES // (k * k * psi.size * theta1.size))
         assert v.size % chunk != 0
         if case == "multirow":
             assert len(blocks[0][0]) > 1
@@ -446,3 +454,97 @@ class TestVerifySchur:
         assert "divergence_edge" not in rep.parameters
         assert rep.parameters["growing_stratum"] == "corner"
         assert rep.fitted_exponent == pytest.approx(2 * eps - 1, abs=0.01)
+
+
+class TestLadderValuesOnCores:
+    """verify_schur evaluates the boundary-ladder values on every usable
+    core (analysis._map_on_cores); the core count is patched here."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_values_keep_their_bits(self, monkeypatch, k):
+        threads = set()
+        value = analysis._schur_value
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return value(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_schur_value", recorded)
+        reps = {}
+        for cores in (1, 2):
+            threads.clear()
+            monkeypatch.setattr(analysis, "_usable_cores", lambda cores=cores: cores)
+            reps[cores] = verify_schur(DomainSpec(k), SchurConfig(eps=0.75, ladder_levels=6))
+            assert len(threads) == cores
+        one, two = reps[1], reps[2]
+        assert two.samples == one.samples
+        assert two.parameters["stratum_slopes"] == one.parameters["stratum_slopes"]
+        assert (two.verdict, two.bound_constant) == (one.verdict, one.bound_constant)
+        assert one.verdict == VERDICT_CONSISTENT
+
+    # inner levels 2 and 3 of a 6-level ladder raise: level 3 at once,
+    # level 2 after the other thread has seen level 3 fail.  The serial
+    # loop raises level 2, and so must the pool, with no value started
+    # once a failure is seen
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_failure_raises_the_lowest_index(self, monkeypatch, cores):
+        d, levels = DomainSpec(2), 6
+        inner = boundary_ladder(d, "inner", levels)
+        failing = {inner[1]: 0.2, inner[2]: 0.0}  # point -> delay before raising
+        lock, started, seen, late = threading.Lock(), [], [], []
+
+        def fake(d, z, eps, delta, v0):
+            if z == _PROBE_POINT:
+                return 1.0
+            with lock:
+                started.append(z)
+                if seen:
+                    late.append(z)
+            if z in failing:
+                time.sleep(failing[z])
+                with lock:
+                    seen.append(z)
+                raise NearSingularError(f"level {inner.index(z) + 1}", 0.0, 1e-12)
+            time.sleep(0.002)
+            return 1.0
+
+        monkeypatch.setattr(analysis, "_schur_value", fake)
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        with pytest.raises(NearSingularError) as raised:
+            verify_schur(d, SchurConfig(eps=0.75, ladder_levels=levels))
+        assert raised.value.factor == "level 2"
+        assert threading.active_count() == before
+        assert not late
+        assert started[:levels] == boundary_ladder(d, "outer", levels)
+        want = inner[:2] if cores == 1 else inner[:3]
+        assert sorted(started[levels:], key=inner.index) == want
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        rep = verify_schur(DomainSpec(2), SchurConfig(eps=0.75, ladder_levels=3))
+        assert len(rep.samples) == len(_V0_PROBE_LADDER) + 9
+
+    def test_the_serial_interrupt_stops_the_workers(self, monkeypatch):
+        # a KeyboardInterrupt on the calling thread ends the pool like
+        # any other failure: raised unchanged, workers joined
+        main = threading.get_ident()
+        calls = []
+
+        def fn(i):
+            calls.append(i)
+            if threading.get_ident() == main and i > 0:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+            return i
+
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            analysis._map_on_cores(fn, list(range(50)))
+        assert threading.active_count() == before
+        assert len(calls) < 50

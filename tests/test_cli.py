@@ -379,6 +379,21 @@ class TestSchurCommand:
         body = load_report(tmp_path, "schur")["report"]
         assert body["verdict"] == "violated" and body["expected_violation"] is True
 
+    def test_metadata_records_the_workers(self, tmp_path, monkeypatch):
+        # the ladder values run on every usable core; the probe-only
+        # report ran on one.  The body does not depend on the count
+        bodies = []
+        for cores in (1, 2):
+            monkeypatch.setattr(analysis, "_usable_cores", lambda cores=cores: cores)
+            out = tmp_path / str(cores)
+            assert run(["schur", "--k", "2", "--eps", "0.75", "--levels", "6"], out) == 0
+            doc = load_report(out, "schur")
+            assert doc["metadata"]["workers"] == cores
+            bodies.append(json.dumps(doc["report"], sort_keys=True))
+            assert run(["schur", "--k", "2", "--eps", "1.1", "--levels", "3"], out) == 0
+            assert load_report(out, "schur")["metadata"]["workers"] == 1
+        assert bodies[0] == bodies[1]
+
     def test_unexpected_violation_exits_two(self, tmp_path, monkeypatch):
         # the CLI cannot state a window of its own, so the verifier is
         # replaced by one that reports an unexpected violation

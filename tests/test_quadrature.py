@@ -320,11 +320,13 @@ class TestTensorBlockMemory:
 
     # the theta1-side factor is formed in place once per chunk of v nodes,
     # and every block is written into one buffer: 2.82, 2.59 and 2.36 MiB
-    # at k = 2, 3 and 4, against 2.89, 2.86 and 2.96 MiB when each block
-    # formed its factor and product anew.  Chunks of a fixed 4 v nodes,
-    # 1.75x the entry budget at k = 4, read 3.13 MiB there.  With the
-    # factor formed by concatenation, chunks read 3.56 and 3.24 MiB at
-    # k = 2 and 3, and fixed 4-node chunks 3.24 and 4.48 MiB at k = 3, 4
+    # at k = 2, 3 and 4 with chunks of the full block budget, against
+    # 2.89, 2.86 and 2.96 MiB when each block formed its factor and
+    # product anew; chunks of half the budget read 2.19, 2.05 and 1.96 MiB.
+    # Chunks of a fixed 4 v nodes, 1.75x the entry budget at k = 4, read
+    # 3.13 MiB there.  With the factor formed by concatenation, chunks read
+    # 3.56 and 3.24 MiB at k = 2 and 3, and fixed 4-node chunks 3.24 and
+    # 4.48 MiB at k = 3, 4
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_schur_inner_stratum_reuses_one_block_buffer(self, k):
         d = DomainSpec(k)
@@ -332,6 +334,16 @@ class TestTensorBlockMemory:
         delta = analysis._edge_exponent(k, 0.75)
         peak = _traced_peak_mib(lambda: analysis._schur_value(d, z, 0.75, delta, 1e-8))
         assert peak < 3.0
+
+    # verify_schur keeps one Schur value in flight per usable core, each
+    # with its own block buffer and theta1-side chunk: with 2 workers,
+    # 4.41 MiB with chunks of half the block budget and 5.59-5.66 MiB with
+    # chunks of the full budget, against 2.21 MiB on one core
+    def test_schur_ladders_on_two_cores(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+        peak = _traced_peak_mib(lambda: analysis.verify_schur(
+            DomainSpec(2), analysis.SchurConfig(0.75, 8)))
+        assert peak < 5.0
 
     # with block temporaries freed and allocated again, ten warm calls took
     # 5.6k-77k minor page faults, by where the heap happened to stand; with
