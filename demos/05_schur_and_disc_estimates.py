@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from fathartogs import (
     DomainSpec,
-    QuadratureSpec,
     SchurConfig,
     schur_range,
     verify_calculus1,
@@ -23,13 +22,13 @@ from fathartogs import (
     verify_schur,
 )
 
-quad = QuadratureSpec(radial_nodes=12, angular_nodes=32)
+nodes = dict(radial_nodes=12, angular_nodes=32)
 
 print("disc-level estimates:")
-rep = verify_disc_log(levels=10, quad=quad)
+rep = verify_disc_log(levels=10, **nodes)
 print(f"  unweighted mass ~ -log(delta): slope/pi = "
       f"{rep.parameters['log_law_slope_over_pi']:.4f}, verdict {rep.verdict}")
-rep = verify_calculus1(0.5, 1.0, levels=10, quad=quad)
+rep = verify_calculus1(0.5, 1.0, levels=10, **nodes)
 print(f"  weighted integral * (1-|z|^2)^eps plateaus at {rep.bound_constant:.4f},"
       f" verdict {rep.verdict}")
 

@@ -41,9 +41,9 @@ from .geometry import DomainSpec, Point2, aux_h, boundary_ladder
 from .kernel import _polar_phases, _polar_theta1_factor, _polar_w1_factor, kernel_abs_polar
 from .projection import MonomialInput, project_monomial
 from .quadrature import (
+    _FINEST_PANEL,
     _TENSOR_BLOCK_ENTRIES,
     DivergentIntegralError,
-    QuadratureSpec,
     _aligned_angle_rule,
     _join,
     angle_rule,
@@ -270,7 +270,7 @@ def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
         )
     power = 1.0 + 2.0 / k - 2.0 * eps
     vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
-    f_v = max(min((1.0 - y) / 8.0, 1e-3), 1e-13)
+    f_v = max(min((1.0 - y) / 8.0, 1e-3), _FINEST_PANEL)
     vhi, whi = graded_rule(0.5, 1.0, _U_ORDER, toward="upper", floor=f_v, edge=-delta)
     v, w = _join((vlo, wlo * (1.0 - vlo) ** (-delta)), (vhi, whi))
     return v, w * v**power * (1.0 + v) ** (-delta)
@@ -404,11 +404,8 @@ def _map_on_cores(fn: Callable, items: Sequence) -> list:
     flight finish, the workers are joined, and the exception of the
     lowest index, the one the serial loop would raise, is re-raised
     unchanged.  With one usable core or one item no thread is started and
-    every value runs inline.
+    every value runs on the calling thread.
     """
-    workers = _workers(len(items)) - 1
-    if not workers:
-        return [fn(x) for x in items]
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
     order = iter(range(len(items)))
@@ -428,7 +425,7 @@ def _map_on_cores(fn: Callable, items: Sequence) -> list:
                 stop.set()
                 return
 
-    threads = [threading.Thread(target=run) for _ in range(workers)]
+    threads = [threading.Thread(target=run) for _ in range(_workers(len(items)) - 1)]
     for t in threads:
         t.start()
     try:
@@ -552,10 +549,23 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
 
 _CALCULUS1_TOLERANCE = 0.02  # relative steps of the last three plateau levels
 _DISC_LOG_TOLERANCE = 0.10  # relative error of both fits, against pi and -1/2
+# the first level j of the ladder |z| = 1 - 2^-j at which a disc rule stops
+# refining: the angle rule's finest panel (1 - |z|)/16 reaches _FINEST_PANEL
+# at j = 40, the radial rim's (1 - |z|)/8 at j = 41
+_GRADING_FLOOR_LEVEL = math.ceil(math.log2(1.0 / (16.0 * _FINEST_PANEL)))
 
 
-def verify_calculus1(eps: float, beta: float, levels: int,
-                     quad: QuadratureSpec) -> VerificationReport:
+def _disc_ladder_report(experiment: str, levels: int, params: dict) -> VerificationReport:
+    """The report of a disc ladder of ``levels`` levels before its samples;
+    ``grading_floor_level`` is recorded when the ladder reaches it."""
+    if levels < 4:
+        raise ValueError("levels must be >= 4")
+    floor = {"grading_floor_level": _GRADING_FLOOR_LEVEL} if levels >= _GRADING_FLOOR_LEVEL else {}
+    return VerificationReport(experiment, {**params, "levels": levels, **floor})
+
+
+def verify_calculus1(eps: float, beta: float, levels: int, *, radial_nodes: int,
+                     angular_nodes: int) -> VerificationReport:
     """Plateau check for the weighted disc integral I_(eps,beta).
 
     Computes I(z) (1 - |z|^2)^eps along |z| = 1 - 2^-j; the claim is a
@@ -566,20 +576,15 @@ def verify_calculus1(eps: float, beta: float, levels: int,
         raise DivergentIntegralError(f"need 0 < eps < 1, got {eps}")
     if not 0.0 <= beta < 2.0:
         raise DivergentIntegralError(f"need 0 <= beta < 2, got {beta}")
-    if levels < 4:
-        raise ValueError("levels must be >= 4")
-    report = VerificationReport(
-        experiment="calculus1",
-        parameters={"eps": eps, "beta": beta, "levels": levels,
-                    "tolerance": _CALCULUS1_TOLERANCE},
-    )
-    i0 = disc_kernel_moment(0.0, eps, beta, quad)
+    report = _disc_ladder_report("calculus1", levels, {"eps": eps, "beta": beta,
+                                                       "tolerance": _CALCULUS1_TOLERANCE})
+    i0 = disc_kernel_moment(0.0, eps, beta, radial_nodes, angular_nodes)
     report.samples.append({"abs_z": 0.0, "value": i0, "product": i0,
                            "provenance": "quadrature"})
     deltas, products, values = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
-        val = disc_kernel_moment(a, eps, beta, quad)
+        val = disc_kernel_moment(a, eps, beta, radial_nodes, angular_nodes)
         prod = val * (1.0 - a * a) ** eps
         deltas.append(1.0 - a * a)
         values.append(val)
@@ -593,7 +598,7 @@ def verify_calculus1(eps: float, beta: float, levels: int,
     return report
 
 
-def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
+def verify_disc_log(levels: int, *, radial_nodes: int, angular_nodes: int) -> VerificationReport:
     """Check the -log(delta) law of the unweighted kernel mass on the disc.
 
     The integral of |1 - z conj(w)|^-2 grows like pi * (-log delta(z));
@@ -601,20 +606,15 @@ def verify_disc_log(levels: int, quad: QuadratureSpec) -> VerificationReport:
     delta(w)^(-1/2) inserted, the growth switches to the delta^(-1/2)
     power law.  Both fits must land within 10% (``_DISC_LOG_TOLERANCE``).
     """
-    if levels < 4:
-        raise ValueError("levels must be >= 4")
-    report = VerificationReport(
-        experiment="disc_log",
-        parameters={"levels": levels, "tolerance": _DISC_LOG_TOLERANCE},
-    )
-    v0 = disc_kernel_moment(0.0, 0.0, 0.0, quad)
+    report = _disc_ladder_report("disc_log", levels, {"tolerance": _DISC_LOG_TOLERANCE})
+    v0 = disc_kernel_moment(0.0, 0.0, 0.0, radial_nodes, angular_nodes)
     report.samples.append({"abs_z": 0.0, "value": v0, "kind": "plain",
                            "provenance": "quadrature"})
     deltas, plain, weighted = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
-        val = disc_kernel_moment(a, 0.0, 0.0, quad)
-        wval = disc_kernel_moment(a, 0.5, 0.0, quad, weight_form="lin")
+        val = disc_kernel_moment(a, 0.0, 0.0, radial_nodes, angular_nodes)
+        wval = disc_kernel_moment(a, 0.5, 0.0, radial_nodes, angular_nodes, weight_form="lin")
         delta = 1.0 - a
         deltas.append(delta)
         plain.append(val)

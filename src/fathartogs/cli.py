@@ -129,14 +129,6 @@ def write_csv(path: Path, rows: list[dict]) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _quad_from_args(args) -> quadrature.QuadratureSpec:
-    """The spec of the quadrature flags the command takes; defaults elsewhere."""
-    given = vars(args)
-    return quadrature.QuadratureSpec(**{f.name: given[f.name]
-                                        for f in dataclasses.fields(quadrature.QuadratureSpec)
-                                        if f.name in given})
-
-
 def _parse_deltas(text: str) -> list[float]:
     """Accept '1e-2..1e-8' (decade steps) or a comma list."""
     if ".." in text:
@@ -366,7 +358,8 @@ def _run_project(args) -> analysis.VerificationReport:
     x1, x2 = _parse_point(args.z)
     z = geometry.Point2(complex(x1), complex(x2))
     exact = projection.project_monomial(d, m)
-    numeric = projection.project_numeric(d, m, z, _quad_from_args(args))
+    spec = quadrature.QuadratureSpec(args.radial_nodes, args.angular_nodes, args.boundary_offset)
+    numeric = projection.project_numeric(d, m, z, spec)
     if exact is None:
         agreement = abs(numeric)
         exact_val = 0j
@@ -416,9 +409,11 @@ def _dispatch(args) -> tuple[dict, int, dict]:
             sum(s["kind"] == "ladder" for s in rep.samples))
     elif args.command == "calculus1":
         rep = analysis.verify_calculus1(args.eps, args.beta, args.levels,
-                                        _quad_from_args(args))
+                                        radial_nodes=args.radial_nodes,
+                                        angular_nodes=args.angular_nodes)
     elif args.command == "disc-log":
-        rep = analysis.verify_disc_log(args.levels, _quad_from_args(args))
+        rep = analysis.verify_disc_log(args.levels, radial_nodes=args.radial_nodes,
+                                       angular_nodes=args.angular_nodes)
     elif args.command == "divergence":
         d = geometry.DomainSpec(args.k)
         p_default = 2.0 + 2.0 / d.k

@@ -46,7 +46,7 @@ class DivergentIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and boundary offset for integration.
+    """Node counts and boundary offset of the domain-core quadrature.
 
     ``radial_nodes`` is the Gauss order used on each automatically graded
     radial panel (panel counts scale like log(1/boundary_offset));
@@ -206,11 +206,14 @@ def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return th, np.full(n, 2.0 * math.pi / n)
 
 
+_FINEST_PANEL = 1e-13  # where the angle, disc rim and Schur v -> 1 gradings stop refining
+
+
 def _aligned_angle_rule(gap: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rule on [0, pi] graded toward 0, for an integrand peaked at the
     aligned angle 0 with a width of order ``gap``: the finest panel is
-    gap / 16 wide, and never narrower than 1e-13."""
-    return graded_rule(0.0, math.pi, n, toward="lower", floor=max(gap / 16.0, 1e-13))
+    gap / 16 wide, and never narrower than ``_FINEST_PANEL``."""
+    return graded_rule(0.0, math.pi, n, toward="lower", floor=max(gap / 16.0, _FINEST_PANEL))
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +363,7 @@ def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form
     singularity is integrated in u = r^2 with a u^(-beta/2) Jacobi rule;
     the rim uses a (1-r)^(-eps) Jacobi rule on the last sliver.
     """
-    floor = max(min((1.0 - a) / 8.0, 1e-2), 1e-13)
+    floor = max(min((1.0 - a) / 8.0, 1e-2), _FINEST_PANEL)
     r0 = 0.1
     # int_0^r0 r^(1-beta) g(r) dr = (1/2) int_0^(r0^2) u^(-beta/2) g(sqrt u) du
     un, uw = _jacobi_end_rule(0.0, r0 * r0, -beta / 2.0, order, toward="lower")
@@ -371,15 +374,16 @@ def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form
     return r, (w * (1.0 + r) ** (-eps) if weight_form == "sq" else w)
 
 
-def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
-                       *, weight_form: str = "sq") -> float:
+def disc_kernel_moment(a: float, eps: float, beta: float, radial_nodes: int,
+                       angular_nodes: int, *, weight_form: str = "sq") -> float:
     """Numerical value of int_D W(|w|) |w|^(-beta) / |1 - a conj(w)|^2 dV(w).
 
     ``a`` is the modulus of the evaluation point (the integral is
     rotation invariant); W is selected by ``weight_form`` as in
-    :func:`_disc_radial_rule`.  Accepts eps in [0, 1) and beta in [0, 2),
-    and a ``spec`` of at least ``DISC_MIN_RADIAL_NODES`` radial and
-    ``DISC_MIN_ANGULAR_NODES`` angular nodes.
+    :func:`_disc_radial_rule`.  Accepts eps in [0, 1), beta in [0, 2), at
+    least ``DISC_MIN_RADIAL_NODES`` radial nodes (Gauss order per radial
+    panel) and ``DISC_MIN_ANGULAR_NODES`` angular nodes (a quarter of them
+    the Gauss order per graded panel of the angle [0, pi]).
     """
     if not 0.0 <= eps < 1.0:
         raise DivergentIntegralError(f"need 0 <= eps < 1 for disc integrability, got {eps}")
@@ -387,12 +391,12 @@ def disc_kernel_moment(a: float, eps: float, beta: float, spec: QuadratureSpec,
         raise DivergentIntegralError(f"need 0 <= beta < 2 for disc integrability, got {beta}")
     if not 0.0 <= a < 1.0:
         raise ValueError(f"evaluation point must satisfy |z| < 1, got {a}")
-    if spec.radial_nodes < DISC_MIN_RADIAL_NODES or spec.angular_nodes < DISC_MIN_ANGULAR_NODES:
+    if radial_nodes < DISC_MIN_RADIAL_NODES or angular_nodes < DISC_MIN_ANGULAR_NODES:
         raise ValueError(f"disc rules need at least {DISC_MIN_RADIAL_NODES} radial and "
                          f"{DISC_MIN_ANGULAR_NODES} angular nodes, got "
-                         f"{spec.radial_nodes} and {spec.angular_nodes}")
-    r, wr = _disc_radial_rule(eps, beta, a, spec.radial_nodes, weight_form)
-    th, wth = _aligned_angle_rule(1.0 - a, spec.angular_nodes // 4)
+                         f"{radial_nodes} and {angular_nodes}")
+    r, wr = _disc_radial_rule(eps, beta, a, radial_nodes, weight_form)
+    th, wth = _aligned_angle_rule(1.0 - a, angular_nodes // 4)
     # |1 - a r e^(i th)|^2 as (1 - ar)^2 + 4 ar sin^2(th/2): the form
     # 1 - 2 ar cos(th) + (ar)^2 cancels as a -> 1, by 9e-5 relative at
     # a = 1 - 2^-24 and to 0 from a = 1 - 2^-28

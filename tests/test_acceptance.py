@@ -259,8 +259,7 @@ def test_criterion_8_schur_sweep(k, eps, expected):
 
 @pytest.mark.parametrize("eps,beta", [(0.3, 0.0), (0.5, 1.0), (0.9, 1.9)])
 def test_criterion_9_weighted_plateaus(eps, beta):
-    rep = verify_calculus1(eps, beta, levels=14,
-                           quad=QuadratureSpec(radial_nodes=12, angular_nodes=32))
+    rep = verify_calculus1(eps, beta, levels=14, radial_nodes=12, angular_nodes=32)
     prods = [s["product"] for s in rep.samples if s["abs_z"] > 0]
     diffs = [abs(b / a - 1) for a, b in zip(prods[-3:], prods[-2:])]
     check(
@@ -271,8 +270,7 @@ def test_criterion_9_weighted_plateaus(eps, beta):
 
 
 def test_criterion_9_disc_log_law():
-    rep = verify_disc_log(levels=12,
-                          quad=QuadratureSpec(radial_nodes=12, angular_nodes=32))
+    rep = verify_disc_log(levels=12, radial_nodes=12, angular_nodes=32)
     slope_rel = abs(rep.parameters["log_law_slope_over_pi"] - 1.0)
     wexp_rel = abs(rep.fitted_exponent / -0.5 - 1.0)
     check(

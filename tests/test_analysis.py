@@ -47,9 +47,9 @@ from fathartogs.kernel import (
     kernel_abs_polar,
 )
 from fathartogs.projection import MonomialInput
-from fathartogs.quadrature import DivergentIntegralError, QuadratureSpec
+from fathartogs.quadrature import DivergentIntegralError
 
-QUAD = QuadratureSpec(radial_nodes=10, angular_nodes=24)
+NODES = dict(radial_nodes=10, angular_nodes=24)
 
 
 def mono(a1, a2, b1, b2):
@@ -129,7 +129,7 @@ class TestFits:
 
 class TestVerifyCalculus1:
     def test_plateau_mid_parameters(self):
-        rep = verify_calculus1(0.5, 1.0, levels=10, quad=QUAD)
+        rep = verify_calculus1(0.5, 1.0, levels=10, **NODES)
         assert rep.verdict == VERDICT_CONSISTENT
         assert rep.fitted_exponent == pytest.approx(-0.5, abs=0.02)
         z0 = rep.samples[0]
@@ -138,16 +138,16 @@ class TestVerifyCalculus1:
 
     def test_parameter_rejection(self):
         with pytest.raises(DivergentIntegralError):
-            verify_calculus1(1.0, 0.0, 6, QUAD)
+            verify_calculus1(1.0, 0.0, 6, **NODES)
         with pytest.raises(DivergentIntegralError):
-            verify_calculus1(0.5, 2.0, 6, QUAD)
+            verify_calculus1(0.5, 2.0, 6, **NODES)
         with pytest.raises(ValueError):
-            verify_calculus1(0.5, 0.0, 3, QUAD)
+            verify_calculus1(0.5, 0.0, 3, **NODES)
 
 
 class TestVerifyDiscLog:
     def test_log_law(self):
-        rep = verify_disc_log(levels=10, quad=QUAD)
+        rep = verify_disc_log(levels=10, **NODES)
         assert rep.verdict == VERDICT_CONSISTENT
         assert rep.parameters["log_law_slope_over_pi"] == pytest.approx(1.0, abs=0.1)
         assert rep.fitted_exponent == pytest.approx(-0.5, abs=0.05)
@@ -156,11 +156,22 @@ class TestVerifyDiscLog:
     def test_deep_ladder_stays_finite(self):
         # 1 - 2 a r cos(th) + (ar)^2 cancelled on the ladder a = 1 - 2^-j:
         # 9e-5 relative at j = 24, and inf from j = 28 on
-        rep = verify_disc_log(levels=30, quad=QuadratureSpec(12, 32))
+        rep = verify_disc_log(levels=30, radial_nodes=12, angular_nodes=32)
         values = [s[key] for s in rep.samples for key in ("value", "weighted_value") if key in s]
         assert len(values) == 61 and all(math.isfinite(x) for x in values)
         assert rep.verdict == VERDICT_CONSISTENT
         assert rep.parameters["log_law_slope_over_pi"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_the_grading_floor_level_is_recorded_once_reached(self):
+        # the angle rule's finest panel (1 - a)/16 reaches the floor at
+        # a = 1 - 2^-40, the radial rim's (1 - a)/8 one level later
+        floor = quadrature._FINEST_PANEL
+        assert 2.0**-40 / 16 <= floor < 2.0**-39 / 16
+        assert 2.0**-41 / 8 <= floor < 2.0**-40 / 8
+        assert verify_disc_log(53, **NODES).parameters["grading_floor_level"] == 40
+        assert verify_calculus1(0.5, 0.0, 40, **NODES).parameters["grading_floor_level"] == 40
+        assert "grading_floor_level" not in verify_disc_log(39, **NODES).parameters
+        assert "grading_floor_level" not in verify_calculus1(0.5, 0.0, 39, **NODES).parameters
 
 
 class TestDivergenceScan:

@@ -372,6 +372,24 @@ class TestDiscCommands:
         assert body["verdict"] == "consistent"
 
 
+# the README's project config and criterion 9's disc configs: each verdict
+# must be the same with both node counts raised 1.5x
+@pytest.mark.parametrize("argv, nodes", [
+    (["project", "--k", "1", "--f", "0,0:0,1", "--z", "0.1,0.5"], (10, 24)),
+    *((["calculus1", "--eps", eps, "--beta", beta, "--levels", "14"], (12, 32))
+      for eps, beta in (("0.3", "0.0"), ("0.5", "1.0"), ("0.9", "1.9"))),
+    (["disc-log", "--levels", "12"], (12, 32)),
+], ids=["project", "calculus1-0.3-0.0", "calculus1-0.5-1.0", "calculus1-0.9-1.9", "disc-log"])
+def test_verdicts_hold_under_refinement(argv, nodes, tmp_path):
+    verdicts = []
+    for scale in (1.0, 1.5):
+        radial, angular = (str(round(n * scale)) for n in nodes)
+        out = tmp_path / str(scale)
+        assert run([*argv, "--radial-nodes", radial, "--angular-nodes", angular], out) == 0
+        verdicts.append(load_report(out, argv[0])["report"]["verdict"])
+    assert verdicts == ["consistent", "consistent"]
+
+
 class TestSchurCommand:
     def test_expected_violation_exits_zero(self, tmp_path):
         code = run(["schur", "--k", "2", "--eps", "1.1", "--levels", "4"], tmp_path)

@@ -392,53 +392,52 @@ class TestTensorBlockMemory:
 
 class TestDiscIntegral:
     def test_center_values(self):
-        spec = QuadratureSpec(radial_nodes=12, angular_nodes=24)
-        assert disc_kernel_moment(0.0, 0.5, 0.0, spec) == pytest.approx(2 * math.pi, rel=1e-9)
-        assert disc_kernel_moment(0.0, 0.5, 1.0, spec) == pytest.approx(math.pi**2, rel=1e-9)
+        nodes = (12, 24)
+        assert disc_kernel_moment(0.0, 0.5, 0.0, *nodes) == pytest.approx(2 * math.pi, rel=1e-9)
+        assert disc_kernel_moment(0.0, 0.5, 1.0, *nodes) == pytest.approx(math.pi**2, rel=1e-9)
 
     def test_center_value_against_1d_quadrature(self):
         # I(0) = 2 pi int_0^1 r^(1-beta) (1-r^2)^(-eps) dr for any eps, beta
-        spec = QuadratureSpec(radial_nodes=12, angular_nodes=24)
+        nodes = (12, 24)
         for eps, beta in [(0.3, 0.0), (0.7, 1.5)]:
             ref, _ = sp_integrate.quad(
                 lambda r: 2 * math.pi * r ** (1 - beta) * (1 - r * r) ** (-eps), 0, 1
             )
-            assert disc_kernel_moment(0.0, eps, beta, spec) == pytest.approx(ref, rel=1e-8)
+            assert disc_kernel_moment(0.0, eps, beta, *nodes) == pytest.approx(ref, rel=1e-8)
 
     def test_growth_matches_eps_power(self):
-        spec = QuadratureSpec(radial_nodes=12, angular_nodes=32)
+        nodes = (12, 32)
         eps = 0.5
         deltas, vals = [], []
         for j in range(4, 11):
             a = 1.0 - 2.0**-j
             deltas.append(1 - a * a)
-            vals.append(disc_kernel_moment(a, eps, 0.0, spec))
+            vals.append(disc_kernel_moment(a, eps, 0.0, *nodes))
         slope = np.polyfit(np.log(deltas[2:]), np.log(vals[2:]), 1)[0]
         assert abs(-slope - eps) < 0.1 * eps
 
     def test_parameter_rejection(self):
-        spec = QuadratureSpec()
+        nodes = (10, 24)
         with pytest.raises(DivergentIntegralError):
-            disc_kernel_moment(0.0, -0.1, 0.0, spec)
+            disc_kernel_moment(0.0, -0.1, 0.0, *nodes)
         with pytest.raises(DivergentIntegralError):
-            disc_kernel_moment(0.0, 1.0, 0.0, spec)
+            disc_kernel_moment(0.0, 1.0, 0.0, *nodes)
         with pytest.raises(DivergentIntegralError):
-            disc_kernel_moment(0.0, 0.5, 2.0, spec)
+            disc_kernel_moment(0.0, 0.5, 2.0, *nodes)
         with pytest.raises(ValueError):
-            disc_kernel_moment(1.0, 0.5, 0.0, spec)
+            disc_kernel_moment(1.0, 0.5, 0.0, *nodes)
 
     @pytest.mark.parametrize("nodes, least", [((5, 24), "6 radial"), ((6, 23), "24 angular")])
     def test_node_counts_below_the_minimum_are_rejected(self, nodes, least):
-        spec = QuadratureSpec(radial_nodes=nodes[0], angular_nodes=nodes[1])
         with pytest.raises(ValueError, match=least):
-            disc_kernel_moment(0.5, 0.5, 0.0, spec)
+            disc_kernel_moment(0.5, 0.5, 0.0, *nodes)
 
     def test_poisson_identity_weight_free(self):
         # int_D |1 - a conj(w)|^-2 dV = (pi/a^2) log(1/(1-a^2))
-        spec = QuadratureSpec(radial_nodes=12, angular_nodes=32)
+        nodes = (12, 32)
         for a in (0.3, 0.9, 0.99):
             exact = math.pi / a**2 * math.log(1.0 / (1.0 - a * a))
-            assert disc_kernel_moment(a, 0.0, 0.0, spec) == pytest.approx(exact, rel=2e-6)
+            assert disc_kernel_moment(a, 0.0, 0.0, *nodes) == pytest.approx(exact, rel=2e-6)
 
 
 class TestGradedBreaks:
