@@ -487,6 +487,8 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
         expected_violation=not in_stated_range,
     )
 
+    # a ladder point that rounds onto the boundary fails the run before any value
+    ladders = {s: boundary_ladder(d, s, cfg.ladder_levels) for s in ("outer", "inner", "corner")}
     values = [_schur_value(d, _PROBE_POINT, eps, delta, v0=v0) for v0 in _V0_PROBE_LADDER]
     cls, slope = _classify_deltas(values, _V0_PROBE_LADDER)
     report.samples = [
@@ -506,7 +508,6 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     # log(ratio) against log(gap) below -_RATIO_GROWTH_SLOPE.  (On the
     # corner ladder the ratio decays like |z2|^(2 eps - 1), so raw
     # level-to-level differences are the wrong test for boundedness.)
-    ladders = {s: boundary_ladder(d, s, cfg.ladder_levels) for s in ("outer", "inner", "corner")}
     values = iter(_map_on_cores(
         lambda z: _schur_value(d, z, eps, delta,
                                v0=_V0_WORK_FULL if abs(z.z1) > 0 else _V0_WORK_AXIS),
@@ -549,19 +550,15 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
 
 _CALCULUS1_TOLERANCE = 0.02  # relative steps of the last three plateau levels
 _DISC_LOG_TOLERANCE = 0.10  # relative error of both fits, against pi and -1/2
-# the first level j of the ladder |z| = 1 - 2^-j at which a disc rule stops
-# refining: the angle rule's finest panel (1 - |z|)/16 reaches _FINEST_PANEL
-# at j = 40, the radial rim's (1 - |z|)/8 at j = 41
-_GRADING_FLOOR_LEVEL = math.ceil(math.log2(1.0 / (16.0 * _FINEST_PANEL)))
+# the deepest level j of a disc ladder |z| = 1 - 2^-j: past it |z| rounds to 1
+DISC_MAX_LEVELS = 53
 
 
 def _disc_ladder_report(experiment: str, levels: int, params: dict) -> VerificationReport:
-    """The report of a disc ladder of ``levels`` levels before its samples;
-    ``grading_floor_level`` is recorded when the ladder reaches it."""
-    if levels < 4:
-        raise ValueError("levels must be >= 4")
-    floor = {"grading_floor_level": _GRADING_FLOOR_LEVEL} if levels >= _GRADING_FLOOR_LEVEL else {}
-    return VerificationReport(experiment, {**params, "levels": levels, **floor})
+    """The report of a disc ladder of ``levels`` levels before its samples."""
+    if not 4 <= levels <= DISC_MAX_LEVELS:
+        raise ValueError(f"levels must be at least 4 and at most {DISC_MAX_LEVELS}, got {levels}")
+    return VerificationReport(experiment, {**params, "levels": levels})
 
 
 def verify_calculus1(eps: float, beta: float, levels: int, *, radial_nodes: int,
@@ -602,8 +599,8 @@ def verify_disc_log(levels: int, *, radial_nodes: int, angular_nodes: int) -> Ve
     """Check the -log(delta) law of the unweighted kernel mass on the disc.
 
     The integral of |1 - z conj(w)|^-2 grows like pi * (-log delta(z));
-    the slope against -log delta is fitted and, with the weight
-    delta(w)^(-1/2) inserted, the growth switches to the delta^(-1/2)
+    the slope against -log delta is fitted and, with the calculus-1 weight
+    (1 - |w|^2)^(-1/2) inserted, the growth switches to the delta^(-1/2)
     power law.  Both fits must land within 10% (``_DISC_LOG_TOLERANCE``).
     """
     report = _disc_ladder_report("disc_log", levels, {"tolerance": _DISC_LOG_TOLERANCE})
@@ -614,7 +611,7 @@ def verify_disc_log(levels: int, *, radial_nodes: int, angular_nodes: int) -> Ve
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
         val = disc_kernel_moment(a, 0.0, 0.0, radial_nodes, angular_nodes)
-        wval = disc_kernel_moment(a, 0.5, 0.0, radial_nodes, angular_nodes, weight_form="lin")
+        wval = disc_kernel_moment(a, 0.5, 0.0, radial_nodes, angular_nodes)
         delta = 1.0 - a
         deltas.append(delta)
         plain.append(val)

@@ -260,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the disc rules reject smaller counts than these
     disc_counts = (_count(quadrature.DISC_MIN_RADIAL_NODES),
                    _count(quadrature.DISC_MIN_ANGULAR_NODES))
+    # and ladders past the level where 1 - 2^-j rounds to 1
+    disc_levels = _number(int, lambda n: 4 <= n <= analysis.DISC_MAX_LEVELS,
+                          f"be at least 4 and at most {analysis.DISC_MAX_LEVELS}")
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)
@@ -285,12 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_number(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)"))
     p.add_argument("--beta", default=0.0,
                    type=_number(float, lambda x: 0.0 <= x < 2.0, "lie in [0, 2)"))
-    p.add_argument("--levels", type=_count(4), default=12)
+    p.add_argument("--levels", type=disc_levels, default=12)
 
     p = sub.add_parser("disc-log", help="log-law of the disc kernel mass")
     common(p, needs_k=False)
     node_counts(p, *disc_counts)
-    p.add_argument("--levels", type=_count(4), default=12)
+    p.add_argument("--levels", type=disc_levels, default=12)
 
     p = sub.add_parser("divergence", help="L^p divergence scan for 1/z2")
     common(p)

@@ -146,7 +146,10 @@ def boundary_ladder(d: DomainSpec, stratum: str, levels: int) -> list[Point2]:
                  approaching |z2| = |z1|^k;
     ``corner`` : z_j = (0, 2^-j), approaching the singular corner (0, 0).
 
-    Consecutive points halve the relevant gap; j runs 1..levels.
+    Consecutive points halve the relevant gap; j runs 1..levels.  A point
+    that rounds onto the boundary (the outer one from j = 54, the inner one
+    from j = 52 to 56 for k = 1 to 4) raises ``ValueError`` naming the
+    stratum and its level.
     """
     if levels < 2:
         raise ValueError("levels must be >= 2")
@@ -161,4 +164,7 @@ def boundary_ladder(d: DomainSpec, stratum: str, levels: int) -> list[Point2]:
         else:
             c = 0.5 ** d.k
             pts.append(Point2(complex(0.5), complex(c + (1.0 - c) * 2.0 ** -(j + 1))))
+        if not contains(d, pts[-1]):
+            raise ValueError(f"the {stratum} ladder point of level {j} rounds to the "
+                             f"boundary (k = {d.k:g}); use fewer levels")
     return pts

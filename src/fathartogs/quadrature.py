@@ -13,7 +13,7 @@ Two integration paths back every verification experiment:
 A separate engine integrates kernel-weighted densities over the unit
 disc, with Gauss-Jacobi end rules absorbing the r^(-beta) singularity at
 the origin (in the variable u = r^2) and the (1-r^2)^(-eps) blow-up at
-the rim.
+the rim (in the rim distance s = 1 - r).
 """
 
 from __future__ import annotations
@@ -183,16 +183,19 @@ def graded_rule(a: float, b: float, n: int, *, toward: str, floor: float,
     """Composite Gauss rule on [a, b] over panels graded toward one end.
 
     Without ``edge`` this is ``panel_rule(graded_breaks(a, b, ...), n)``.
-    With ``edge=expo`` the graded panels stop at ``b - floor`` and a
-    Gauss-Jacobi sliver [b - floor, b] closes the rule; the weight
-    (b-x)^expo is folded into every returned weight, so the caller
-    multiplies only the smooth remainder of its density.
+    With ``edge=expo`` a Gauss-Jacobi sliver of width ``floor`` at the
+    refined end closes the rule, and the graded panels cover the rest; the
+    weight (b-x)^expo (``toward="upper"``) or (x-a)^expo (``"lower"``) is
+    folded into every returned weight, so the caller multiplies only the
+    smooth remainder of its density.
     """
     if edge is None:
         return panel_rule(graded_breaks(a, b, toward=toward, floor=floor, ratio=ratio), n)
-    top = b - floor
-    x, w = panel_rule(graded_breaks(a, top, toward=toward, floor=floor, ratio=ratio), n)
-    return _join((x, w * (b - x) ** edge), _jacobi_end_rule(top, b, edge, n, toward="upper"))
+    lo, hi = (a + floor, b) if toward == "lower" else (a, b - floor)
+    x, w = panel_rule(graded_breaks(lo, hi, toward=toward, floor=floor, ratio=ratio), n)
+    if toward == "lower":
+        return _join(_jacobi_end_rule(a, lo, edge, n, toward=toward), (x, w * (x - a) ** edge))
+    return _join((x, w * (b - x) ** edge), _jacobi_end_rule(hi, b, edge, n, toward=toward))
 
 
 def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +209,7 @@ def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return th, np.full(n, 2.0 * math.pi / n)
 
 
-_FINEST_PANEL = 1e-13  # where the angle, disc rim and Schur v -> 1 gradings stop refining
+_FINEST_PANEL = 1e-13  # where the Schur psi and v -> 1 gradings stop refining
 
 
 def _aligned_angle_rule(gap: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,35 +358,34 @@ DISC_MIN_RADIAL_NODES = 6
 DISC_MIN_ANGULAR_NODES = 24
 
 
-def _disc_radial_rule(eps: float, beta: float, a: float, order: int, weight_form: str):
-    """Radial nodes/weights on (0, 1) with the full radial density folded in.
-
-    The density is r^(1-beta) W(r) where W is (1-r^2)^(-eps) for
-    ``weight_form='sq'`` or (1-r)^(-eps) for ``'lin'``.  The r -> 0
-    singularity is integrated in u = r^2 with a u^(-beta/2) Jacobi rule;
-    the rim uses a (1-r)^(-eps) Jacobi rule on the last sliver.
+def _disc_radial_rule(eps: float, beta: float, rim: float, order: int):
+    """Radial nodes r, rim distances s = 1 - r and weights on (0, 1), with
+    the density r^(1-beta) (1-r^2)^(-eps) folded in.  The r -> 0
+    singularity is integrated in u = r^2 with a u^(-beta/2) Jacobi rule,
+    the rest in s, graded toward s = 0 down to ``rim`` / 8 with an
+    s^(-eps) Jacobi sliver: a node near the rim keeps its distance to it.
     """
-    floor = max(min((1.0 - a) / 8.0, 1e-2), _FINEST_PANEL)
     r0 = 0.1
     # int_0^r0 r^(1-beta) g(r) dr = (1/2) int_0^(r0^2) u^(-beta/2) g(sqrt u) du
     un, uw = _jacobi_end_rule(0.0, r0 * r0, -beta / 2.0, order, toward="lower")
     rn = np.sqrt(un)
-    rm, wm = graded_rule(r0, 1.0, order, toward="upper", floor=floor, edge=-eps)
-    r, w = _join((rn, 0.5 * uw * (1.0 - rn) ** (-eps)), (rm, wm * rm ** (1.0 - beta)))
-    # W(r) / (1-r)^(-eps), smooth up to the rim
-    return r, (w * (1.0 + r) ** (-eps) if weight_form == "sq" else w)
+    sm, wm = graded_rule(0.0, 1.0 - r0, order, toward="lower", floor=min(rim / 8.0, 1e-2),
+                         edge=-eps)
+    r, s = np.concatenate((rn, 1.0 - sm)), np.concatenate((1.0 - rn, sm))
+    w = np.concatenate((0.5 * uw * (1.0 - rn) ** (-eps), wm * (1.0 - sm) ** (1.0 - beta)))
+    # (1-r^2)^(-eps) / s^(-eps), smooth up to the rim
+    return r, s, w * (2.0 - s) ** (-eps)
 
 
 def disc_kernel_moment(a: float, eps: float, beta: float, radial_nodes: int,
-                       angular_nodes: int, *, weight_form: str = "sq") -> float:
-    """Numerical value of int_D W(|w|) |w|^(-beta) / |1 - a conj(w)|^2 dV(w).
+                       angular_nodes: int) -> float:
+    """Numerical value of int_D (1-|w|^2)^(-eps) |w|^(-beta) / |1 - a conj(w)|^2 dV(w).
 
     ``a`` is the modulus of the evaluation point (the integral is
-    rotation invariant); W is selected by ``weight_form`` as in
-    :func:`_disc_radial_rule`.  Accepts eps in [0, 1), beta in [0, 2), at
-    least ``DISC_MIN_RADIAL_NODES`` radial nodes (Gauss order per radial
-    panel) and ``DISC_MIN_ANGULAR_NODES`` angular nodes (a quarter of them
-    the Gauss order per graded panel of the angle [0, pi]).
+    rotation invariant).  Accepts eps in [0, 1), beta in [0, 2), at least
+    ``DISC_MIN_RADIAL_NODES`` radial nodes (Gauss order per radial panel)
+    and ``DISC_MIN_ANGULAR_NODES`` angular nodes (a quarter of them the
+    Gauss order per graded panel of the angle [0, pi]).
     """
     if not 0.0 <= eps < 1.0:
         raise DivergentIntegralError(f"need 0 <= eps < 1 for disc integrability, got {eps}")
@@ -395,12 +397,11 @@ def disc_kernel_moment(a: float, eps: float, beta: float, radial_nodes: int,
         raise ValueError(f"disc rules need at least {DISC_MIN_RADIAL_NODES} radial and "
                          f"{DISC_MIN_ANGULAR_NODES} angular nodes, got "
                          f"{radial_nodes} and {angular_nodes}")
-    r, wr = _disc_radial_rule(eps, beta, a, radial_nodes, weight_form)
-    th, wth = _aligned_angle_rule(1.0 - a, angular_nodes // 4)
-    # |1 - a r e^(i th)|^2 as (1 - ar)^2 + 4 ar sin^2(th/2): the form
-    # 1 - 2 ar cos(th) + (ar)^2 cancels as a -> 1, by 9e-5 relative at
-    # a = 1 - 2^-24 and to 0 from a = 1 - 2^-28
-    ar = a * r[:, None]
-    poisson = 1.0 / ((1.0 - ar) ** 2 + 4.0 * ar * np.sin(th / 2.0) ** 2)
+    rim = 1.0 - a  # exact for a >= 1/2
+    r, s, wr = _disc_radial_rule(eps, beta, rim, radial_nodes)
+    # the integrand peaks at the angle 0 with a width of order rim
+    th, wth = graded_rule(0.0, math.pi, angular_nodes // 4, toward="lower", floor=rim / 16.0)
+    # |1 - a r e^(i th)|^2 as (1 - ar)^2 + 4 ar sin^2(th/2) with 1 - ar =
+    # rim + a s: the form 1 - 2 ar cos(th) + (ar)^2 cancels as a -> 1
+    poisson = 1.0 / ((rim + a * s[:, None]) ** 2 + 4.0 * a * r[:, None] * np.sin(th / 2.0) ** 2)
     return float(2.0 * wr @ poisson @ wth)
-

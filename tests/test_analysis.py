@@ -143,6 +143,16 @@ class TestVerifyCalculus1:
             verify_calculus1(0.5, 2.0, 6, **NODES)
         with pytest.raises(ValueError):
             verify_calculus1(0.5, 0.0, 3, **NODES)
+        # 1 - 2^-54 rounds to 1
+        with pytest.raises(ValueError, match="at most 53"):
+            verify_calculus1(0.5, 0.0, 54, **NODES)
+
+    # criterion 9's three (eps, beta) pairs, on a ladder to the last level
+    # that double precision separates from the rim
+    @pytest.mark.parametrize("eps, beta", [(0.3, 0.0), (0.5, 1.0), (0.9, 1.9)])
+    def test_the_plateau_holds_at_53_levels(self, eps, beta):
+        rep = verify_calculus1(eps, beta, 53, radial_nodes=12, angular_nodes=32)
+        assert rep.verdict == VERDICT_CONSISTENT
 
 
 class TestVerifyDiscLog:
@@ -162,16 +172,13 @@ class TestVerifyDiscLog:
         assert rep.verdict == VERDICT_CONSISTENT
         assert rep.parameters["log_law_slope_over_pi"] == pytest.approx(1.0, abs=1e-3)
 
-    def test_the_grading_floor_level_is_recorded_once_reached(self):
-        # the angle rule's finest panel (1 - a)/16 reaches the floor at
-        # a = 1 - 2^-40, the radial rim's (1 - a)/8 one level later
-        floor = quadrature._FINEST_PANEL
-        assert 2.0**-40 / 16 <= floor < 2.0**-39 / 16
-        assert 2.0**-41 / 8 <= floor < 2.0**-40 / 8
-        assert verify_disc_log(53, **NODES).parameters["grading_floor_level"] == 40
-        assert verify_calculus1(0.5, 0.0, 40, **NODES).parameters["grading_floor_level"] == 40
-        assert "grading_floor_level" not in verify_disc_log(39, **NODES).parameters
-        assert "grading_floor_level" not in verify_calculus1(0.5, 0.0, 39, **NODES).parameters
+    def test_both_laws_hold_at_53_levels(self):
+        # the rim distance 2^-53 of the last level is a node distance, not
+        # rounded to r = 1, so the fits hold to the last level
+        rep = verify_disc_log(53, radial_nodes=12, angular_nodes=32)
+        assert rep.verdict == VERDICT_CONSISTENT
+        assert rep.parameters["log_law_slope_over_pi"] == pytest.approx(1.0, abs=1e-6)
+        assert rep.fitted_exponent == pytest.approx(-0.5, abs=1e-6)
 
 
 class TestDivergenceScan:

@@ -14,9 +14,14 @@ def run(args, tmp_path):
     return cli.main([*args, "--output-dir", str(tmp_path)])
 
 
+def _reject_non_finite(token):
+    raise ValueError(f"non-finite token {token} in the report")
+
+
 def load_report(tmp_path, command):
+    """The report read as strict JSON: a NaN or Infinity token fails."""
     with open(tmp_path / f"{command}_report.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_non_finite)
 
 
 class TestRangeCommand:
@@ -247,6 +252,11 @@ class TestExitCodes:
          "argument --boundary-offset: must lie in (0, 0.25), got 0.25"),
         (["project", "--k", "1", "--boundary-offset", "0.3"],
          "argument --boundary-offset: must lie in (0, 0.25), got 0.3"),
+        # 1 - 2^-54 rounds to 1, and the disc ladder exited 2
+        (["calculus1", "--eps", "0.5", "--levels", "54"],
+         "argument --levels: must be at least 4 and at most 53, got 54"),
+        (["disc-log", "--levels", "54"],
+         "argument --levels: must be at least 4 and at most 53, got 54"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):
@@ -363,13 +373,7 @@ class TestDiscCommands:
     def test_deep_disc_log_report_is_strict_json(self, tmp_path):
         # a deep ladder wrote NaN and Infinity tokens and exited 3
         assert run(["disc-log", "--levels", "30"], tmp_path) == 0
-        text = (tmp_path / "disc-log_report.json").read_text()
-
-        def reject(token):
-            raise ValueError(f"non-finite token {token} in the report")
-
-        body = json.loads(text, parse_constant=reject)["report"]
-        assert body["verdict"] == "consistent"
+        assert load_report(tmp_path, "disc-log")["report"]["verdict"] == "consistent"
 
 
 # the README's project config and criterion 9's disc configs: each verdict
@@ -411,6 +415,15 @@ class TestSchurCommand:
             assert run(["schur", "--k", "2", "--eps", "1.1", "--levels", "3"], out) == 0
             assert load_report(out, "schur")["metadata"]["workers"] == 1
         assert bodies[0] == bodies[1]
+
+    def test_a_ladder_past_double_precision_fails_before_any_value(self, tmp_path):
+        # at level 54 the outer point 1 - 2^-54 rounds to 1: h was 0 there,
+        # the ratio slopes NaN, and the run exited 0 as consistent
+        assert run(["schur", "--k", "2", "--eps", "0.75", "--levels", "60"], tmp_path) == 2
+        body = load_report(tmp_path, "schur")["report"]
+        assert set(body) == {"command", "error"}
+        assert body["error"]["type"] == "ValueError"
+        assert "outer ladder point of level 54" in body["error"]["message"]
 
     def test_unexpected_violation_exits_two(self, tmp_path, monkeypatch):
         # the CLI cannot state a window of its own, so the verifier is

@@ -242,6 +242,19 @@ class TestBoundaryLadder:
             for stratum in ("outer", "inner", "corner"):
                 assert all(contains(d, p) for p in boundary_ladder(d, stratum, 10))
 
+    # the first level whose point rounds onto the boundary: 1 - 2^-j is 1
+    # from j = 54, and c + (1-c) 2^-(j+1) is c = 2^-k from j = 52 to 56
+    @pytest.mark.parametrize("k, stratum, first", [
+        *((k, "outer", 54) for k in (1, 2, 3, 4)),
+        (1, "inner", 52), (2, "inner", 54), (3, "inner", 55), (4, "inner", 56),
+    ])
+    def test_a_point_rounded_onto_the_boundary_is_refused(self, k, stratum, first):
+        d = DomainSpec(k)
+        pts = boundary_ladder(d, stratum, first - 1)
+        assert all(contains(d, p) and aux_h(d, p) > 0.0 for p in pts)
+        with pytest.raises(ValueError, match=f"{stratum} ladder point of level {first} "):
+            boundary_ladder(d, stratum, first + 6)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             boundary_ladder(DomainSpec(1), "outer", 1)

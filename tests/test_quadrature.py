@@ -435,9 +435,20 @@ class TestDiscIntegral:
     def test_poisson_identity_weight_free(self):
         # int_D |1 - a conj(w)|^-2 dV = (pi/a^2) log(1/(1-a^2))
         nodes = (12, 32)
-        for a in (0.3, 0.9, 0.99):
-            exact = math.pi / a**2 * math.log(1.0 / (1.0 - a * a))
+        for a in (0.3, 0.9, 0.99, 1.0 - 2.0**-45, 1.0 - 2.0**-53):
+            exact = math.pi / a**2 * math.log(1.0 / ((1.0 - a) * (1.0 + a)))
             assert disc_kernel_moment(a, 0.0, 0.0, *nodes) == pytest.approx(exact, rel=2e-6)
+
+    # a = 1 - 2^-j; the rim distance of a node is kept, not rounded off
+    # against r = 1, so the closed forms hold up to the last double below 1
+    @pytest.mark.parametrize("j", [20, 45, 53])
+    def test_deep_values_meet_the_closed_forms(self, j):
+        a = 1.0 - 2.0**-j
+        gap = (1.0 - a) * (1.0 + a)  # 1 - a^2 without cancellation
+        log_law = math.pi / a**2 * math.log(1.0 / gap)
+        arcsin_law = 2.0 * math.pi * math.asin(a) / (a * math.sqrt(gap))
+        assert disc_kernel_moment(a, 0.0, 0.0, 12, 32) == pytest.approx(log_law, rel=1e-7)
+        assert disc_kernel_moment(a, 0.5, 0.0, 12, 32) == pytest.approx(arcsin_law, rel=1e-7)
 
 
 class TestGradedBreaks:
@@ -462,6 +473,15 @@ class TestGradedRule:
         x, w = graded_rule(0.0, 1.0, 16, toward="upper", floor=1e-3, edge=-delta)
         assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
         assert np.sum(w) == pytest.approx(1.0 / (1.0 - delta), rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.9, 0.99])
+    def test_the_sliver_lies_at_the_refined_end(self, delta):
+        # toward="lower" is the mirror image of toward="upper"
+        x, w = graded_rule(0.0, 1.0, 16, toward="lower", floor=1e-3, edge=-delta)
+        xu, wu = graded_rule(0.0, 1.0, 16, toward="upper", floor=1e-3, edge=-delta)
+        assert np.allclose(x, 1.0 - xu[::-1], rtol=0.0, atol=1e-15)
+        assert np.allclose(w, wu[::-1], rtol=1e-12, atol=0.0)
+        assert 0.0 < x[0] < 1e-3 and np.sum(w) == pytest.approx(1.0 / (1.0 - delta), rel=1e-12)
 
     @pytest.mark.parametrize("toward", ["lower", "upper"])
     def test_without_edge_is_the_panel_rule(self, toward):
