@@ -226,11 +226,18 @@ def _saturates(values: Sequence[float], tol: float) -> bool:
 # side by side; each holds its own block buffer and theta1-side chunk,
 # which is why a chunk takes half the block budget.
 #
-# Offsets: the v -> 0 end carries the experiment's offset ladder (that
-# edge decides the Schur exponent window).  The u -> 1 and v -> 1 edges
-# are integrable uniformly over delta < 1 and are integrated to the
-# boundary with Gauss-Jacobi end rules; the edge exponent rule keeps
-# delta below 1 for every corner exponent.
+# Offsets: only the probe ladder cuts the v axis, at its offsets v0: the
+# v -> 0 edge decides the Schur exponent window, and past the window the
+# probe's growth in v0 witnesses the divergence there.  The boundary-ladder
+# values are integrated to the corner v = 0 (v0=None).  In x = v^(1/k)
+# their integrand is x^(k+1-2k eps) times the modulus of a function
+# analytic in x, integrable exactly for eps < b = (k+2)/(2k), and a
+# Gauss-Jacobi sliver at x = 0 carries that power; a cut at v0 would drop
+# about v0^(2(b - eps)) of the value.  The u -> 1 and v -> 1 edges are
+# integrable uniformly over delta < 1 and are integrated to the boundary
+# with Gauss-Jacobi end rules; the edge exponent rule keeps delta below 1
+# for every corner exponent.  The u, psi and v -> 1 gradings stop at
+# _FINEST_PANEL.
 
 _U_ORDER = 10
 _PSI_ORDER = 8
@@ -260,24 +267,46 @@ def _u_factor(k: int, delta: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)) / (2 * k)
 
 
-def _v_axis(k: float, eps: float, delta: float, y: float, v0: float):
-    """Radial nodes/weights on (v0, 1) with v^(1+2/k-2eps) (1-v^2)^(-delta)
-    folded in (Jacobi rim rule)."""
+def _v_axis(k: int, eps: float, delta: float, y: float, v0: Optional[float]):
+    """Radial nodes/weights on (v0, 1), or on (0, 1) for ``v0=None``, with
+    v^(1+2/k-2eps) (1-v^2)^(-delta) folded in (Jacobi rim rule).
+
+    Without a cut the lower part (0, 0.5) is integrated in x = v^(1/k),
+    where the integrand is x^alpha, alpha = k + 1 - 2k eps, times a smooth
+    function: a Jacobi sliver at x = 0, then panels graded toward it down
+    to (min(|z2|, 0.5)/8)^(1/k), which resolve the corner ladder's peak
+    at v ~ |z2|."""
     if delta >= 1.0:
         raise DivergentIntegralError(
             "outer-boundary edge integral diverges: need edge exponent "
             f"delta < 1 for (1-v^2)^(-delta) to be integrable, got delta = {delta}"
         )
     power = 1.0 + 2.0 / k - 2.0 * eps
-    vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
     f_v = max(min((1.0 - y) / 8.0, 1e-3), _FINEST_PANEL)
     vhi, whi = graded_rule(0.5, 1.0, _U_ORDER, toward="upper", floor=f_v, edge=-delta)
-    v, w = _join((vlo, wlo * (1.0 - vlo) ** (-delta)), (vhi, whi))
-    return v, w * v**power * (1.0 + v) ** (-delta)
+    if v0 is not None:
+        vlo, wlo = graded_rule(v0, 0.5, _U_ORDER, toward="lower", floor=3.0 * v0)
+        v, w = _join((vlo, wlo * (1.0 - vlo) ** (-delta)), (vhi, whi))
+        return v, w * v**power * (1.0 + v) ** (-delta)
+    alpha = k + 1.0 - 2.0 * k * eps
+    if alpha <= -1.0:
+        raise DivergentIntegralError(
+            "singular-corner integral diverges: need corner exponent "
+            f"eps < b = (k+2)/(2k) = {(k + 2) / (2 * k)} for |w2|^(2/k - 2 eps) "
+            f"to be integrable, got eps = {eps}"
+        )
+    x, wx = graded_rule(0.0, 0.5 ** (1.0 / k), _U_ORDER, toward="lower",
+                        floor=(min(y, 0.5) / 8.0) ** (1.0 / k), edge=alpha)
+    vlo = x**k
+    return _join((vlo, wx * k * vlo * (1.0 - vlo * vlo) ** (-delta)),
+                 (vhi, whi * vhi**power * (1.0 + vhi) ** (-delta)))
 
 
-def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) -> float:
-    """I(z) as one tensor sum over (v, psi, u, theta1), in blocks along v,
+def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float,
+                 v0: Optional[float]) -> float:
+    """I(z) as one tensor sum over (v, psi, u, theta1), with the v axis cut
+    at ``v0`` or, for ``v0=None``, integrated to the corner v = 0
+    (:func:`_v_axis`).  The sum runs in blocks along v,
     each block one :func:`kernel_abs_polar` call written into one buffer,
     which ``tensor_sum`` sums before the next block.  The |w1|-side factor
     and the constants of the (psi, theta1) grid are formed once here, and
@@ -289,12 +318,12 @@ def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float, v0: float) 
     k = d.k_int()
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
-        scale = max(1.0 - y, 1e-6)
+        scale = 1.0 - y
         u_axis = (np.zeros(1), np.array([_u_factor(k, delta)]))
         theta1_axis = (np.zeros(1), np.array([2.0 * math.pi]))
     else:
         scale = 1.0 - x**k / y
-        u_axis = _u_rule(k, delta, floor=max(scale / 16.0, 1e-9))
+        u_axis = _u_rule(k, delta, floor=max(scale / 16.0, _FINEST_PANEL))
         theta1_axis = angle_rule(_N_THETA1)
     # psi on [0, pi], weights doubled for the even symmetry of the
     # theta1-averaged integrand
@@ -441,8 +470,6 @@ def _map_on_cores(fn: Callable, items: Sequence) -> list:
 
 _PROBE_POINT = Point2(0j, 0.6 + 0j)
 _V0_PROBE_LADDER = tuple(10.0 ** -np.arange(2, 13))
-_V0_WORK_AXIS = 1e-16
-_V0_WORK_FULL = 1e-8
 
 
 def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
@@ -509,8 +536,7 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     # corner ladder the ratio decays like |z2|^(2 eps - 1), so raw
     # level-to-level differences are the wrong test for boundedness.)
     values = iter(_map_on_cores(
-        lambda z: _schur_value(d, z, eps, delta,
-                               v0=_V0_WORK_FULL if abs(z.z1) > 0 else _V0_WORK_AXIS),
+        lambda z: _schur_value(d, z, eps, delta, v0=None),
         [z for pts in ladders.values() for z in pts]))
     worst = 0.0
     slopes: dict[str, float] = {}

@@ -209,7 +209,7 @@ def angle_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return th, np.full(n, 2.0 * math.pi / n)
 
 
-_FINEST_PANEL = 1e-13  # where the Schur psi and v -> 1 gradings stop refining
+_FINEST_PANEL = 1e-13  # where the Schur psi, inner u and v -> 1 gradings stop refining
 
 
 def _aligned_angle_rule(gap: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from scipy import integrate as sp_integrate
 from scipy import special as sp_special
 
 from fathartogs import analysis, quadrature
-from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
+from fathartogs.geometry import DomainSpec, Point2, aux_h, boundary_ladder
 from fathartogs.analysis import (
     RangeReport,
     SchurConfig,
@@ -22,8 +22,6 @@ from fathartogs.analysis import (
     _EDGE_RESCALE_LEVEL,
     _PROBE_POINT,
     _V0_PROBE_LADDER,
-    _V0_WORK_AXIS,
-    _V0_WORK_FULL,
     _edge_exponent,
     _schur_value,
     _u_factor,
@@ -311,6 +309,14 @@ class TestVerifySchur:
         assert rep.parameters["edge_exponent"] < _EDGE_RESCALE_LEVEL
         assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
 
+    # in-window exponents 0.01 below the window top.  With the v axis cut
+    # at 1e-16 on the axis ladders, both read "violated" with outer slopes
+    # -0.0617 (k = 1) and -0.0702 (k = 2)
+    @pytest.mark.parametrize("k,eps", [(1, 1.49), (2, 0.99)])
+    def test_in_window_exponent_near_the_window_top_is_consistent(self, k, eps):
+        rep = verify_schur(DomainSpec(k), SchurConfig(eps=eps, ladder_levels=6))
+        assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_window_top_diverges_at_corner(self, k):
         # eps = (k+2)/(2k) exactly is the first exponent past the window;
@@ -345,45 +351,45 @@ class TestVerifySchur:
             assert _u_factor(k, delta) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     # _schur_value at eps = 0.75 (edge exponent 0.75), printed with repr().
-    # "inner": the 8 points of boundary_ladder(d, "inner", 8) at
-    # v0 = _V0_WORK_FULL, recorded with the kernel modulus in its Horner
-    # form (the numerator p t^2 + q t + s^k p over the denominator on the
-    # full grid).  "outer" and "corner": the 8 points of those ladders
-    # (z1 = 0) at v0 = _V0_WORK_AXIS, recorded when the axis case summed
-    # its (v, psi) grid as a matrix product outside tensor_sum.  "probe":
-    # _PROBE_POINT at the last probe offset, _V0_PROBE_LADDER[-1].  k = 3
-    # was recorded later, with the per-term sum of the separable form on
-    # the (u, v, theta1, psi) grid, before that sum became a matrix product
+    # "inner", "outer" and "corner": the 8 points of boundary_ladder(d, s, 8)
+    # with the v axis integrated to the corner (v0=None), recorded when
+    # the corner rule replaced the cuts at 1e-8 (inner) and 1e-16 (outer,
+    # corner); against the offset rule at v0 = 1e-80 the values at levels
+    # 4 and 8 moved from -4.4e-5 to -2.7e-9 and -3.2e-10 (k = 2, inner)
+    # and from -3.2e-2 to 7.5e-10 (k = 3, inner).  "probe": _PROBE_POINT
+    # at the last probe offset, _V0_PROBE_LADDER[-1], recorded with the
+    # per-term sum of the separable form, before that sum became a matrix
+    # product
     SCHUR_GOLDEN = {
-        2: {"inner": [55.492557805950554, 91.64573385147487, 156.33341789159346,
-                      267.2707726139817, 454.85491950240066, 770.6572906043441,
-                      1301.7421291167761, 2194.7322025681406],
-            "outer": [26.176327783187542, 28.121509461139492, 39.69793869894828,
-                      61.350799787318564, 98.67825967383615, 161.92992778378482,
-                      268.59038901829456, 448.159867145514],
-            "corner": [26.176327783187542, 41.753978344519005, 79.1663348664493,
-                       156.2532198738152, 311.47744871122654, 622.4417233791925,
-                       1244.627024296621, 2489.125857912893],
+        2: {"inner": [55.49454498725259, 91.64940333629508, 156.34005037378031,
+                      267.282460588307, 454.875136467277, 770.6918481130485,
+                      1301.8007800573234, 2194.831344656929],
+            "outer": [26.176327888454963, 28.121509531317777, 39.69793875910111,
+                      61.35079984346121, 98.6782597281678, 161.92992783725413,
+                      268.5903890713429, 448.15986719835456],
+            "corner": [26.176327888454963, 41.7539785550537, 79.16633528751822,
+                       156.25322071595127, 311.47745039549466, 622.4417267477197,
+                       1244.6270310336586, 2489.125871386942],
             "probe": 25.29282509915923},
-        1: {"inner": [92.54047234427487, 143.6688231612732, 234.712685725488,
-                      390.911233844731, 655.9026842821994, 1103.4165987232398,
-                      1857.5813539895437, 3127.221848620805],
-            "outer": [44.10206337305138, 44.048391758134755, 60.29528296642799,
-                      92.34476495454697, 148.50213227835152, 244.33261562139015,
-                      406.48162278617673, 679.9373619630294],
-            "corner": [44.10206337305138, 74.6116073233669, 143.8614446702415,
-                       285.18040611355354, 569.105892554006, 1137.5863367295624,
-                       2274.8601998157737, 4549.564194100507],
+        1: {"inner": [92.54047234428619, 143.6688231612925, 234.71268572552057,
+                      390.9112338447861, 655.9026842822915, 1103.4165987233955,
+                      1857.5813539898115, 3127.2218486212682],
+            "outer": [44.10206337304702, 44.04839175813186, 60.295282966425496,
+                      92.34476495454464, 148.50213227834928, 244.33261562138796,
+                      406.4816227861743, 679.937361963027],
+            "corner": [44.10206337304702, 74.61160732335874, 143.86144467022837,
+                       285.1804061135352, 569.1058925539829, 1137.586336729535,
+                       2274.8601998157437, 4549.564194100472],
             "probe": 41.394117968562995},
-        3: {"inner": [56.50578535862159, 101.47690128375768, 186.55962604945393,
-                      336.55101452355143, 591.5405563510677, 1019.6664278025494,
-                      1737.0766194930993, 2940.318918749989],
-            "outer": [28.354835499982187, 28.27363670991795, 37.23769932034406,
-                      54.64342185942448, 84.81680346868144, 135.96850800519562,
-                      222.1928412252314, 367.3052707957328],
-            "corner": [28.354835499982187, 46.70736091624911, 89.13174931839411,
-                       176.18460374978824, 351.33688193703523, 702.1584700851072,
-                       1404.0594012406366, 2807.990046491535],
+        3: {"inner": [58.02201910069688, 104.47555530893167, 192.3896987915231,
+                      347.38236525775125, 610.8626518132063, 1053.2232487349213,
+                      1794.4635864202735, 3037.652346260232],
+            "outer": [28.391337869046502, 28.297971622627216, 37.258557816884334,
+                      54.662889788348274, 84.8356433984069, 135.98704889894285,
+                      222.21123614798478, 367.3235935991459],
+            "corner": [28.391337869046502, 46.78036565437621, 89.27775879463745,
+                       176.4766227022219, 351.9209198417123, 703.3265458939031,
+                       1406.3955528567828, 2812.6623497203154],
             "probe": 26.67513221148791},
     }
 
@@ -392,9 +398,8 @@ class TestVerifySchur:
         d, eps = DomainSpec(k), 0.75
         delta = _edge_exponent(k, eps)
         golden = self.SCHUR_GOLDEN[k]
-        for stratum, v0 in (("inner", _V0_WORK_FULL), ("outer", _V0_WORK_AXIS),
-                            ("corner", _V0_WORK_AXIS)):
-            got = [_schur_value(d, z, eps, delta, v0)
+        for stratum in ("inner", "outer", "corner"):
+            got = [_schur_value(d, z, eps, delta, None)
                    for z in boundary_ladder(d, stratum, 8)]
             assert got == pytest.approx(golden[stratum], rel=1e-12, abs=0.0), stratum
         got_probe = _schur_value(d, _PROBE_POINT, eps, delta, _V0_PROBE_LADDER[-1])
@@ -453,13 +458,74 @@ class TestVerifySchur:
         delta = _edge_exponent(1, eps)
         for z in boundary_ladder(d, "inner", 8):
             x, y = abs(z.z1), abs(z.z2)
-            u, wu = _u_rule(1, delta, floor=max((1.0 - x / y) / 16.0, 1e-9))
-            v, wv = _v_axis(1, eps, delta, y, _V0_WORK_FULL)
+            u, wu = _u_rule(1, delta, floor=max((1.0 - x / y) / 16.0, quadrature._FINEST_PANEL))
+            v, wv = _v_axis(1, eps, delta, y, None)
             tau, a = y * v[:, None], x * u * v[:, None]
             angular = 4.0 * tau / (np.abs(tau**2 - a**2) * (1.0 - tau**2))
             exact = float(wv @ angular @ wu)
-            got = _schur_value(d, z, eps, delta, _V0_WORK_FULL)
+            got = _schur_value(d, z, eps, delta, None)
             assert got == pytest.approx(exact, rel=1e-7, abs=0.0)
+
+    # the corner rule against one with 20 nodes per panel, ratio 2 and a
+    # quarter of the floor on (0, 0.5^(1/k)); the two agree to 1.7e-8 at
+    # worst (inner, k = 3 and 2), and the cut at 1e-8 left inner values
+    # 6.6% low at k = 2, eps 0.95
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("below_top", [0.05, 0.01])
+    def test_corner_rule_matches_a_refined_rule(self, monkeypatch, k, below_top):
+        d = DomainSpec(k)
+        eps = (k + 2) / (2 * k) - below_top
+        delta = _edge_exponent(k, eps)
+        alpha = k + 1.0 - 2.0 * k * eps
+
+        def refined_v_axis(k, eps, delta, y, v0):
+            v, w = _v_axis(k, eps, delta, y, v0)
+            upper = v > 0.5
+            x, wx = quadrature.graded_rule(
+                0.0, 0.5 ** (1.0 / k), 20, toward="lower", ratio=2.0,
+                floor=(min(y, 0.5) / 8.0) ** (1.0 / k) / 4.0, edge=alpha)
+            lower = x**k
+            return (np.concatenate((lower, v[upper])),
+                    np.concatenate((wx * k * lower * (1.0 - lower**2) ** (-delta), w[upper])))
+
+        for stratum in ("inner", "outer", "corner"):
+            for z in boundary_ladder(d, stratum, 8)[1::6]:
+                got = _schur_value(d, z, eps, delta, None)
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "_v_axis", refined_v_axis)
+                    want = _schur_value(d, z, eps, delta, None)
+                assert got == pytest.approx(want, rel=1e-7, abs=0.0), stratum
+
+    # I(z) / W(z) at levels 20 and 40 of each ladder, k = 2, eps 0.75: the
+    # outer ratio reads 11.650 and the inner one 9.341 at both; the corner
+    # ratio decays like |z2|^(2 eps - 1) and is compared without that
+    # factor.  With the z1 = 0 psi scale clamped at 1e-6 and the inner u
+    # sliver at 1e-9, the level-40 ratios read 0.119 (outer) and 4.05
+    # (inner)
+    @pytest.mark.parametrize("stratum", ["outer", "inner", "corner"])
+    def test_deep_ladder_ratios_hold(self, stratum):
+        d, eps = DomainSpec(2), 0.75
+        delta = _edge_exponent(2, eps)
+        pts = boundary_ladder(d, stratum, 40)
+        ratios = []
+        for z in (pts[19], pts[39]):
+            y2 = abs(z.z2) ** 2
+            ratio = _schur_value(d, z, eps, delta, None) * y2**eps * (aux_h(d, z) / y2) ** delta
+            ratios.append(ratio * abs(z.z2) ** (1.0 - 2.0 * eps) if stratum == "corner" else ratio)
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-4, abs=0.0)
+
+    # at eps >= b the corner integral diverges; the offset rule, which the
+    # probe ladder uses to witness that, still forms its cut axis
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_the_corner_rule_names_a_divergent_corner_exponent(self, k):
+        b = (k + 2) / (2 * k)
+        for eps in (b, b + 0.1):
+            with pytest.raises(DivergentIntegralError,
+                               match=rf"corner exponent eps < b = \(k\+2\)/\(2k\) = {b}.*"
+                                     rf"got eps = {eps}"):
+                _v_axis(k, eps, 0.0, 0.5, None)
+            v, w = _v_axis(k, eps, 0.0, 0.6, 1e-8)
+            assert v[0] > 1e-8 and np.all(w > 0.0)
 
     def test_below_window_ratio_ladder_violation(self):
         # a true positive of the ratio ladders: below the window the

@@ -263,7 +263,7 @@ class TestTensorSum:
             "    d = DomainSpec(k)\n"
             "    z = boundary_ladder(d, 'inner', 8)[-1]\n"
             "    delta = analysis._edge_exponent(k, 0.75)\n"
-            "    print(repr(analysis._schur_value(d, z, 0.75, delta, analysis._V0_WORK_FULL)))\n"
+            "    print(repr(analysis._schur_value(d, z, 0.75, delta, None)))\n"
             "d = DomainSpec(2)\n"
             "spec = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)\n"
             "z = Point2(0.2 + 0.1j, 0.4 - 0.1j)\n"
@@ -385,8 +385,7 @@ class TestTensorBlockMemory:
         d = DomainSpec(k)
         z = boundary_ladder(d, "inner", 8)[-1]
         delta = analysis._edge_exponent(k, 0.75)
-        peak = _traced_peak_mib(lambda: analysis._schur_value(
-            d, z, 0.75, delta, analysis._V0_WORK_FULL))
+        peak = _traced_peak_mib(lambda: analysis._schur_value(d, z, 0.75, delta, None))
         assert peak < self.LIMIT_MIB
 
 
