@@ -171,30 +171,19 @@ def _screen(one_minus_t, gap):
     return moduli
 
 
-def kernel_closed_st(d: DomainSpec, s, t, *, t_factor=None, work=None) -> np.ndarray:
+def kernel_closed_st(d: DomainSpec, s, t) -> np.ndarray:
     """Closed-form kernel as a function of the invariants (s, t).
 
-    With ``t_factor=_closed_t_factor(d, t0, n)`` the kernel is evaluated
-    on a block of the domain core's tensor grid instead (the grid form).
-    ``s`` is then the (u, v) array of the zero-angle invariants
-    s0 = z1 u v^(1/k) and ``t`` the (v,) array t0 = z2 v, both angles run
-    over the n nodes of :func:`fathartogs.quadrature.angle_rule`, with
-    s = s0 e^(-i theta1) and t = t0 e^(-i theta2), and the result has
-    shape (u, v, n, n) over (u, v, theta1, theta2).  See
-    :func:`_closed_grid` for the factored form it evaluates, and for its
-    workspace ``work``, which only the grid form takes.
+    On the domain core's tensor grid the projection does not call this:
+    it evaluates the kernel through its 1-d factor tables,
+    :func:`_closed_rho_factor` and :func:`_closed_t_factor`.
 
     Raises :class:`NearSingularError` when |1-t| or |t-s^k| falls below
-    the singular floor anywhere in the (broadcast) input; in the grid
-    form, |1-t| is screened when ``t_factor`` is formed.
+    the singular floor anywhere in the (broadcast) input.
     """
     k = d.k_int()
     s = np.asarray(s, dtype=complex)
     t = np.asarray(t, dtype=complex)
-    if t_factor is not None:
-        return _closed_grid(k, s, t, t_factor, work)
-    if work is not None:
-        raise ValueError("a workspace is taken only by the grid form (t_factor=)")
     sk = s**k
     one_minus_t, gap = 1.0 - t, t - sk
     _screen(one_minus_t, gap)
@@ -202,14 +191,15 @@ def kernel_closed_st(d: DomainSpec, s, t, *, t_factor=None, work=None) -> np.nda
 
 
 def _closed_t_factor(d: DomainSpec, t0, n: int) -> np.ndarray:
-    """The (v, theta2) factor of the grid form of :func:`kernel_closed_st`.
+    """The (v, theta2) factor G of the kernel on the domain core's tensor
+    grid (see :func:`_closed_rho_factor`).
 
     ``t0`` is the (v,) array z2 v and theta2 runs over the n nodes of
     :func:`fathartogs.quadrature.angle_rule`.  Returns the (k, v, n) array
-    of G_n = e^(i theta2) (n + (k-n) t) / (k pi^2 t0 (1-t)^2), n = 1..k,
-    with t = t0 e^(-i theta2).  It depends on neither u nor theta1, so a
-    caller that walks the grid in u blocks forms it once.  Raises
-    :class:`NearSingularError` when |1-t| falls below the singular floor.
+    of G_i = e^(i theta2) (i+1 + (k-1-i) t) / (k pi^2 t0 (1-t)^2),
+    i = 0..k-1, with t = t0 e^(-i theta2).  It depends on neither u nor
+    theta1.  Raises :class:`NearSingularError` when |1-t| falls below the
+    singular floor.
     """
     k = d.k_int()
     t0 = np.asarray(t0, dtype=complex)
@@ -222,100 +212,64 @@ def _closed_t_factor(d: DomainSpec, t0, n: int) -> np.ndarray:
     return (terms + (k - terms) * t) * base
 
 
-def _closed_gap(k: int, s0: np.ndarray, t0: np.ndarray, theta: np.ndarray):
-    """The (u, m) tables rho e^(i theta_m) and 1 - rho e^(i theta_m) of the
-    grid form, with rho = s0^k / t0 taken from the first v node, and the
-    screen of |t - s^k| = |t0| |1 - rho e^(i theta_m)|: raises
-    :class:`NearSingularError` when the product of the minima of |t0| and
-    of the table's modulus falls below the singular floor."""
-    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * theta)
+def _closed_rho_factor(d: DomainSpec, s0: np.ndarray, t0: np.ndarray, n: int) -> np.ndarray:
+    """The (u, m) factor T of the kernel on the domain core's tensor grid.
+
+    On the grid, s = s0 e^(-i theta1) and t = t0 e^(-i theta2), with
+    ``s0`` the (u, v) array of the zero-angle invariants z1 u v^(1/k),
+    ``t0`` the (v,) array z2 v, and theta_j = 2 pi j / n on both angles.
+    Then s^k / t = rho e^(i theta_m), where rho = s0^k / t0 = (z1 u)^k / z2
+    is the same at every v of a u node and m = (j2 - k j1) mod n.  Since
+    the numerator is the sum over i = 0..k-1 of
+    s^i ((i+1) t + (k-1-i) s^k) (i+1 + (k-1-i) t), the kernel is a sum of
+    k separable terms,
+
+        B[u, v, j1, j2] = sum_i e^(-i i theta_j1) T_i[u, m] s0^i G_i[v, j2],
+
+    G_i the factor of :func:`_closed_t_factor` and T_i the n-entry table in
+    m returned here, as the (k, u, n) array
+
+        T_i = (i+1 + (k-1-i) rho e^(i theta_m)) / (1 - rho e^(i theta_m))^2.
+
+    The factor t - s^k is t0 e^(-i theta2) (1 - rho e^(i theta_m)), so the
+    least of its moduli on the grid is the product of the minima of |t0|
+    and of |1 - rho e^(i theta_m)|: raises :class:`NearSingularError` when
+    that product falls below the singular floor.
+    """
+    k = d.k_int()
+    rho_e = (s0[:, :1] ** k / t0[0]) * np.exp(1j * angle_rule(n)[0])
     gap = 1.0 - rho_e
     least = float(np.min(np.abs(t0))) * float(np.min(np.abs(gap)))
     if least < DEFAULT_SINGULAR_FLOOR:
         raise NearSingularError("t-s^k", least, DEFAULT_SINGULAR_FLOOR)
-    return rho_e, gap
+    terms = np.arange(1, k + 1)[:, None, None]
+    return (terms + (k - terms) * rho_e) / gap**2
 
 
-def _closed_grid(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
-                 work) -> np.ndarray:
-    """The grid form of :func:`kernel_closed_st`.
-
-    With theta_j = 2 pi j / n on both angles, s^k / t = rho e^(i theta_m),
-    where rho = s0^k / t0 = (z1 u)^k / z2 is the same at every v of a u
-    node and m = (j2 - k j1) mod n.  Since the numerator is the sum over
-    n = 1..k of s^(n-1) (n t + (k-n) s^k) (n + (k-n) t), the kernel is a
-    sum of k separable terms, B = sum_n F1_n[u, j1, j2] s0^(n-1) G_n[v, j2],
-
-        F1_n = e^(-i(n-1) theta1) (n + (k-n) rho e^(i theta_m)) / (1 - rho e^(i theta_m))^2,
-
-    with G_n the ``t_factor`` of :func:`_closed_t_factor`.  F1_n is
-    gathered per u node from a table of n entries in m, so a block costs
-    k broadcast products and no full-grid division.  The factor t - s^k is
-    t0 e^(-i theta2) (1 - rho e^(i theta_m)), so the block minimum of its
-    modulus is the product of the minima of |t0| and of the table's
-    |1 - rho e^(i theta_m)|.
-
-    ``work`` is a complex workspace of shape (2, u, v, n, n) with
-    C-contiguous halves, as in a front slice ``w[:, :u]`` of a
-    C-contiguous ``w``; without it one is allocated.  The result is a view
-    of ``work[0]``, valid until the next call with that workspace, so a
-    caller that reuses one across blocks allocates no block-sized array.
-    """
-    rows, cols = s0.shape
-    n = t_factor.shape[-1]
-    shape = (rows, cols, n, n)
-    if t0.shape != (cols,) or t_factor.shape != (k, cols, n):
-        raise ValueError(f"grid form needs t0 of shape {(cols,)} and t_factor of shape "
-                         f"{(k, cols, n)}, got {t0.shape} and {t_factor.shape}")
-    if work is None:
-        work = np.empty((2,) + shape, dtype=complex)
-    elif work.shape != (2,) + shape:
-        raise ValueError(f"workspace of shape {work.shape}, need {(2,) + shape}")
-    theta = angle_rule(n)[0]
-    rho_e, gap = _closed_gap(k, s0, t0, theta)
-    table = 1.0 / gap**2
-    j = np.arange(n)
-    m = (j - k * j[:, None]) % n  # (theta1, theta2)
-    value, scratch = work[0], work[1]
-    for i in range(k):  # the term n = i + 1
-        f1 = (((i + 1) + (k - 1 - i) * rho_e) * table)[:, m]
-        g = t_factor[i]
-        if i:  # s^i = s0^i e^(-i i theta1)
-            f1 *= np.exp(-1j * i * theta)[:, None]
-            g = s0[:, :, None] ** i * g
-        np.multiply(f1[:, None], g[..., None, :], out=scratch if i else value)
-        if i:
-            value += scratch
-    return value
-
-
-def _closed_modes(k: int, s0: np.ndarray, t0: np.ndarray, t_factor: np.ndarray,
+def _closed_modes(k: int, s0: np.ndarray, rho_factor: np.ndarray, t_factor: np.ndarray,
                   mu1: int, mu2: int) -> np.ndarray:
-    """Angular mode (mu1, mu2) of the grid form of :func:`kernel_closed_st`:
-    the sum over both angle axes of B[u, v, j1, j2] e^(i(mu1 theta_j1 + mu2 theta_j2)),
-    an array of shape (u, v), without forming B.
+    """Angular mode (mu1, mu2) of the kernel on the domain core's tensor
+    grid: the sum over both angle axes of
+    B[u, v, j1, j2] e^(i(mu1 theta_j1 + mu2 theta_j2)), an array of shape
+    (u, v), without forming B.
 
-    ``s0``, ``t0`` and ``t_factor`` are as in the grid form, with ``s0``
-    over the whole u axis.  In :func:`_closed_grid`'s factored form
-    B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2], with T_i the
-    n-entry table in m = (j2 - k j1) mod n and G_i = ``t_factor[i]``,
-    write T_i through its DFT, fft(T_i)[u, l].  The sum over j1 keeps only
-    the indices l with k l = mu1 - i (mod n), and the sum over j2 is an
-    inverse DFT of G_i, so the mode is
+    ``s0`` is the (u, v) array of :func:`_closed_rho_factor`,
+    ``rho_factor`` its (k, u, n) tables T_i and ``t_factor`` the (k, v, n)
+    array G_i of :func:`_closed_t_factor`.  In the factored form
+    B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2], write T_i through
+    its DFT, fft(T_i)[u, l].  The sum over j1 keeps only the indices l with
+    k l = mu1 - i (mod n), and the sum over j2 is an inverse DFT of G_i, so
+    the mode is
 
         n sum_i s0^i sum_l fft(T_i)[u, l] ifft(G_i)[v, (l + mu2) mod n].
 
     With g = gcd(k, n), a term keeps g indices l or none, and k/g terms
     keep some, so the mode is k outer products of a u and a v column in
     place of n^2 kernel entries per (u, v) node.  It is the same sum as
-    over the block, aliasing included.
-    The screen of |t - s^k| is the grid form's, the product of the minima
-    of |t0| and of |1 - rho e^(i theta_m)|, here over the whole u axis.
+    over the full grid, aliasing included.
     """
     n = t_factor.shape[-1]
-    rho_e, gap = _closed_gap(k, s0, t0, angle_rule(n)[0])
-    terms = np.arange(1, k + 1)[:, None, None]
-    t_hat = np.fft.fft((terms + (k - terms) * rho_e) / gap**2)  # (k, u, l)
+    t_hat = np.fft.fft(rho_factor)  # (k, u, l)
     g_hat = np.fft.ifft(t_factor)  # (k, v, l)
     l = np.arange(n)
     modes = np.zeros(s0.shape, dtype=complex)

@@ -1,9 +1,10 @@
 """The Bergman projection as a computable operator.
 
 Two evaluation paths are provided.  ``project_numeric`` applies the
-closed-form kernel under the quadrature engine: a :class:`MonomialInput`
-is summed from 1-d angular DFTs of the kernel's factors, and any other
-vectorized integrand over kernel blocks of the tensor grid.
+closed-form kernel under the quadrature engine, through the kernel's 1-d
+factor tables alone: a :class:`MonomialInput` is summed from 1-d angular
+DFTs of those tables, and any other vectorized integrand is contracted
+against them one u slice of the tensor grid at a time.
 ``project_monomial`` is exact for inputs of the form w^a * conj(w)^b:
 the angular integrals kill every basis term except gamma = a - b, so
 the projection is a single monomial
@@ -25,7 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import DomainSpec, Point2, contains
-from .kernel import MultiIndex, _closed_modes, _closed_t_factor, kernel_closed_st
+# kernel_closed_st and integrate are not called here: perfbench/tracing.py wraps them by name
+from .kernel import (MultiIndex, _closed_modes, _closed_rho_factor, _closed_t_factor,
+                     kernel_closed_st)
 from .quadrature import (DivergentIntegralError, QuadratureSpec, _core_axes,
                          _real_unless_complex, integrate, radial_moment)
 
@@ -130,16 +133,19 @@ def project_numeric(
     d: DomainSpec, f: MonomialInput | Callable, z: Point2, spec: QuadratureSpec
 ) -> complex:
     """Quadrature approximation of the projection integral at the point z,
-    over the domain core's rule against the grid form of
-    :func:`fathartogs.kernel.kernel_closed_st`.
+    over the domain core's rule, with the closed-form kernel evaluated
+    through its 1-d factor tables (``kernel._closed_rho_factor`` and
+    ``kernel._closed_t_factor``); no kernel block is formed.
 
     A :class:`MonomialInput` w^a conj(w)^b is R e^(i(mu1 theta1 + mu2 theta2))
     with mu = a - b.  The angle sums keep only the kernel's mode that
     matches mu, the selection rule of :func:`project_monomial`, which is a
-    sum of 1-d DFTs of the kernel's factors (``kernel._closed_modes``); no
-    kernel block is formed.  Any other ``f`` follows the integrand
-    contract of :func:`fathartogs.quadrature.integrate`, with one grid-form
-    call per block.  Both give the same sum, aliasing included.
+    sum of 1-d DFTs of the factor tables (``kernel._closed_modes``).  Any
+    other ``f`` follows the integrand contract of
+    :func:`fathartogs.quadrature.integrate`: it is called once per u node,
+    on that node's (v, theta1, theta2) slice, and each of the kernel's k
+    terms is contracted against it, over v and then over both angles.
+    Both give the same sum, aliasing included.
 
     Raises ``NearSingularError`` and ``NonIntegerExponentError`` from
     :mod:`fathartogs.kernel`; points within two boundary offsets of the
@@ -148,30 +154,41 @@ def project_numeric(
     if not contains(d, z):
         raise ValueError(f"evaluation point {z} is not interior")
     _warn_if_near_boundary(d, z, spec.boundary_offset)
+    k = d.k_int()
     (u, wu), (v, wv), (theta, w_theta), _ = _core_axes(d, spec)
     n = theta.size
     t0 = z.z2 * v
     t_factor = _closed_t_factor(d, t0, n)
+    r1 = u[:, None] * v ** (1.0 / d.k)  # |w1| on the (u, v) grid
+    s0 = z.z1 * r1
+    rho_factor = _closed_rho_factor(d, s0, t0, n)
     if isinstance(f, MonomialInput):
-        r1 = u[:, None] * v ** (1.0 / d.k)  # |w1| on the (u, v) grid
-        modes = _closed_modes(d.k_int(), z.z1 * r1, t0, t_factor, *f.angular_modes())
+        modes = _closed_modes(k, s0, rho_factor, t_factor, *f.angular_modes())
         m1, m2 = f.modulus_exponents()
         total = np.einsum("u,uv,v->", wu, modes * (r1**m1 * v**m2), wv)
-        # the trapezoid weights are all equal
-        return complex(_real_unless_complex(total * w_theta[0] ** 2))
-
-    # one kernel workspace for every block: the first block is the largest,
-    # and a shorter last one takes the front of it
-    work = None
-
-    def g(w1, w2):
-        nonlocal work
-        # the invariant s at zero angle, where exp(0) = 1
-        s0 = z.z1 * np.conj(w1[:, :, 0, 0])
-        if work is None:
-            work = np.empty((2,) + s0.shape + (n, n), dtype=complex)
-        out = kernel_closed_st(d, s0, t0, work=work[:, : s0.shape[0]], t_factor=t_factor)
-        out *= f(w1, w2)
-        return out
-
-    return complex(integrate(d, g, spec))
+    else:
+        # in the factored form B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2],
+        # term i of a u node's slice of f is the slice times wv s0^i G_i,
+        # summed over v, then over both angles against T_i gathered at
+        # m = (j2 - k j1) mod n, times e^(-i i theta1).  The sums run in
+        # numpy's own loops, not BLAS, whose sums change with the thread count
+        e = np.exp(1j * theta)
+        w2 = (v[:, None] * e)[:, None, :]  # (v, 1, theta2)
+        j = np.arange(n)
+        m = (j - k * j[:, None]) % n  # (theta1, theta2)
+        phase = np.exp(-1j * np.arange(k)[:, None, None] * theta[:, None])  # (k, theta1, 1)
+        work = np.empty((v.size, n, n), dtype=complex)
+        total = 0j
+        for a in range(u.size):
+            vals = f(r1[a, :, None, None] * e[:, None], w2)
+            for i in range(k):
+                g = (wv * s0[a] ** i)[:, None] * t_factor[i]  # (v, theta2)
+                np.multiply(vals, g[:, None, :], out=work)
+                sums = np.add.reduce(work, axis=0)  # (theta1, theta2)
+                total += wu[a] * np.einsum("ij,ij->", rho_factor[i, a][m] * phase[i], sums)
+            # freed before f forms the next slice, which then reuses its
+            # memory: two slices alive at once let the heap trim one of them
+            # and fault its pages in again for the next node
+            del vals
+    # the trapezoid weights are all equal
+    return complex(_real_unless_complex(total * w_theta[0] ** 2))

@@ -278,8 +278,9 @@ def tensor_sum(axes, f: Callable):
     rule of the acceptance suite (6 Gauss nodes per panel, 24 angles) a
     block is one u-slice of 66 x 24 x 24 entries.  A block's values are
     summed before ``f`` is called for the next block, so ``f`` may return
-    memory that it writes again, as ``project_numeric`` returns its kernel
-    workspace.  An exception raised by ``f`` reaches the caller unchanged.
+    memory that it writes again, as the Schur inner stratum returns its
+    block buffer (``analysis._schur_value``).  An exception raised by ``f``
+    reaches the caller unchanged.
 
     The weights of the axes past the second are multiplied out once per
     call, into one C-order vector ``rest``.  A block of ``nb`` first-axis

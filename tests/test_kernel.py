@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 import sympy
 
-from fathartogs.geometry import DomainSpec, Point2, _box_to_z, sample_uniform
+from fathartogs.geometry import DomainSpec, Point2, sample_uniform
 from fathartogs.kernel import (
     MultiIndex,
     NearSingularError,
     SeriesDivergenceError,
     SeriesSpec,
     _SERIES_BLOCK_ELEMENTS,
+    _closed_rho_factor,
     _closed_t_factor,
     _numerator,
     _polar_phases,
@@ -35,7 +36,7 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
-from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES, angle_rule
+from fathartogs.quadrature import angle_rule
 
 
 def interior_invariants(k, n, seed):
@@ -235,8 +236,7 @@ def interior_pairs(k, shape_s, shape_t, seed):
 
 
 class TestKernelClosedPairForm:
-    """The pair form's screens, its rejection of a workspace and its
-    pinned values."""
+    """The pair form's screens and its pinned values."""
 
     def test_near_singular_names_the_factor(self):
         d = DomainSpec(2)
@@ -253,11 +253,6 @@ class TestKernelClosedPairForm:
         d = DomainSpec(2)
         s, t = np.linspace(0.1, 0.5, 4)[:, None], np.linspace(0.6, 0.8, 3)[None, :]
         assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(2, s, t))
-
-    def test_a_workspace_is_rejected(self):
-        with pytest.raises(ValueError, match="only by the grid form"):
-            kernel_closed_st(DomainSpec(1), np.full((4, 1), 0.1j), np.full((1, 3), 0.5j),
-                             work=np.empty((2, 4, 3), dtype=complex))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pinned_values(self, k):
@@ -281,64 +276,10 @@ class TestKernelClosedPairForm:
             assert np.array_equal(got, pins["check3"])
 
 
-def core_blocks(d, z, spec):
-    """The tensor blocks of the domain core that ``project_numeric`` walks:
-    per block, the pair invariants (s, t) on the full block and the
-    zero-angle invariants (s0, t0) of the grid form."""
-    (u, _), (v, _), (theta, _), _ = _core_axes(d, spec)
-    rows = max(1, _TENSOR_BLOCK_ENTRIES // (v.size * theta.size**2))
-    for lo in range(0, u.size, rows):
-        w1, w2 = _box_to_z(d, u[lo:lo + rows, None, None, None], v[None, :, None, None],
-                           theta[None, None, :, None], theta[None, None, None, :])
-        yield (z.z1 * np.conj(w1), z.z2 * np.conj(w2),
-               z.z1 * np.conj(w1[:, :, 0, 0]), z.z2 * np.conj(w2[0, :, 0, 0]))
-
-
-class TestKernelClosedGridForm:
-    """The factored grid form against the pair form on the blocks that
-    ``project_numeric`` evaluates."""
-
-    CRITERION_4 = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
-    # eight angles: blocks of 15, 15 and 6 of the 36 u nodes
-    FEW_ANGLES = QuadratureSpec(radial_nodes=6, angular_nodes=8, boundary_offset=1e-6)
-
-    @staticmethod
-    def worst_error(d, z, spec, scale_by_bound):
-        worst = 0.0
-        for s, t, s0, t0 in core_blocks(d, z, spec):
-            pair = kernel_closed_st(d, s, t)
-            grid = kernel_closed_st(d, s0, t0, t_factor=_closed_t_factor(d, t0, spec.angular_nodes))
-            assert grid.shape == pair.shape
-            scale = np.abs(pair)
-            if scale_by_bound:
-                scale = np.maximum(scale, kernel_bound_st(d, s, t))
-            worst = max(worst, float(np.max(np.abs(grid - pair) / scale)))
-        return worst
-
-    # measured: at most 3.3e-15, 3.2e-14 and 5.5e-14 at k = 1, 2, 3 (the
-    # pair and grid forms round differently where the k terms partly cancel)
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_the_pair_form_at_criterion_4_spec(self, k):
-        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
-        assert self.worst_error(DomainSpec(k), z, self.CRITERION_4, False) < 1e-13
-
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_the_pair_form_on_blocks_of_several_u_nodes(self, k):
-        d = DomainSpec(k)
-        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
-        assert next(core_blocks(d, z, self.FEW_ANGLES))[2].shape[0] > 1
-        assert self.worst_error(d, z, self.FEW_ANGLES, False) < 1e-13
-
-    # |z1|^k / |z2| = 0.999: |1 - rho e^(i theta_m)| reaches about 1e-3.  At
-    # k >= 2 the kernel also has zeros where its k terms cancel; there both
-    # forms lose the same digits against a 40-digit reference (up to 5.8e-12
-    # relative to the value), so the error is taken against the larger of
-    # |B| and the dominating bound.  Measured: at most 5.4e-15, 7.2e-15 and
-    # 1.8e-14 at k = 1, 2, 3
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_the_pair_form_near_t_equal_s_to_the_k(self, k):
-        z = Point2(0.3 * np.exp(0.4j), 0.3**k / 0.999 * np.exp(-0.7j))
-        assert self.worst_error(DomainSpec(k), z, self.CRITERION_4, True) < 1e-13
+class TestKernelClosedFactors:
+    """The screens of the factor tables through which the projection
+    evaluates the kernel on the domain core's grid; their values are
+    checked end to end in ``tests/test_projection.py``."""
 
     def test_screens_name_the_factor(self):
         d = DomainSpec(2)
@@ -350,38 +291,14 @@ class TestKernelClosedGridForm:
         t0 = np.array([0.5, 0.7]) + 0j
         s0 = np.array([[0.3, 0.3], [0.5**0.5, 0.7**0.5]]) + 0j
         with pytest.raises(NearSingularError) as exc:
-            kernel_closed_st(d, s0, t0, t_factor=_closed_t_factor(d, t0, 6))
+            _closed_rho_factor(d, s0, t0, 6)
         assert exc.value.factor == "t-s^k"
         assert exc.value.min_abs < 1e-15
 
-    def test_block_of_another_shape_is_rejected(self):
-        d = DomainSpec(1)
-        t0 = np.array([0.5, 0.6]) + 0j
-        with pytest.raises(ValueError, match="workspace of shape"):
-            kernel_closed_st(d, np.full((3, 2), 0.1 + 0j), t0, t_factor=_closed_t_factor(d, t0, 4),
-                             work=np.empty((2, 3, 2, 4, 3), dtype=complex))
-        with pytest.raises(ValueError, match="grid form needs"):
-            kernel_closed_st(d, np.full((3, 2), 0.1 + 0j), t0[:1], t_factor=_closed_t_factor(d, t0, 4))
-
 
 class TestKernelClosedWorkspace:
-    """A workspace reused by the grid form, first filled with NaN, gives
-    values bit-equal to a call without one; the pair form, which takes no
-    workspace, is bit-equal to the one-expression form."""
-
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_reused_workspace_is_bit_equal(self, k):
-        d = DomainSpec(k)
-        n, z = 6, Point2(0.2 + 0.1j, 0.4 - 0.1j)
-        v = np.linspace(0.2, 0.9, 3)
-        t0 = z.z2 * v
-        t_factor = _closed_t_factor(d, t0, n)
-        work = np.full((2, 5, 3, n, n), np.nan + 1j, dtype=complex)
-        for rows in (5, 2):  # a shorter second call
-            s0 = z.z1 * np.linspace(0.1, 0.9, rows)[:, None] * v ** (1.0 / k)
-            got = kernel_closed_st(d, s0, t0, t_factor=t_factor, work=work[:, :rows])
-            assert np.shares_memory(got, work)
-            assert np.array_equal(got, kernel_closed_st(d, s0, t0, t_factor=t_factor))
+    """The pair form takes no workspace: at any broadcast shape, and at
+    0-d, it is bit-equal to the one-expression form."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_without_workspace_and_at_0d(self, k):

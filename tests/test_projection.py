@@ -158,6 +158,42 @@ class TestProjectNumeric:
         swapped = integrate(d, conj_reversed, SPEC)
         assert abs(direct - swapped) < 1e-10 * max(1.0, abs(direct))
 
+    @staticmethod
+    def pair_form_reference(d, f, z, spec):
+        """The projection integral as ``integrate`` of the pair form times f:
+        the same rule as ``project_numeric``, summed in another order."""
+        return integrate(d, lambda w1, w2: kernel_closed_st(
+            d, z.z1 * np.conj(w1), z.z2 * np.conj(w2)) * f(w1, w2), spec)
+
+    # a mixed monomial, w1 w2, and an integrand that is not a monomial
+    CALLABLES = [mono(3, 1, 1, 2).integrand(), lambda w1, w2: w1 * w2,
+                 lambda w1, w2: np.exp(w1 - 2 * np.conj(w2))]
+
+    # criterion 4's spec, and angle counts that k does not divide.  Measured:
+    # at most 8.7e-16 relative (k = 3, n = 25, the exponential)
+    @pytest.mark.parametrize("k, n", [(1, 24), (2, 24), (3, 24), (2, 25), (3, 20), (3, 25)])
+    def test_matches_the_pair_form_under_integrate(self, k, n):
+        d = DomainSpec(k)
+        spec = QuadratureSpec(radial_nodes=6, angular_nodes=n, boundary_offset=1e-6)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        for f in self.CALLABLES:
+            want = self.pair_form_reference(d, f, z, spec)
+            got = project_numeric(d, f, z, spec)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    # |z1|^k / |z2| = 0.999: |1 - rho e^(i theta_m)| reaches about 1e-3.  The
+    # worst case measured is 5.6e-12 relative at k = 3, f = w1 w2, a value of
+    # 7.4e-3 summed from terms of order 1; the kernel-block form this path
+    # replaced read 5.5e-12 there against the same reference
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_near_t_equal_s_to_the_k(self, k):
+        d = DomainSpec(k)
+        z = Point2(0.3 * np.exp(0.4j), 0.3**k / 0.999 * np.exp(-0.7j))
+        for f in self.CALLABLES:
+            want = self.pair_form_reference(d, f, z, SPEC)
+            got = project_numeric(d, f, z, SPEC)
+            assert abs(got - want) <= 1e-11 * abs(want)
+
     def test_warns_near_boundary(self):
         d = DomainSpec(1)
         spec = QuadratureSpec(radial_nodes=4, angular_nodes=4, boundary_offset=1e-2)
@@ -229,9 +265,8 @@ class TestProjectNumericMonomial:
             project_numeric(DomainSpec(1.5), mono(1, 0, 0, 0), Point2(0.1, 0.5), SPEC)
 
     def test_near_singular_gap_reports_the_grid_minimum(self):
-        # the callable path stops at the first u block that fails the
-        # screen; this path screens the whole u axis at once, so its
-        # minimum is the grid's and no larger
+        # both paths screen the whole u axis at once, through the same
+        # factor table, so both report the grid's minimum
         z = Point2(0.4999999, 0.5)
         spec = QuadratureSpec(boundary_offset=1e-9)
         m = mono(1, 0, 0, 0)
@@ -240,7 +275,7 @@ class TestProjectNumericMonomial:
         with pytest.raises(NearSingularError) as old:
             project_numeric(DomainSpec(1), m.integrand(), z, spec)
         assert got.value.factor == old.value.factor == "t-s^k"
-        assert got.value.min_abs <= old.value.min_abs < kernel.DEFAULT_SINGULAR_FLOOR
+        assert got.value.min_abs == old.value.min_abs < kernel.DEFAULT_SINGULAR_FLOOR
 
     def test_near_singular_one_minus_t_is_screened_first(self, monkeypatch):
         # |1 - t| >= 1 - |z2| v stays far above the floor on the domain

@@ -158,25 +158,6 @@ class TestTensorIntegrate:
             # the worst of these draws is 1.2e-5 relative
             assert abs(res - exact) < 1e-4 * exact
 
-    def test_project_numeric_calls_integrate_once_without_keywords(self, monkeypatch):
-        from fathartogs import projection
-
-        seen = []
-        real = projection.integrate
-
-        def recording(*args, **kwargs):
-            seen.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(projection, "integrate", recording)
-        d = DomainSpec(1)
-        spec = QuadratureSpec(radial_nodes=6, angular_nodes=6, boundary_offset=1e-4)
-        z = Point2(0.1 + 0j, 0.5 + 0j)
-        value = project_numeric(d, lambda w1, w2: np.conj(w2), z, spec)
-        assert seen == [{}]
-        monkeypatch.setattr(projection, "integrate", real)
-        assert project_numeric(d, lambda w1, w2: np.conj(w2), z, spec) == value
-
 
 class TestTensorSum:
     AXES = (gauss_rule(0.0, 1.0, 7), gauss_rule(0.5, 2.0, 5), angle_rule(6))
@@ -251,8 +232,8 @@ class TestTensorSum:
         # the last bits of this projection value between 1 and 2 threads;
         # reports must be byte-deterministic.  The inner-stratum Schur
         # values sum the kernel's k terms as a real BLAS product of inner
-        # dimension 2k.  The monomial projection path contracts its DFT
-        # tables in np.einsum's own loops
+        # dimension 2k.  Both projection branches contract the kernel's
+        # factor tables in numpy's own loops
         code = (
             "from fathartogs import analysis\n"
             "from fathartogs.geometry import DomainSpec, Point2, boundary_ladder\n"
@@ -307,9 +288,11 @@ class TestTensorBlockMemory:
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < self.LIMIT_MIB
 
-    # one kernel workspace serves every block, and the integrand multiplies
-    # into it: 2.10 MiB at both k, against 2.63 and 3.06 MiB when each
-    # block allocated its own kernel temporaries
+    # the k term products of every u node's slice go into one buffer, and
+    # each slice is freed before the next: 1.59 and 1.63 MiB at k = 1, 2
+    # (2.17 and 2.21 MiB with two slices alive at once).  Kernel blocks read
+    # 2.10 MiB with one reused workspace, and 2.63 and 3.06 MiB when each
+    # block allocated its own temporaries
     @pytest.mark.parametrize("k", [1, 2])
     def test_projection_reuses_one_kernel_workspace(self, k):
         d = DomainSpec(k)
@@ -345,9 +328,11 @@ class TestTensorBlockMemory:
             DomainSpec(2), analysis.SchurConfig(0.75, 8)))
         assert peak < 5.0
 
-    # with block temporaries freed and allocated again, ten warm calls took
-    # 5.6k-77k minor page faults, by where the heap happened to stand; with
-    # one workspace, a few hundred in either layout
+    # ten warm calls make 2.5k-3.0k minor page faults in either layout: the
+    # product buffer and the last slice are freed together at the end of a
+    # call.  A fresh product per term made 95k-107k, and two slices alive at
+    # once 4.5k.  Kernel blocks with one workspace made a few hundred, and
+    # 5.6k-77k with block temporaries freed and allocated again
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",
                         reason="counts glibc's page faults")

@@ -2,8 +2,10 @@
 
 The tracer wraps package functions by attribute name and derives its
 per-layer figures from the spans those wrappers record, so a renamed
-function, or a projection that no longer evaluates its kernel once per
-tensor block inside ``integrate``, breaks every traced benchmark run.
+function breaks every traced benchmark run.  Both branches of
+``project_numeric`` evaluate the kernel through its 1-d factor tables, so
+a projection records one ``projection.numeric`` span and no
+``kernel.closed`` or ``quadrature.integrate`` span.
 The module is loaded from its file, unchanged.
 """
 
@@ -15,7 +17,7 @@ import pytest
 
 from fathartogs import analysis, cli, projection, quadrature
 from fathartogs.geometry import DomainSpec, Point2
-from fathartogs.quadrature import QuadratureSpec, _core_axes
+from fathartogs.quadrature import QuadratureSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,31 +35,22 @@ def test_every_wrapped_name_resolves(tracing):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-# 8 angles: the 36 u nodes of the core fall into blocks of 15, 15 and 6
+# a callable input is contracted against the kernel's factor tables one u
+# node at a time: no kernel block and no integrate call
 @pytest.mark.parametrize("k", [1, 2])
-def test_projection_records_one_kernel_span_per_block(tracing, k):
-    d = DomainSpec(k)
+def test_callable_projection_records_one_numeric_span(tracing, k):
     spec = QuadratureSpec(radial_nodes=6, angular_nodes=8, boundary_offset=1e-6)
     tracer = tracing.Tracer()
     tracer.op = "project"  # spans of the default op, "setup", feed no layer figure
     tracer.install()
     try:
-        projection.project_numeric(d, lambda w1, w2: w1 * w2, Point2(0.2 + 0.1j, 0.4 - 0.1j),
-                                   spec)
+        projection.project_numeric(DomainSpec(k), lambda w1, w2: w1 * w2,
+                                   Point2(0.2 + 0.1j, 0.4 - 0.1j), spec)
     finally:
         tracer.uninstall()
-    (u, _), (v, _), (theta, _), _ = _core_axes(d, spec)
-    per_node = v.size * theta.size**2
-    rows = max(1, quadrature._TENSOR_BLOCK_ENTRIES // per_node)
-    blocks = [min(rows, u.size - lo) * per_node for lo in range(0, u.size, rows)]
-    assert len(blocks) > 1
-    (integrate,) = [s for s in tracer.spans if s.name == "quadrature.integrate"]
-    closed = [s for s in tracer.spans if s.name == "kernel.closed"]
-    assert [s.counts["evals"] for s in closed] == blocks
-    assert all(s.parent == integrate.id for s in closed)
-    metrics = tracing.layer_metrics(tracer.spans, 1)
-    assert metrics["kernel.closed.evals"] == sum(blocks) == u.size * per_node
-    assert metrics["quadrature.integrate.nodes_per_call"] == sum(blocks)
+    names = [s.name for s in tracer.spans]
+    assert names == ["projection.numeric"]
+    assert tracing.layer_metrics(tracer.spans, 1)["projection.numeric.calls"] == 1
 
 
 # a monomial input takes the angular-mode path: the command's one
