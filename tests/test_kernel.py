@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import sympy
 
-from fathartogs.geometry import DomainSpec, Point2, sample_uniform
+from fathartogs.geometry import DomainSpec, Point2, _box_to_z, sample_uniform
 from fathartogs.kernel import (
     MultiIndex,
     NearSingularError,
@@ -36,7 +36,7 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
-from fathartogs.quadrature import angle_rule
+from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES, angle_rule
 
 
 def interior_invariants(k, n, seed):
@@ -236,7 +236,8 @@ def interior_pairs(k, shape_s, shape_t, seed):
 
 
 class TestKernelClosedPairForm:
-    """The pair form's screens and its pinned values."""
+    """The pair form's screens, its rejection of a workspace and its
+    pinned values."""
 
     def test_near_singular_names_the_factor(self):
         d = DomainSpec(2)
@@ -253,6 +254,12 @@ class TestKernelClosedPairForm:
         d = DomainSpec(2)
         s, t = np.linspace(0.1, 0.5, 4)[:, None], np.linspace(0.6, 0.8, 3)[None, :]
         assert np.array_equal(kernel_closed_st(d, s, t), closed_oracle(2, s, t))
+
+    def test_a_workspace_is_rejected(self):
+        # the pair form is (d, s, t) only
+        with pytest.raises(TypeError, match="work"):
+            kernel_closed_st(DomainSpec(1), np.full((4, 1), 0.1j), np.full((1, 3), 0.5j),
+                             work=np.empty((2, 4, 3), dtype=complex))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pinned_values(self, k):
@@ -276,10 +283,80 @@ class TestKernelClosedPairForm:
             assert np.array_equal(got, pins["check3"])
 
 
-class TestKernelClosedFactors:
-    """The screens of the factor tables through which the projection
-    evaluates the kernel on the domain core's grid; their values are
-    checked end to end in ``tests/test_projection.py``."""
+def core_blocks(d, z, spec):
+    """Blocks of u rows of the domain core's tensor grid: per block, the
+    pair invariants (s, t) on the full block and the zero-angle invariants
+    (s0, t0) from which the factor tables are formed."""
+    (u, _), (v, _), (theta, _), _ = _core_axes(d, spec)
+    rows = max(1, _TENSOR_BLOCK_ENTRIES // (v.size * theta.size**2))
+    for lo in range(0, u.size, rows):
+        w1, w2 = _box_to_z(d, u[lo:lo + rows, None, None, None], v[None, :, None, None],
+                           theta[None, None, :, None], theta[None, None, None, :])
+        yield (z.z1 * np.conj(w1), z.z2 * np.conj(w2),
+               z.z1 * np.conj(w1[:, :, 0, 0]), z.z2 * np.conj(w2[0, :, 0, 0]))
+
+
+def factored_block(d, s0, t0, n):
+    """The kernel on a (u, v, theta1, theta2) block, assembled from the
+    factor tables as B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2]
+    with m = (j2 - k j1) mod n, the form the projection contracts."""
+    k = d.k_int()
+    rho_factor = _closed_rho_factor(d, s0, t0, n)  # (k, u, n)
+    t_factor = _closed_t_factor(d, t0, n)  # (k, v, n)
+    theta = angle_rule(n)[0]
+    j = np.arange(n)
+    m = (j - k * j[:, None]) % n  # (theta1, theta2)
+    block = np.zeros(s0.shape + (n, n), dtype=complex)
+    for i in range(k):
+        f1 = rho_factor[i][:, m] * np.exp(-1j * i * theta)[:, None]  # (u, theta1, theta2)
+        g = s0[:, :, None] ** i * t_factor[i]  # (u, v, theta2)
+        block += f1[:, None] * g[..., None, :]
+    return block
+
+
+class TestKernelClosedGridForm:
+    """The kernel assembled from its factor tables, the form through which
+    the projection evaluates it on the domain core's grid, against the
+    pair form; and the screens of those tables.  At criterion 4's spec
+    with |z1|^k / |z2| well below 1 the projection is checked against the
+    pair form under ``integrate``, in ``tests/test_projection.py``: there
+    the k = 3 terms cancel about 1e4-fold at one node, where the assembled
+    and pair values differ by 1.06e-13 relative to |B| (9.1e-14 and
+    1.8e-14 from a 40-digit value)."""
+
+    CRITERION_4 = QuadratureSpec(radial_nodes=6, angular_nodes=24, boundary_offset=1e-6)
+    # eight angles: tables formed per block of 15, 15 and 6 of the 36 u nodes
+    FEW_ANGLES = QuadratureSpec(radial_nodes=6, angular_nodes=8, boundary_offset=1e-6)
+
+    @staticmethod
+    def worst_error(d, z, spec, scale_by_bound):
+        worst = 0.0
+        for s, t, s0, t0 in core_blocks(d, z, spec):
+            pair = kernel_closed_st(d, s, t)
+            grid = factored_block(d, s0, t0, spec.angular_nodes)
+            assert grid.shape == pair.shape
+            scale = np.abs(pair)
+            if scale_by_bound:
+                scale = np.maximum(scale, kernel_bound_st(d, s, t))
+            worst = max(worst, float(np.max(np.abs(grid - pair) / scale)))
+        return worst
+
+    # measured: at most 1.8e-15, 5.8e-15 and 1.3e-14 at k = 1, 2, 3
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_on_blocks_of_several_u_nodes(self, k):
+        d = DomainSpec(k)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        assert next(core_blocks(d, z, self.FEW_ANGLES))[2].shape[0] > 1
+        assert self.worst_error(d, z, self.FEW_ANGLES, False) < 1e-13
+
+    # |z1|^k / |z2| = 0.999: |1 - rho e^(i theta_m)| reaches about 1e-3.  At
+    # k >= 2 the kernel also has zeros where its k terms cancel, so the
+    # error is taken against the larger of |B| and the dominating bound.
+    # Measured: at most 5.4e-15, 7.2e-15 and 1.8e-14 at k = 1, 2, 3
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_pair_form_near_t_equal_s_to_the_k(self, k):
+        z = Point2(0.3 * np.exp(0.4j), 0.3**k / 0.999 * np.exp(-0.7j))
+        assert self.worst_error(DomainSpec(k), z, self.CRITERION_4, True) < 1e-13
 
     def test_screens_name_the_factor(self):
         d = DomainSpec(2)
