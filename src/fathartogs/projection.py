@@ -143,8 +143,8 @@ def project_numeric(
     sum of 1-d DFTs of the factor tables (``kernel._closed_modes``).  Any
     other ``f`` follows the integrand contract of
     :func:`fathartogs.quadrature.integrate`: it is called once per u node,
-    on that node's (v, theta1, theta2) slice, and each of the kernel's k
-    terms is contracted against it, over v and then over both angles.
+    on that node's slice laid out (theta2, theta1, v), which one batched
+    product sums over v against all k kernel terms, and then the angles.
     Both give the same sum, aliasing included.
 
     Raises ``NearSingularError`` and ``NonIntegerExponentError`` from
@@ -168,27 +168,27 @@ def project_numeric(
         total = np.einsum("u,uv,v->", wu, modes * (r1**m1 * v**m2), wv)
     else:
         # in the factored form B = sum_i e^(-i i theta1) T_i[u, m] s0^i G_i[v, j2],
-        # term i of a u node's slice of f is the slice times wv s0^i G_i,
-        # summed over v, then over both angles against T_i gathered at
-        # m = (j2 - k j1) mod n, times e^(-i i theta1).  The sums run in
-        # numpy's own loops, not BLAS, whose sums change with the thread count
+        # with s0^i = u^i (z1 v^(1/k))^i, a u node's (theta2, theta1, v) slice
+        # of f is summed over v against the (theta2, v, k) table of
+        # wv (z1 v^(1/k))^i G_i in one batched product, then over both angles
+        # against T_i gathered at m = (j2 - k j1) mod n, times e^(-i i theta1)
+        # u^i.  Each product is a (theta1 x v) @ (v x k) zgemm, far below
+        # OpenBLAS's threading threshold: up to n = 256, v = 240 and k = 4 it
+        # gave the same bits on 1 and 2 threads
         e = np.exp(1j * theta)
-        w2 = (v[:, None] * e)[:, None, :]  # (v, 1, theta2)
+        w2 = (v * e[:, None])[:, None, :]  # (theta2, 1, v)
+        powers = np.arange(k)
+        weights = wv * (z.z1 * v ** (1.0 / d.k)) ** powers[:, None]  # (k, v)
+        g = np.ascontiguousarray((t_factor * weights[..., None]).T)  # (theta2, v, k)
         j = np.arange(n)
         m = (j - k * j[:, None]) % n  # (theta1, theta2)
-        phase = np.exp(-1j * np.arange(k)[:, None, None] * theta[:, None])  # (k, theta1, 1)
-        work = np.empty((v.size, n, n), dtype=complex)
+        phase = np.exp(-1j * powers[:, None, None] * theta[:, None])  # (k, theta1, 1)
         total = 0j
         for a in range(u.size):
-            vals = f(r1[a, :, None, None] * e[:, None], w2)
-            for i in range(k):
-                g = (wv * s0[a] ** i)[:, None] * t_factor[i]  # (v, theta2)
-                np.multiply(vals, g[:, None, :], out=work)
-                sums = np.add.reduce(work, axis=0)  # (theta1, theta2)
-                total += wu[a] * np.einsum("ij,ij->", rho_factor[i, a][m] * phase[i], sums)
-            # freed before f forms the next slice, which then reuses its
-            # memory: two slices alive at once let the heap trim one of them
-            # and fault its pages in again for the next node
-            del vals
+            vals = np.broadcast_to(f((r1[a] * e[:, None])[None], w2), (n, n, v.size))
+            sums = np.matmul(vals, g)  # (theta2, theta1, k)
+            del vals  # freed before f forms the next slice, which reuses its memory
+            table = rho_factor[:, a, m] * phase  # (k, theta1, theta2)
+            total += wu[a] * np.einsum("jik,kij,k->", sums, table, u[a] ** powers)
     # the trapezoid weights are all equal
     return complex(_real_unless_complex(total * w_theta[0] ** 2))

@@ -170,7 +170,7 @@ class TestProjectNumeric:
                  lambda w1, w2: np.exp(w1 - 2 * np.conj(w2))]
 
     # criterion 4's spec, and angle counts that k does not divide.  Measured:
-    # at most 8.7e-16 relative (k = 3, n = 25, the exponential)
+    # at most 1.1e-15 relative (k = 2, n = 24, the mixed monomial)
     @pytest.mark.parametrize("k, n", [(1, 24), (2, 24), (3, 24), (2, 25), (3, 20), (3, 25)])
     def test_matches_the_pair_form_under_integrate(self, k, n):
         d = DomainSpec(k)
@@ -182,9 +182,9 @@ class TestProjectNumeric:
             assert abs(got - want) <= 1e-14 * abs(want)
 
     # |z1|^k / |z2| = 0.999: |1 - rho e^(i theta_m)| reaches about 1e-3.  The
-    # worst case measured is 5.6e-12 relative at k = 3, f = w1 w2, a value of
-    # 7.4e-3 summed from terms of order 1; the kernel-block form this path
-    # replaced read 5.5e-12 there against the same reference
+    # worst case measured is 5.5e-12 relative at k = 3, f = w1 w2, a value of
+    # 7.4e-3 summed from terms of order 1; the kernel-block form read the
+    # same there against this reference
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_the_pair_form_near_t_equal_s_to_the_k(self, k):
         d = DomainSpec(k)
@@ -193,6 +193,19 @@ class TestProjectNumeric:
             want = self.pair_form_reference(d, f, z, SPEC)
             got = project_numeric(d, f, z, SPEC)
             assert abs(got - want) <= 1e-11 * abs(want)
+
+    # the constant 1 is holomorphic, so P(1) = 1; a 0-d return is broadcast to
+    # the slice.  Measured: 6.3e-6, 5.0e-6 and 4.7e-6 from 1 at k = 1, 2, 3,
+    # and at most 3.4e-16 relative from the pair form
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_constant_one_is_reproduced(self, k):
+        d = DomainSpec(k)
+        z = Point2(0.2 + 0.1j, 0.4 - 0.1j)
+        one = lambda w1, w2: 1.0
+        got = project_numeric(d, one, z, SPEC)
+        assert abs(got - 1.0) < 1e-4
+        want = self.pair_form_reference(d, one, z, SPEC)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     def test_warns_near_boundary(self):
         d = DomainSpec(1)

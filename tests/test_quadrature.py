@@ -232,8 +232,11 @@ class TestTensorSum:
         # the last bits of this projection value between 1 and 2 threads;
         # reports must be byte-deterministic.  The inner-stratum Schur
         # values sum the kernel's k terms as a real BLAS product of inner
-        # dimension 2k.  Both projection branches contract the kernel's
-        # factor tables in numpy's own loops
+        # dimension 2k.  The monomial branch contracts the kernel's factor
+        # tables in numpy's own loops; the callable branch sums each u slice
+        # over v in a batched (theta1 x v) @ (v x k) product, whose bits did
+        # not change between 1 and 2 threads up to n = 256, v = 240, k = 4.
+        # Here v = 66 at 6 radial / 24 angle nodes and 132 at 12 / 64
         code = (
             "from fathartogs import analysis\n"
             "from fathartogs.geometry import DomainSpec, Point2, boundary_ladder\n"
@@ -251,6 +254,9 @@ class TestTensorSum:
             "print(repr(project_numeric(d, lambda w1, w2: w1 * w2 ** 2, z, spec)))\n"
             "m = MonomialInput(MultiIndex(1, 2), MultiIndex(0, 0))\n"
             "print(repr(project_numeric(d, m, z, spec)))\n"
+            "big = QuadratureSpec(radial_nodes=12, angular_nodes=64, boundary_offset=1e-6)\n"
+            "for k, s in ((1, spec), (3, spec), (1, big), (2, big), (3, big)):\n"
+            "    print(repr(project_numeric(DomainSpec(k), lambda w1, w2: w1 * w2 ** 2, z, s)))\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
@@ -288,11 +294,11 @@ class TestTensorBlockMemory:
         peak = _traced_peak_mib(lambda: project_numeric(d, lambda w1, w2: w1 * w2, z, spec))
         assert peak < self.LIMIT_MIB
 
-    # the k term products of every u node's slice go into one buffer, and
-    # each slice is freed before the next: 1.59 and 1.63 MiB at k = 1, 2
-    # (2.17 and 2.21 MiB with two slices alive at once).  Kernel blocks read
-    # 2.10 MiB with one reused workspace, and 2.63 and 3.06 MiB when each
-    # block allocated its own temporaries
+    # each u node's slice is summed over v in one batched product and freed
+    # before the next: 1.02 and 1.10 MiB at k = 1, 2 (1.60 and 1.68 MiB with
+    # two slices alive at once).  A product buffer for the k terms read 1.59
+    # and 1.63 MiB.  Kernel blocks read 2.10 MiB with one reused workspace,
+    # and 2.63 and 3.06 MiB when each block allocated its own temporaries
     @pytest.mark.parametrize("k", [1, 2])
     def test_projection_reuses_one_kernel_workspace(self, k):
         d = DomainSpec(k)
@@ -328,11 +334,13 @@ class TestTensorBlockMemory:
             DomainSpec(2), analysis.SchurConfig(0.75, 8)))
         assert peak < 5.0
 
-    # ten warm calls make 2.5k-3.0k minor page faults in either layout: the
-    # product buffer and the last slice are freed together at the end of a
-    # call.  A fresh product per term made 95k-107k, and two slices alive at
-    # once 4.5k.  Kernel blocks with one workspace made a few hundred, and
-    # 5.6k-77k with block temporaries freed and allocated again
+    # ten warm calls make no minor page faults at k = 1, 2 in either layout
+    # (31 at k = 3 with the live objects): one slice is alive at a time and
+    # the batched product needs no buffer.  Two slices alive at once made
+    # 2.6k-3.0k, and so did a product buffer for the k terms, freed together
+    # with the last slice.  A fresh product per term made 95k-107k.  Kernel
+    # blocks with one workspace made a few hundred, and 5.6k-77k with block
+    # temporaries freed and allocated again
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",
                         reason="counts glibc's page faults")
@@ -360,7 +368,7 @@ class TestTensorBlockMemory:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
-        assert int(out) < 5000
+        assert int(out) < 1000
 
     # the kernel's k terms live on 3-d sub-grids and one matrix product
     # sums them, so a block holds its complex product and modulus, not k
