@@ -23,10 +23,12 @@ for k in (1.0, 2.0, 1.5):
     rep = divergence_scan(d, [p_c - 0.5, p_c, p_c + 1.0], deltas)
     print(f"\nk={k}: predicted critical p = {p_c:.4f}, "
           f"measured {rep.parameters['p_critical_empirical']:.4f} "
-          f"({rep.parameters['p_critical_rel_err']:.2%} off)")
+          f"({rep.parameters['p_critical_rel_err']:.1e} relative error)")
     for row in rep.parameters["grid_rows"]:
-        extra = (f"saturates to {row['limit']:.4f} (exact {row['exact_limit']:.4f})"
-                 if row["classification"] == "saturating"
-                 else f"grows, fitted slope {row['fitted_slope']:.3f}"
-                      + (" [log-type]" if row.get("growth_type") else ""))
+        if row["classification"] == "saturating":
+            extra = f"saturates to {row['limit']:.4f} (exact {row['exact_limit']:.4f})"
+        elif row.get("growth_type"):
+            extra = "grows like log(1/delta)"
+        else:
+            extra = f"grows like delta^(-{row['fitted_slope']:.3f})"
         print(f"   p={row['p']:.3f}: {row['classification']:>10} -- {extra}")

@@ -11,17 +11,14 @@ The experiments mirror the structure of the underlying results:
   ladders and quadrature-offset ladders;
 * disc-level checks of the weighted Poisson-type integral and of the
   -log(delta) blow-up of the unweighted kernel mass;
-* a divergence scan that measures the L^p norm of 1/z2 on shrinking
-  cores, fits its growth exponent, and bisects the empirical critical
-  p -- this is the sharpness half, and it is valid for real exponents;
+* a divergence scan that reads the critical p off the growth of the L^p
+  mass of 1/z2 on shrinking cores (the sharpness half; real exponents);
 * a norm-ratio probe over monomial families, whose exact projection
   norms either stay bounded (inside the range) or present a divergent
   integral as an unboundedness certificate (outside).
 
-"Bounded" is operationalized as ladder saturation; growth-vs-saturation
-is classified by the fitted log-log slope over the finest ladder levels,
-which separates near-critical exponents far more reliably than raw
-level-to-level differences.
+Every ladder -- boundary, offset or disc -- is read as growing, bounded
+or undecided by one rule on its last five values, :func:`_ladder_trend`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -72,25 +69,6 @@ __all__ = [
 VERDICT_CONSISTENT = "consistent"
 VERDICT_VIOLATED = "violated"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-# fitted slope of ratios against the boundary gap below which a ladder of
-# Schur ratios counts as growing rather than converging
-_RATIO_GROWTH_SLOPE = 0.05
-
-
-def _growth_threshold(deltas: Sequence[float]) -> float:
-    """Growth threshold for a log-log offset-ladder slope.
-
-    A log-divergent quantity has slope 1/ln(1/delta) on the ladder, the
-    shallowest growth the experiments must still flag; saturating
-    quantities fall below that at a rate set by their distance from the
-    critical exponent.  70% of the endpoint slope splits the two with
-    balanced margins at any ladder depth.  The endpoint is the four
-    smallest offsets, the window :func:`fit_loglog_slope` fits by default.
-    """
-    window = np.asarray(sorted(deltas)[:4], dtype=float)
-    return 0.7 / float(np.mean(np.log(1.0 / window)))
-
 
 # ----------------------------------------------------------------------
 # range algebra
@@ -154,7 +132,7 @@ def schur_range(a, b) -> RangeReport:
 
 
 # ----------------------------------------------------------------------
-# reports and fits
+# reports and the ladder rule
 
 @dataclass
 class VerificationReport:
@@ -169,25 +147,81 @@ class VerificationReport:
     expected_violation: bool = False
 
 
-def fit_loglog_slope(x: Sequence[float], y: Sequence[float], tail: int = 4) -> float:
-    """Least-squares slope of log y against log x over the last ``tail``
-    points, discarding coarser (pre-asymptotic) levels."""
-    lx = np.log(np.asarray(x, dtype=float)[-tail:])
-    ly = np.log(np.asarray(y, dtype=float)[-tail:])
-    if lx.size < 2:
-        raise ValueError("need at least two ladder levels for a fit")
-    return float(np.polyfit(lx, ly, 1)[0])
+# Increments at or below _NOISE_FLOOR of the last value change sign or
+# vanish from rounding and quadrature error.  Log growth reads |c| up to
+# 2.1e-8 (disc-log at 53 levels), the weakest power growth c = -0.0206
+# (Schur corner, k = 2, eps 0.49) and the nearest bounded ladder +0.02.
+_NOISE_FLOOR = 1e-9
+_C_GROW = 1e-6
 
 
-def _saturates(values: Sequence[float], tol: float) -> bool:
-    """Last-three-levels saturation test: consecutive relative changes
-    below ``tol``."""
+class _Trend(NamedTuple):
+    kind: str  # "growing", "bounded" or "inconclusive"
+    q: Optional[float]  # the last increment ratio above the noise floor
+    c: Optional[float]  # -log(q) / log(ratio); None where no q is readable
+    limit: float
+    rule: str  # the rule that fired
+
+    def decided_by(self, ladder: str) -> dict:
+        return {"ladder": ladder, "q": self.q, "c": self.c, "rule": self.rule}
+
+
+def _ladder_trend(values: Sequence[float], ratio: float) -> _Trend:
+    """Read a ladder whose rungs shrink by ``ratio`` as growing, bounded
+    or, below five values, inconclusive.
+
+    With increments d_j, q_j = d_j / d_(j-1) and c_j = -log(q_j) / log(ratio),
+    values C - D ratio^(-c j) read that c, log growth c = 0 and power
+    growth c < 0.  Growth is the last four increments above the noise
+    floor with each c <= ``_C_GROW``.  q and c come from the last pair of
+    increments above the floor with one sign; where it ends the ladder and
+    0 < q < 1 the limit is Aitken's v_n + d_n q / (1 - q).
+    """
     v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        return False
-    tailv = v[-3:]
-    rel = np.abs(np.diff(tailv)) / np.abs(tailv[:-1])
-    return bool(np.all(rel < tol))
+    d, floor = np.diff(v), _NOISE_FLOOR * abs(v[-1])
+    pairs = [j for j in range(1, d.size)
+             if min(abs(d[j]), abs(d[j - 1])) > floor and (d[j] > 0.0) == (d[j - 1] > 0.0)]
+    q = c = None
+    limit = float(v[-1])
+    if pairs:
+        j = pairs[-1]
+        q = float(d[j] / d[j - 1])
+        c = -math.log(q) / math.log(ratio)
+        if j == d.size - 1 and q < 1.0:
+            limit += float(d[j]) * q / (1.0 - q)
+    last = d[-4:]
+    if v.size < 5:
+        kind, rule = VERDICT_INCONCLUSIVE, "fewer than 5 values"
+    elif not np.all(last > floor):
+        kind, rule = "bounded", "an increment of the last 4 at or below the noise floor"
+    elif np.all(-np.log(last[1:] / last[:-1]) / math.log(ratio) <= _C_GROW):
+        kind, rule = "growing", f"the last 4 increments above the noise floor, c <= {_C_GROW:g}"
+    else:
+        kind, rule = "bounded", f"an increment ratio of the last 4 with c > {_C_GROW:g}"
+    return _Trend(kind, q, c, limit, rule)
+
+
+def _decide(report: VerificationReport, trends: dict[str, _Trend]) -> str:
+    """Set the verdict from the deciding ladder of ``trends``, named in
+    ``decided_by``: one growing, else undecided, else nearest to growth."""
+    order = {"growing": 0, VERDICT_INCONCLUSIVE: 1, "bounded": 2}
+    name = min(trends, key=lambda s: (order[trends[s].kind],
+                                      math.inf if trends[s].c is None else trends[s].c))
+    report.verdict = {"growing": VERDICT_VIOLATED,
+                      "bounded": VERDICT_CONSISTENT}.get(trends[name].kind, VERDICT_INCONCLUSIVE)
+    report.parameters["decided_by"] = trends[name].decided_by(name)
+    return name
+
+
+def _rung_ratio(offsets: Sequence[float]) -> float:
+    """The one ratio by which at least 4 ``offsets``, largest first,
+    shrink, or a ``ValueError``: c of :func:`_ladder_trend` needs one."""
+    if len(offsets) < 4:
+        raise ValueError(f"need at least 4 deltas, got {len(offsets)}")
+    ratios = [a / b for a, b in zip(offsets, offsets[1:])]
+    if not (ratios[0] > 1.0 and all(math.isclose(r, ratios[0]) for r in ratios)):
+        raise ValueError(f"offsets must shrink by one ratio, got {[float(x) for x in offsets]}")
+    return ratios[0]
 
 
 # ----------------------------------------------------------------------
@@ -480,18 +514,17 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     delta = _edge_exponent(k, eps) < 1, recorded as the report's
     ``edge_exponent``; for delta = eps, W = h^(-eps).
 
-    Protocol: first classify the quadrature-offset ladder of the full
+    Protocol: first read the quadrature-offset ladder of the full
     integral at a fixed probe point (growth there means the integral
     itself diverges at the singular corner, which is the expected failure
-    mode for eps at or above (k+2)/(2k), where delta = 0).  If the
-    integral saturates, the ratio I(z) / W(z) is computed along the three
-    boundary ladders and the verdict is "consistent" exactly when every
-    ladder of ratios saturates.
+    mode for eps at or above (k+2)/(2k), where delta = 0).  If it is
+    bounded, the ratio I(z) / W(z) is computed along the three boundary
+    ladders, and the verdict follows the ladder that ``decided_by`` names.
 
     The probe ladder runs serially.  The 3 x ``ladder_levels`` boundary
     values are independent, and :func:`_map_on_cores` evaluates them on
     every usable core; each is the same :func:`_schur_value` call as in a
-    serial loop, so samples, slopes and verdict do not depend on the core
+    serial loop, so samples, exponents and verdict do not depend on the core
     count.
     """
     k = d.k_int()
@@ -499,83 +532,62 @@ def verify_schur(d: DomainSpec, cfg: SchurConfig) -> VerificationReport:
     delta = _edge_exponent(k, eps)
     b = (k + 2) / (2 * k)
     in_stated_range = 0.5 <= eps < b
-    params = {
-        "k": k,
-        "eps": eps,
-        "edge_exponent": delta,
-        "a": 0.5,
-        "b": b,
-        "in_stated_range": in_stated_range,
-        "ladder_levels": cfg.ladder_levels,
-    }
     report = VerificationReport(
         experiment="schur",
-        parameters=params,
+        parameters={"k": k, "eps": eps, "edge_exponent": delta, "a": 0.5, "b": b,
+                    "in_stated_range": in_stated_range, "ladder_levels": cfg.ladder_levels},
         expected_violation=not in_stated_range,
     )
 
     # a ladder point that rounds onto the boundary fails the run before any value
     ladders = {s: boundary_ladder(d, s, cfg.ladder_levels) for s in ("outer", "inner", "corner")}
     values = [_schur_value(d, _PROBE_POINT, eps, delta, v0=v0) for v0 in _V0_PROBE_LADDER]
-    cls, slope = _classify_deltas(values, _V0_PROBE_LADDER)
+    trend = _ladder_trend(values, 10.0)
     report.samples = [
         {"kind": "offset_ladder", "v0": v0, "value": val,
          "provenance": "quadrature"}
         for v0, val in zip(_V0_PROBE_LADDER, values)
     ]
-    if cls == "growing":
-        report.fitted_exponent = slope
+    if trend.kind == "growing":
+        _decide(report, {"probe": trend})
+        report.fitted_exponent = -trend.c  # the growth exponent in 1/v0
         report.parameters["divergence_edge"] = "singular corner v -> 0"
-        report.verdict = VERDICT_VIOLATED
         return report
 
-    # The integral is finite: measure ratios along the boundary ladders.
-    # Boundedness shows up as ratios that flatten or decay as the gap
-    # shrinks; a violation is persistent growth, i.e. a fitted slope of
-    # log(ratio) against log(gap) below -_RATIO_GROWTH_SLOPE.  (On the
-    # corner ladder the ratio decays like |z2|^(2 eps - 1), so raw
-    # level-to-level differences are the wrong test for boundedness.)
+    # The integral is finite: the ratios along the boundary ladders must stay
+    # bounded (on the corner ladder they decay like |z2|^(2 eps - 1)).
     values = iter(_map_on_cores(
         lambda z: _schur_value(d, z, eps, delta, v0=None),
         [z for pts in ladders.values() for z in pts]))
-    worst = 0.0
-    slopes: dict[str, float] = {}
     for stratum, pts in ladders.items():
-        gaps, ratios = [], []
         for j, z in enumerate(pts, start=1):
             val = next(values)
             h = aux_h(d, z)
             # W(z)^-1 = |z2|^(2 eps) E(z)^delta with E(z) = h / |z2|^2
             y2 = abs(z.z2) ** 2
             ratio = val * y2**eps * (h / y2) ** delta
-            gaps.append(2.0**-j)
-            ratios.append(ratio)
             report.samples.append(
                 {"kind": "ladder", "stratum": stratum, "level": j,
                  "z1": z.z1.real, "z2": z.z2.real, "h": h,
                  "value": val, "ratio": ratio,
                  "provenance": "quadrature"}
             )
-            worst = max(worst, ratio)
-        slopes[stratum] = fit_loglog_slope(gaps, ratios)
-    report.parameters["stratum_slopes"] = slopes
-    report.bound_constant = worst
-    growing = {s: m for s, m in slopes.items() if m < -_RATIO_GROWTH_SLOPE}
-    if growing:
-        stratum, rslope = min(growing.items(), key=lambda kv: kv[1])
-        report.verdict = VERDICT_VIOLATED
-        report.fitted_exponent = rslope
+    trends = {s: _ladder_trend([r["ratio"] for r in report.samples if r.get("stratum") == s], 2.0)
+              for s in ladders}
+    # c of each stratum: its ratios behave like gap^c, negative for growth
+    report.parameters["stratum_slopes"] = {s: t.c for s, t in trends.items()}
+    report.bound_constant = max(r["ratio"] for r in report.samples if "ratio" in r)
+    stratum = _decide(report, trends)
+    if report.verdict == VERDICT_VIOLATED:
+        report.fitted_exponent = trends[stratum].c
         report.parameters["growing_stratum"] = stratum
-        return report
-    report.verdict = VERDICT_CONSISTENT
     return report
 
 
 # ----------------------------------------------------------------------
 # disc-level verifications
 
-_CALCULUS1_TOLERANCE = 0.02  # relative steps of the last three plateau levels
-_DISC_LOG_TOLERANCE = 0.10  # relative error of both fits, against pi and -1/2
+_DISC_LOG_TOLERANCE = 0.10  # relative error of both laws, against pi and -1/2
 # the deepest level j of a disc ladder |z| = 1 - 2^-j: past it |z| rounds to 1
 DISC_MAX_LEVELS = 53
 
@@ -592,77 +604,67 @@ def verify_calculus1(eps: float, beta: float, levels: int, *, radial_nodes: int,
     """Plateau check for the weighted disc integral I_(eps,beta).
 
     Computes I(z) (1 - |z|^2)^eps along |z| = 1 - 2^-j; the claim is a
-    one-sided bound, so the experiment verifies that the product
-    saturates to a finite plateau.
+    one-sided bound, so the product ladder must be bounded, and its limit
+    is the ``bound_constant``.
     """
     if not 0.0 < eps < 1.0:
         raise DivergentIntegralError(f"need 0 < eps < 1, got {eps}")
     if not 0.0 <= beta < 2.0:
         raise DivergentIntegralError(f"need 0 <= beta < 2, got {beta}")
-    report = _disc_ladder_report("calculus1", levels, {"eps": eps, "beta": beta,
-                                                       "tolerance": _CALCULUS1_TOLERANCE})
+    report = _disc_ladder_report("calculus1", levels, {"eps": eps, "beta": beta})
     i0 = disc_kernel_moment(0.0, eps, beta, radial_nodes, angular_nodes)
     report.samples.append({"abs_z": 0.0, "value": i0, "product": i0,
                            "provenance": "quadrature"})
-    deltas, products, values = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
         val = disc_kernel_moment(a, eps, beta, radial_nodes, angular_nodes)
-        prod = val * (1.0 - a * a) ** eps
-        deltas.append(1.0 - a * a)
-        values.append(val)
-        products.append(prod)
-        report.samples.append({"abs_z": a, "value": val, "product": prod,
+        report.samples.append({"abs_z": a, "value": val, "product": val * (1.0 - a * a) ** eps,
                                "provenance": "quadrature"})
-    report.fitted_exponent = fit_loglog_slope(deltas, values)
-    report.bound_constant = products[-1]
-    report.verdict = (VERDICT_CONSISTENT if _saturates(products, _CALCULUS1_TOLERANCE)
-                      else VERDICT_INCONCLUSIVE)
+    values, products = zip(*((s["value"], s["product"]) for s in report.samples[1:]))
+    trend = _ladder_trend(products, 2.0)
+    _decide(report, {"product": trend})
+    report.fitted_exponent = _ladder_trend(values, 2.0).c
+    report.bound_constant = trend.limit
+    report.parameters["last_product"] = products[-1]
     return report
 
 
 def verify_disc_log(levels: int, *, radial_nodes: int, angular_nodes: int) -> VerificationReport:
     """Check the -log(delta) law of the unweighted kernel mass on the disc.
 
-    The integral of |1 - z conj(w)|^-2 grows like pi * (-log delta(z));
-    the slope against -log delta is fitted and, with the calculus-1 weight
+    The integral of |1 - z conj(w)|^-2 grows like pi * (-log delta(z)), by
+    pi ln 2 per level delta = 2^-j; with the calculus-1 weight
     (1 - |w|^2)^(-1/2) inserted, the growth switches to the delta^(-1/2)
-    power law.  Both fits must land within 10% (``_DISC_LOG_TOLERANCE``).
+    power law, c = -1/2.  Both must land within 10% (``_DISC_LOG_TOLERANCE``).
     """
     report = _disc_ladder_report("disc_log", levels, {"tolerance": _DISC_LOG_TOLERANCE})
     v0 = disc_kernel_moment(0.0, 0.0, 0.0, radial_nodes, angular_nodes)
     report.samples.append({"abs_z": 0.0, "value": v0, "kind": "plain",
                            "provenance": "quadrature"})
-    deltas, plain, weighted = [], [], []
     for j in range(1, levels + 1):
         a = 1.0 - 2.0**-j
         val = disc_kernel_moment(a, 0.0, 0.0, radial_nodes, angular_nodes)
         wval = disc_kernel_moment(a, 0.5, 0.0, radial_nodes, angular_nodes)
-        delta = 1.0 - a
-        deltas.append(delta)
-        plain.append(val)
-        weighted.append(wval)
         report.samples.append({"abs_z": a, "value": val, "weighted_value": wval,
-                               "ratio_to_log": val / (-math.log(delta)),
+                               "ratio_to_log": val / (-math.log(1.0 - a)),
                                "kind": "ladder",
                                "provenance": "quadrature"})
-    # linear slope of the plain mass against -log delta tends to pi
-    logx = -np.log(np.asarray(deltas[-6:]))
-    slope = float(np.polyfit(logx, np.asarray(plain[-6:]), 1)[0])
-    wexp = fit_loglog_slope(deltas, weighted, tail=5)
+    slope = (report.samples[-1]["value"] - report.samples[-2]["value"]) / math.log(2.0)
+    trend = _ladder_trend([s["weighted_value"] for s in report.samples[1:]], 2.0)
     report.parameters["log_law_slope"] = slope
     report.parameters["log_law_slope_over_pi"] = slope / math.pi
-    report.fitted_exponent = wexp
-    slope_ok = abs(slope / math.pi - 1.0) < _DISC_LOG_TOLERANCE
-    weight_ok = abs(wexp / -0.5 - 1.0) < _DISC_LOG_TOLERANCE
-    report.verdict = VERDICT_CONSISTENT if (slope_ok and weight_ok) else VERDICT_INCONCLUSIVE
+    report.parameters["decided_by"] = trend.decided_by("weighted")
+    report.fitted_exponent = trend.c
+    ok = (trend.kind == "growing" and abs(slope / math.pi - 1.0) < _DISC_LOG_TOLERANCE
+          and abs(trend.c / -0.5 - 1.0) < _DISC_LOG_TOLERANCE)
+    report.verdict = VERDICT_CONSISTENT if ok else VERDICT_INCONCLUSIVE
     return report
 
 
 # ----------------------------------------------------------------------
 # divergence scan (sharpness half; valid for real exponents)
 
-_DIVERGENCE_TOLERANCE = 0.02  # relative error of the bisected critical p
+_DIVERGENCE_TOLERANCE = 0.02  # relative error of the measured critical p
 
 
 def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
@@ -694,11 +696,6 @@ def _z2_power_masses(d: DomainSpec, deltas: Sequence[float]):
     return masses
 
 
-def _classify_deltas(values: Sequence[float], deltas: Sequence[float]) -> tuple[str, float]:
-    slope = fit_loglog_slope([1.0 / dd for dd in deltas], values)
-    return ("growing" if slope > _growth_threshold(deltas) else "saturating"), slope
-
-
 def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
                     delta_grid: Sequence[float]) -> VerificationReport:
     """Measure where the projection of conj(z2) leaves L^p.
@@ -706,14 +703,14 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
     The projected function is a constant times 1/z2, so its p-th power
     mass on the core |z2| > delta behaves like the 1-d integral of
     r^(1 - p + 2/k): it saturates for p < 2 + 2/k and grows like
-    delta^(2 - p + 2/k) beyond (with a log at the endpoint).  The scan
-    classifies each p of the grid, fits growth exponents, bisects the
-    empirical critical p, and compares it against (2k+2)/k.  Real
-    (non-integer) exponents are fully supported.
+    delta^(2 - p + 2/k) beyond (with a log at the endpoint).  On offsets
+    that shrink by one ratio, :func:`_ladder_trend` reads each p's masses
+    with c = 2 + 2/k - p (``fitted_slope`` -c), and p + c of the row with
+    the smallest |c| is compared against (2k+2)/k.  Real (non-integer)
+    exponents are fully supported.
     """
     deltas = sorted(float(x) for x in delta_grid)[::-1]
-    if len(deltas) < 4:
-        raise ValueError("need at least 4 deltas for growth classification")
+    ratio = _rung_ratio(deltas)
     if not all(math.isfinite(p) for p in p_grid):
         raise ValueError(f"exponents p must be finite, got {list(p_grid)}")
     p_crit = 2.0 + 2.0 / d.k
@@ -721,48 +718,45 @@ def divergence_scan(d: DomainSpec, p_grid: Sequence[float],
         experiment="divergence_scan",
         parameters={"k": d.k, "p_critical_formula": p_crit,
                     "delta_min": deltas[-1], "delta_max": deltas[0],
-                    "tolerance": _DIVERGENCE_TOLERANCE},
+                    "tolerance": _DIVERGENCE_TOLERANCE, "p_critical_empirical": None,
+                    "p_critical_rel_err": None, "decided_by": None},
     )
 
     masses = _z2_power_masses(d, deltas)
-    fit_ok = True
+    rows_ok, trends = True, []
     for p in p_grid:
         vals = masses(p)
-        cls, slope = _classify_deltas(vals, deltas)
-        predicted = 2.0 - p + 2.0 / d.k
-        row = {"p": p, "classification": cls, "fitted_slope": slope,
+        trend = _ladder_trend(vals, ratio)
+        cls = "saturating" if trend.kind == "bounded" else trend.kind
+        row = {"p": p, "classification": cls,
+               "fitted_slope": None if trend.c is None else -trend.c,
                "provenance": "quadrature"}
+        rows_ok = rows_ok and cls != VERDICT_INCONCLUSIVE
         if cls == "saturating":
             exact = radial_moment(d, 0.0, -p)
-            row["limit"] = vals[-1]
-            row["exact_limit"] = exact
-            row["limit_rel_err"] = abs(vals[-1] - exact) / exact
-        else:
-            row["predicted_exponent"] = predicted
+            row.update(limit=trend.limit, exact_limit=exact,
+                       limit_rel_err=abs(trend.limit - exact) / exact)
+        elif cls == "growing":
+            predicted = row["predicted_exponent"] = 2.0 - p + 2.0 / d.k
             if abs(predicted) > 0.05:  # power growth; the endpoint is log-type
-                row["exponent_rel_err"] = abs(slope - (-predicted)) / abs(predicted)
-                fit_ok = fit_ok and row["exponent_rel_err"] < 0.05
+                row["exponent_rel_err"] = abs(trend.c - predicted) / abs(predicted)
+                rows_ok = rows_ok and row["exponent_rel_err"] < 0.05
             else:
                 row["growth_type"] = "logarithmic"
+        trends.append((p, trend))
         for dd, val in zip(deltas, vals):
             report.samples.append({"p": p, "delta": dd, "value": val,
                                    "provenance": "quadrature"})
         report.parameters.setdefault("grid_rows", []).append(row)
 
-    lo, hi = 2.0, p_crit + 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cls, _ = _classify_deltas(masses(mid), deltas)
-        if cls == "growing":
-            hi = mid
-        else:
-            lo = mid
-    empirical = 0.5 * (lo + hi)
-    report.parameters["p_critical_empirical"] = empirical
-    rel = abs(empirical - p_crit) / p_crit
-    report.parameters["p_critical_rel_err"] = rel
-    report.verdict = (VERDICT_CONSISTENT if rel < _DIVERGENCE_TOLERANCE and fit_ok
-                      else VERDICT_INCONCLUSIVE)
+    readable = [(p, trend) for p, trend in trends if trend.c is not None]
+    if readable:
+        p, trend = min(readable, key=lambda row: abs(row[1].c))
+        rel = abs(p + trend.c - p_crit) / p_crit
+        report.parameters.update(p_critical_empirical=p + trend.c, p_critical_rel_err=rel,
+                                 decided_by=trend.decided_by(f"p = {p}"))
+        if rel < _DIVERGENCE_TOLERANCE and rows_ok:
+            report.verdict = VERDICT_CONSISTENT
     return report
 
 

@@ -142,13 +142,15 @@ def _parse_deltas(text: str) -> list[float]:
 
 
 def _parse_core_offsets(text: str) -> list[float]:
-    """Parse ``--deltas``: at least the 4 core offsets in (0, 1) that
-    growth classification needs."""
+    """Parse ``--deltas``: at least 4 core offsets in (0, 1) that shrink by
+    one ratio, as growth classification needs."""
     deltas = _parse_deltas(text)
-    if len(deltas) < 4:
-        raise argparse.ArgumentTypeError(f"need at least 4 deltas, got {len(deltas)}")
     if not all(0.0 < x < 1.0 for x in deltas):
         raise argparse.ArgumentTypeError(f"deltas must lie in (0, 1), got {text}")
+    try:
+        analysis._rung_ratio(sorted(deltas, reverse=True))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return deltas
 
 

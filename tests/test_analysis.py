@@ -18,18 +18,19 @@ from fathartogs.analysis import (
     RangeReport,
     SchurConfig,
     VERDICT_CONSISTENT,
+    VERDICT_INCONCLUSIVE,
     VERDICT_VIOLATED,
     _EDGE_RESCALE_LEVEL,
     _PROBE_POINT,
     _V0_PROBE_LADDER,
     _edge_exponent,
+    _ladder_trend,
     _schur_value,
     _u_factor,
     _u_rule,
     _v_axis,
     critical_range,
     divergence_scan,
-    fit_loglog_slope,
     norm_ratio_probe,
     schur_range,
     verify_calculus1,
@@ -114,15 +115,53 @@ class TestSchurRange:
             RangeReport(1.0, 4.0, "test")
 
 
-class TestFits:
-    def test_fit_loglog_slope(self):
-        x = np.geomspace(1e-1, 1e-6, 8)
-        y = 3.0 * x**-0.7
-        assert fit_loglog_slope(1 / x, y) == pytest.approx(0.7, rel=1e-10)
+class TestLadderTrend:
+    def test_a_pure_power_grows_with_its_exponent(self):
+        values = 3.0 * 2.0 ** (0.7 * np.arange(1, 9))
+        trend = _ladder_trend(values, 2.0)
+        assert trend.kind == "growing"
+        assert trend.c == pytest.approx(-0.7, rel=1e-12)
+        assert trend.q == pytest.approx(2.0**0.7, rel=1e-12)
 
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            fit_loglog_slope([1.0], [2.0])
+    def test_a_log_grows_with_exponent_zero(self):
+        # pi log(1/delta) on delta = 10^-j: every increment is pi ln 10
+        values = 2.0 + math.pi * math.log(10.0) * np.arange(1, 12)
+        trend = _ladder_trend(values, 10.0)
+        assert trend.kind == "growing"
+        assert abs(trend.c) < 1e-12
+
+    def test_a_turn_is_not_growth(self):
+        # the inner ladder of k = 1, eps 0.997: after the turn the
+        # increments rise for two levels, then fall again
+        values = np.cumsum([10.0, -0.062, 0.002, 0.023, 0.026, 0.022])
+        at_turn = _ladder_trend(values[:-1], 2.0)
+        assert at_turn.kind == "bounded" and "at or below the noise floor" in at_turn.rule
+        after_turn = _ladder_trend(values, 2.0)
+        assert after_turn.kind == "bounded" and "with c > 1e-06" in after_turn.rule
+        assert after_turn.c == pytest.approx(-math.log2(0.022 / 0.026), rel=1e-9)
+
+    def test_a_converging_ladder_reports_its_aitken_limit(self):
+        values = 7.0 - 3.0 * 2.0 ** (-0.5 * np.arange(1, 11))
+        trend = _ladder_trend(values, 2.0)
+        assert trend.kind == "bounded"
+        assert trend.c == pytest.approx(0.5, rel=1e-9)
+        assert trend.limit == pytest.approx(7.0, rel=1e-13)
+        assert abs(values[-1] - 7.0) > 0.09
+
+    def test_noise_at_the_plateau_gives_the_last_value(self):
+        # increments at 1e-14 of the value are noise: q and c come from the
+        # last pair above the floor, and no Aitken step is taken
+        values = [1.0, 1.5, 1.75, 1.875, 1.875 + 1e-14, 1.875 - 1e-14, 1.875]
+        trend = _ladder_trend(values, 2.0)
+        assert trend.kind == "bounded"
+        assert trend.q == pytest.approx(0.5) and trend.c == pytest.approx(1.0)
+        assert trend.limit == 1.875
+
+    def test_a_short_ladder_is_undecided(self):
+        trend = _ladder_trend(2.0 ** np.arange(4), 2.0)
+        assert trend.kind == VERDICT_INCONCLUSIVE
+        assert trend.rule == "fewer than 5 values"
+        assert trend.c == pytest.approx(-1.0)
 
 
 class TestVerifyCalculus1:
@@ -195,12 +234,25 @@ class TestDivergenceScan:
         assert rep.parameters["p_critical_rel_err"] < 0.02
         assert rep.verdict == VERDICT_CONSISTENT
 
+    # criterion 7's cases: p + c reads the critical p to about 2e-9, far
+    # inside criterion 7's 2%
+    @pytest.mark.parametrize("k", [1.0, 2.0, 1.5])
+    def test_critical_p_is_read_off_the_growth_exponent(self, k):
+        p_c = 2.0 + 2.0 / k
+        rep = divergence_scan(DomainSpec(k), [p_c + 0.5, p_c + 1.0], np.geomspace(1e-2, 1e-10, 9))
+        assert rep.parameters["p_critical_rel_err"] < 1e-6
+        assert rep.parameters["decided_by"]["ladder"] == f"p = {p_c + 0.5}"
+
     def test_real_exponent_supported(self):
         d = DomainSpec(1.5)
         deltas = np.geomspace(1e-2, 1e-10, 9)
         rep = divergence_scan(d, [2.5], deltas)
         pc = 2 + 2 / 1.5
         assert rep.parameters["p_critical_empirical"] == pytest.approx(pc, rel=0.02)
+
+    def test_offsets_must_shrink_by_one_ratio(self):
+        with pytest.raises(ValueError, match=r"one ratio, got \[0.01, 0.001, 1e-05, 1e-06\]"):
+            divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3, 1e-5, 1e-6])
 
     def test_needs_enough_deltas(self):
         with pytest.raises(ValueError):
@@ -538,6 +590,31 @@ class TestVerifySchur:
         assert "divergence_edge" not in rep.parameters
         assert rep.parameters["growing_stratum"] == "corner"
         assert rep.fitted_exponent == pytest.approx(2 * eps - 1, abs=0.01)
+
+    # at the window bottom the outer (k = 1) and inner (k = 3, 4) ladders
+    # turn before they converge; the increments after a turn rise for a
+    # level or two, which must not read as growth
+    @pytest.mark.parametrize("k,eps,levels", [(1, 0.5, 6), (3, 0.5, 8), (4, 0.5, 8)])
+    def test_window_bottom_is_consistent(self, k, eps, levels):
+        rep = verify_schur(DomainSpec(k), SchurConfig(eps=eps, ladder_levels=levels))
+        assert rep.verdict == VERDICT_CONSISTENT and not rep.expected_violation
+
+    # below the window the corner ratio grows like |z2|^(2 eps - 1), here
+    # c = -0.02 and -0.1, while the outer and inner ratios converge
+    @pytest.mark.parametrize("k,eps", [(2, 0.49), (3, 0.45)])
+    def test_just_below_the_window_the_corner_grows(self, k, eps):
+        rep = verify_schur(DomainSpec(k), SchurConfig(eps=eps, ladder_levels=10))
+        assert rep.verdict == VERDICT_VIOLATED and rep.expected_violation
+        assert rep.parameters["growing_stratum"] == "corner"
+        assert rep.fitted_exponent == pytest.approx(2 * eps - 1, abs=0.005)
+        assert rep.parameters["decided_by"]["ladder"] == "corner"
+
+    def test_four_levels_are_too_few_to_read(self):
+        # at 4 levels the outer ladder of k = 1 has not converged (its
+        # ratios still rise at eps = 1.2), so no verdict is read
+        rep = verify_schur(DomainSpec(1), SchurConfig(eps=1.2, ladder_levels=4))
+        assert rep.verdict == VERDICT_INCONCLUSIVE
+        assert rep.parameters["decided_by"]["rule"] == "fewer than 5 values"
 
 
 class TestLadderValuesOnCores:

@@ -79,6 +79,13 @@ class TestDivergenceCommand:
         body = load_report(tmp_path, "divergence")["report"]
         assert [r["p"] for r in body["parameters"]["grid_rows"]] == [3.0, 4.0, 5.0]
 
+    def test_offsets_that_are_not_geometric_are_a_usage_error(self, tmp_path, capsys):
+        # the growth exponent needs one ratio between neighbouring offsets
+        assert run(["divergence", "--k", "1", "--deltas", "1e-2,1e-3,1e-5,1e-6"], tmp_path) == 1
+        assert not (tmp_path / "divergence_report.json").exists()
+        err = capsys.readouterr().err
+        assert "argument --deltas: offsets must shrink by one ratio, got [0.01, 0.001" in err
+
     def test_delta_range_syntax(self):
         assert cli._parse_deltas("1e-2..1e-5") == pytest.approx([1e-2, 1e-3, 1e-4, 1e-5])
         assert cli._parse_deltas("0.1,0.01") == [0.1, 0.01]
@@ -167,10 +174,20 @@ def test_every_body_holds_one_key_set(every_body):
         for name in every_body}
 
 
-@pytest.mark.parametrize("command,tolerance", [
-    ("calculus1", 0.02), ("disc-log", 0.10), ("divergence", 0.02)])
+@pytest.mark.parametrize("command,tolerance", [("disc-log", 0.10), ("divergence", 0.02)])
 def test_fixed_tolerance_is_recorded_in_parameters(every_body, command, tolerance):
     assert every_body[command]["parameters"]["tolerance"] == tolerance
+
+
+# the ladder each verdict was read from, with its last increment ratio q,
+# the exponent c and the rule of analysis._ladder_trend that fired
+@pytest.mark.parametrize("command,ladder", [
+    ("schur", "probe"), ("calculus1", "product"), ("disc-log", "weighted"),
+    ("divergence", "p = 4.0")])
+def test_ladder_reports_name_what_decided(every_body, command, ladder):
+    decided = every_body[command]["parameters"]["decided_by"]
+    assert set(decided) == {"ladder", "q", "c", "rule"}
+    assert decided["ladder"] == ladder and decided["rule"]
 
 
 class TestWriteCsv:
