@@ -40,7 +40,6 @@ from .projection import (
 from .quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
-    integrate,
     radial_moment,
 )
 from .analysis import (

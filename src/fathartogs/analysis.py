@@ -39,7 +39,6 @@ from .kernel import _polar_phases, _polar_theta1_factor, _polar_w1_factor, kerne
 from .projection import MonomialInput, project_monomial
 from .quadrature import (
     _FINEST_PANEL,
-    _TENSOR_BLOCK_ENTRIES,
     DivergentIntegralError,
     _aligned_angle_rule,
     _join,
@@ -47,7 +46,6 @@ from .quadrature import (
     disc_kernel_moment,
     graded_rule,
     radial_moment,
-    tensor_sum,
 )
 
 __all__ = [
@@ -153,6 +151,8 @@ class VerificationReport:
 # (Schur corner, k = 2, eps 0.49) and the nearest bounded ladder +0.02.
 _NOISE_FLOOR = 1e-9
 _C_GROW = 1e-6
+# the fewest values a ladder is read from: four increments, three ratios
+LADDER_MIN_VALUES = 5
 
 
 class _Trend(NamedTuple):
@@ -168,7 +168,7 @@ class _Trend(NamedTuple):
 
 def _ladder_trend(values: Sequence[float], ratio: float) -> _Trend:
     """Read a ladder whose rungs shrink by ``ratio`` as growing, bounded
-    or, below five values, inconclusive.
+    or, below ``LADDER_MIN_VALUES`` values, inconclusive.
 
     With increments d_j, q_j = d_j / d_(j-1) and c_j = -log(q_j) / log(ratio),
     values C - D ratio^(-c j) read that c, log growth c = 0 and power
@@ -189,15 +189,16 @@ def _ladder_trend(values: Sequence[float], ratio: float) -> _Trend:
         c = -math.log(q) / math.log(ratio)
         if j == d.size - 1 and q < 1.0:
             limit += float(d[j]) * q / (1.0 - q)
-    last = d[-4:]
-    if v.size < 5:
-        kind, rule = VERDICT_INCONCLUSIVE, "fewer than 5 values"
+    n = LADDER_MIN_VALUES - 1
+    last = d[-n:]
+    if v.size < LADDER_MIN_VALUES:
+        kind, rule = VERDICT_INCONCLUSIVE, f"fewer than {LADDER_MIN_VALUES} values"
     elif not np.all(last > floor):
-        kind, rule = "bounded", "an increment of the last 4 at or below the noise floor"
+        kind, rule = "bounded", f"an increment of the last {n} at or below the noise floor"
     elif np.all(-np.log(last[1:] / last[:-1]) / math.log(ratio) <= _C_GROW):
-        kind, rule = "growing", f"the last 4 increments above the noise floor, c <= {_C_GROW:g}"
+        kind, rule = "growing", f"the last {n} increments above the noise floor, c <= {_C_GROW:g}"
     else:
-        kind, rule = "bounded", f"an increment ratio of the last 4 with c > {_C_GROW:g}"
+        kind, rule = "bounded", f"an increment ratio of the last {n} with c > {_C_GROW:g}"
     return _Trend(kind, q, c, limit, rule)
 
 
@@ -214,10 +215,10 @@ def _decide(report: VerificationReport, trends: dict[str, _Trend]) -> str:
 
 
 def _rung_ratio(offsets: Sequence[float]) -> float:
-    """The one ratio by which at least 4 ``offsets``, largest first,
-    shrink, or a ``ValueError``: c of :func:`_ladder_trend` needs one."""
-    if len(offsets) < 4:
-        raise ValueError(f"need at least 4 deltas, got {len(offsets)}")
+    """The one ratio by which ``LADDER_MIN_VALUES`` or more ``offsets``,
+    largest first, shrink, or a ``ValueError``: the ladder rule needs both."""
+    if len(offsets) < LADDER_MIN_VALUES:
+        raise ValueError(f"need at least {LADDER_MIN_VALUES} deltas, got {len(offsets)}")
     ratios = [a / b for a, b in zip(offsets, offsets[1:])]
     if not (ratios[0] > 1.0 and all(math.isclose(r, ratios[0]) for r in ratios)):
         raise ValueError(f"offsets must shrink by one ratio, got {[float(x) for x in offsets]}")
@@ -276,9 +277,27 @@ def _rung_ratio(offsets: Sequence[float]) -> float:
 _U_ORDER = 10
 _PSI_ORDER = 8
 _N_THETA1 = 32
+# entries of one Schur block of v nodes x psi x u x theta1.  On the
+# benchmark, 2^15 to 2^17 entries took the same time, 2^18 took 8% more,
+# and peak memory grew from 2^17 on.  A block is never smaller than one
+# v node: the inner-stratum block, one v node of psi x u x theta1
+# entries, is 32 x 50 x 32 to 72 x 90 x 32 on 10-level inner ladders at
+# k = 2-4, and 64 x 80 x 32 = 163840, 2.5x this budget, at the deepest
+# level of schur_sweep.  Its kernel_abs_polar call is one real product of
+# the block's size, written into a buffer reused by every block, whose
+# square root is the block; sub-blocking it along psi made schur_sweep
+# slower, since kernel_abs_polar is then called more often per Schur
+# value.  The theta1-side factor, k^2 x psi x theta1 real entries per v
+# node, is formed for a chunk of v nodes of at most half this many
+# entries, since verify_schur keeps one Schur value in flight per usable
+# core: 4, 2 and 1 nodes at k = 2, 3 and 4 on the deepest level of an
+# 8-level inner ladder.  A serial pass ran as fast with these chunks as
+# with chunks of the full budget (8, 4 and 2 nodes), and with 2 workers
+# the traced peak of one verify_schur at k = 2 fell from 5.6 to 4.4 MiB
+_SCHUR_BLOCK_ENTRIES = 1 << 16
 # real entries of one chunk of the theta1-side factor: half the block
 # budget, as verify_schur keeps one Schur value in flight per core
-_THETA1_CHUNK_ENTRIES = _TENSOR_BLOCK_ENTRIES // 2
+_THETA1_CHUNK_ENTRIES = _SCHUR_BLOCK_ENTRIES // 2
 
 
 def _u_rule(k: int, delta: float, *, floor: float):
@@ -338,53 +357,50 @@ def _v_axis(k: int, eps: float, delta: float, y: float, v0: Optional[float]):
 
 def _schur_value(d: DomainSpec, z: Point2, eps: float, delta: float,
                  v0: Optional[float]) -> float:
-    """I(z) as one tensor sum over (v, psi, u, theta1), with the v axis cut
-    at ``v0`` or, for ``v0=None``, integrated to the corner v = 0
-    (:func:`_v_axis`).  The sum runs in blocks along v,
-    each block one :func:`kernel_abs_polar` call written into one buffer,
-    which ``tensor_sum`` sums before the next block.  The |w1|-side factor
-    and the constants of the (psi, theta1) grid are formed once here, and
-    the theta1-side factor once per chunk of v nodes of at most
-    ``_THETA1_CHUNK_ENTRIES`` real entries (at least one block).  For
-    z1 = 0 the kernel modulus depends on neither u nor theta1, so each of
-    those axes is one node carrying its exact integral: the u factor and
-    2 pi."""
+    """I(z) as one sum over the tensor grid (v, psi, u, theta1), with the v
+    axis cut at ``v0`` or, for ``v0=None``, integrated to the corner v = 0
+    (:func:`_v_axis`).  The |w1|-side factor and the (psi, theta1)
+    constants are formed once here, and the theta1-side factor once per
+    chunk of v nodes of at most ``_THETA1_CHUNK_ENTRIES`` real entries,
+    cut to whole blocks of at most ``_SCHUR_BLOCK_ENTRIES`` entries (one v
+    node at least).  Each block is one :func:`kernel_abs_polar` call into
+    one buffer, summed in ``np.einsum``'s loops (not BLAS, whose sums
+    change with the thread count) against the (u, theta1), psi and v
+    weights in turn before the next.  For z1 = 0 the kernel modulus
+    depends on neither u nor theta1, so each of those axes is one node
+    carrying its exact integral: the u factor and 2 pi."""
     k = d.k_int()
     x, y = abs(z.z1), abs(z.z2)
     if x == 0.0:
         scale = 1.0 - y
-        u_axis = (np.zeros(1), np.array([_u_factor(k, delta)]))
-        theta1_axis = (np.zeros(1), np.array([2.0 * math.pi]))
+        u, wu = np.zeros(1), np.array([_u_factor(k, delta)])
+        theta1, wtheta1 = np.zeros(1), np.array([2.0 * math.pi])
     else:
         scale = 1.0 - x**k / y
-        u_axis = _u_rule(k, delta, floor=max(scale / 16.0, _FINEST_PANEL))
-        theta1_axis = angle_rule(_N_THETA1)
+        u, wu = _u_rule(k, delta, floor=max(scale / 16.0, _FINEST_PANEL))
+        theta1, wtheta1 = angle_rule(_N_THETA1)
     # psi on [0, pi], weights doubled for the even symmetry of the
     # theta1-averaged integrand
     psi, wpsi = _aligned_angle_rule(scale, _PSI_ORDER)
-    v_axis = _v_axis(k, eps, delta, y, v0)
-    axes = (v_axis, (psi, 2.0 * wpsi), u_axis, theta1_axis)
-    g = _polar_w1_factor(d, x, y, psi, u_axis[0])
-    phases = _polar_phases(k, psi, theta1_axis[0])
-    chunk = max(1, _THETA1_CHUNK_ENTRIES // (k * k * psi.size * theta1_axis[0].size))
-    # the next v node, the rows of the chunk's factor not used yet, and the
-    # block buffer
-    start, held, work = 0, None, None
-
-    def block(v, *_):
-        nonlocal start, held, work
-        rows = v.size
-        if held is None or len(held) < rows:
-            held = None  # free the spent chunk before forming the next
-            held = _polar_theta1_factor(d, x, y, v_axis[0][start:start + max(chunk, rows)],
-                                        phases)
-        factor, held = held[:rows], held[rows:]
-        start += rows
-        if work is None:  # the first block is the largest
-            work = np.empty((rows,) + g.shape[:2] + theta1_axis[0].shape)
-        return kernel_abs_polar(g, factor, out=work[:rows])
-
-    return float(tensor_sum(axes, block))
+    wpsi = 2.0 * wpsi
+    v, wv = _v_axis(k, eps, delta, y, v0)
+    g = _polar_w1_factor(d, x, y, psi, u)
+    phases = _polar_phases(k, psi, theta1)
+    rows = max(1, _SCHUR_BLOCK_ENTRIES // (psi.size * u.size * theta1.size))
+    chunk = rows * max(1, _THETA1_CHUNK_ENTRIES // (k * k * psi.size * theta1.size) // rows)
+    w_rest = np.multiply.outer(wu, wtheta1).ravel()
+    work = np.empty((min(rows, v.size), psi.size, u.size, theta1.size))
+    total = 0.0
+    for c0 in range(0, v.size, chunk):
+        factor = _polar_theta1_factor(d, x, y, v[c0:c0 + chunk], phases)
+        for lo in range(0, len(factor), rows):
+            n = min(rows, len(factor) - lo)
+            block = kernel_abs_polar(g, factor[lo:lo + n], out=work[:n])
+            sums = np.einsum("ijk,k->ij", block.reshape(n, psi.size, -1), w_rest)
+            total += np.einsum("i,i->", wv[c0 + lo:c0 + lo + n],
+                               np.einsum("ij,j->i", sums, wpsi))
+        del factor  # free the spent chunk before forming the next
+    return float(total)
 
 
 # ----------------------------------------------------------------------
@@ -594,8 +610,9 @@ DISC_MAX_LEVELS = 53
 
 def _disc_ladder_report(experiment: str, levels: int, params: dict) -> VerificationReport:
     """The report of a disc ladder of ``levels`` levels before its samples."""
-    if not 4 <= levels <= DISC_MAX_LEVELS:
-        raise ValueError(f"levels must be at least 4 and at most {DISC_MAX_LEVELS}, got {levels}")
+    if not LADDER_MIN_VALUES <= levels <= DISC_MAX_LEVELS:
+        raise ValueError(f"levels must be at least {LADDER_MIN_VALUES} and at most "
+                         f"{DISC_MAX_LEVELS}, got {levels}")
     return VerificationReport(experiment, {**params, "levels": levels})
 
 

@@ -142,8 +142,8 @@ def _parse_deltas(text: str) -> list[float]:
 
 
 def _parse_core_offsets(text: str) -> list[float]:
-    """Parse ``--deltas``: at least 4 core offsets in (0, 1) that shrink by
-    one ratio, as growth classification needs."""
+    """Parse ``--deltas``: at least ``analysis.LADDER_MIN_VALUES`` core
+    offsets in (0, 1) that shrink by one ratio, as the ladder rule needs."""
     deltas = _parse_deltas(text)
     if not all(0.0 < x < 1.0 for x in deltas):
         raise argparse.ArgumentTypeError(f"deltas must lie in (0, 1), got {text}")
@@ -262,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the disc rules reject smaller counts than these
     disc_counts = (_count(quadrature.DISC_MIN_RADIAL_NODES),
                    _count(quadrature.DISC_MIN_ANGULAR_NODES))
-    # and ladders past the level where 1 - 2^-j rounds to 1
-    disc_levels = _number(int, lambda n: 4 <= n <= analysis.DISC_MAX_LEVELS,
-                          f"be at least 4 and at most {analysis.DISC_MAX_LEVELS}")
+    # and ladders too short to read, or past the level where 1 - 2^-j is 1
+    least, most = analysis.LADDER_MIN_VALUES, analysis.DISC_MAX_LEVELS
+    disc_levels = _number(int, lambda n: least <= n <= most,
+                          f"be at least {least} and at most {most}")
 
     p = sub.add_parser("kernel-check", help="closed form vs series on a grid")
     common(p)

@@ -33,7 +33,6 @@ __all__ = [
     "DivergentIntegralError",
     "radial_moment",
     "integrate",
-    "tensor_sum",
     "disc_kernel_moment",
     "graded_rule",
     "angle_rule",
@@ -245,77 +244,6 @@ def radial_moment(d: DomainSpec, m1: float, m2: float) -> float:
 # ----------------------------------------------------------------------
 # tensor-product quadrature over the domain core
 
-# entries of one tensor_sum block, 1 MiB per complex temporary.  On the
-# benchmark, 2^15 to 2^17 entries took the same time, 2^18 took 8% more,
-# and peak memory grew from 2^17 on.  A block is never smaller than one
-# node of axis 0: the Schur inner-stratum block, one v node of
-# psi x u x theta1 entries, is 32 x 50 x 32 to 72 x 90 x 32 on 10-level
-# inner ladders at k = 2-4, and 64 x 80 x 32 = 163840, 2.5x this budget,
-# at the deepest level of schur_sweep.  Its kernel_abs_polar call is one
-# real product of the block's size, written into a buffer reused by every
-# block, whose square root is the block; sub-blocking it along psi made
-# schur_sweep slower, since kernel_abs_polar is then called more often per
-# Schur value.  The theta1-side factor, k^2 x psi x theta1 real entries
-# per v node, is formed for a chunk of v nodes of at most half this many
-# entries, since verify_schur keeps one Schur value in flight per usable
-# core: 4, 2 and 1 nodes at k = 2, 3 and 4 on the deepest level of an
-# 8-level inner ladder.  A serial pass ran as fast with these chunks as
-# with chunks of the full budget (8, 4 and 2 nodes), and with 2 workers
-# the traced peak of one verify_schur at k = 2 fell from 5.6 to 4.4 MiB
-_TENSOR_BLOCK_ENTRIES = 1 << 16
-
-
-def tensor_sum(axes, f: Callable):
-    """Sum of ``f * w`` over the product grid of 1-d rules.
-
-    ``axes`` holds one ``(nodes, weights)`` pair per dimension; ``f``
-    receives the node arrays, each shaped to broadcast along its own
-    dimension, and returns values that broadcast to the grid.  ``w`` is
-    the product of the weights.  The grid is summed in blocks along the
-    first axis of at most ``_TENSOR_BLOCK_ENTRIES`` entries (one node at
-    least), so only one block of the grid is ever held in memory, and
-    every temporary of a block stays near cache size: at the domain-core
-    rule of the acceptance suite (6 Gauss nodes per panel, 24 angles) a
-    block is one u-slice of 66 x 24 x 24 entries.  A block's values are
-    summed before ``f`` is called for the next block, so ``f`` may return
-    memory that it writes again, as the Schur inner stratum returns its
-    block buffer (``analysis._schur_value``).  An exception raised by ``f``
-    reaches the caller unchanged.
-
-    The weights of the axes past the second are multiplied out once per
-    call, into one C-order vector ``rest``.  A block of ``nb`` first-axis
-    nodes, viewed as ``vals`` of shape ``(nb, n1, -1)``, is contracted
-    against ``rest`` in one pass over its values; the ``(nb, n1)`` sums
-    left are weighted by the second axis and then the first.  No weight
-    product or weighted copy of block size is made: a flat ``rest`` over
-    all axes but the first would be one, alive while ``f`` runs.  The
-    contractions run in ``np.einsum``'s own loops, not BLAS, whose sums
-    change with the thread count.  At least two axes are needed.
-    """
-    nodes, weights = zip(*axes)
-    shape = tuple(x.size for x in nodes)
-    block = max(1, _TENSOR_BLOCK_ENTRIES // math.prod(shape[1:]))
-    grid = [x.reshape([-1 if j == i else 1 for j in range(len(shape))])
-            for i, x in enumerate(nodes)]
-    rest = np.ones(())
-    for w in weights[2:]:
-        rest = np.multiply.outer(rest, w)
-    rest = rest.ravel()
-    total = 0.0
-    for i0 in range(0, shape[0], block):
-        part = slice(i0, i0 + block)
-        vals = f(grid[0][part], *grid[1:])
-        w_block = weights[0][part]
-        vals = np.broadcast_to(vals, w_block.shape + shape[1:]).reshape(
-            w_block.size, shape[1], -1)
-        dtype = np.result_type(vals, rest)
-        if rest.dtype != dtype:  # rest only widens: one conversion per call
-            rest = rest.astype(dtype)
-        sums = np.einsum("ijk,k->ij", vals, rest)
-        total += np.einsum("i,i->", w_block, np.einsum("ij,j->i", sums, weights[1]))
-    return total
-
-
 def _core_axes(d: DomainSpec, spec: QuadratureSpec):
     """The (u, v, theta1, theta2) rules; the Jacobian u v^(1+2/k) is in the weights."""
     # the v -> 0 panels track the offset itself (negative z2-powers live
@@ -336,13 +264,23 @@ def integrate(d: DomainSpec, f: Callable, spec: QuadratureSpec) -> complex | flo
     """Approximate int f dV over the delta-offset core of the domain.
 
     ``f`` must be vectorized over numpy arrays: it receives broadcast
-    complex arrays ``(z1, z2)`` and returns values elementwise.  The
-    result is a ``float``, or a ``complex`` when its imaginary part is
-    more than rounding.
+    complex arrays ``(z1, z2)`` on one u node's slice of the tensor grid,
+    laid out (v, theta1, theta2), and returns values elementwise, real or
+    complex, of any shape that broadcasts to the slice.  Each slice is
+    summed in ``np.einsum``'s own loops, not BLAS, whose sums change with
+    the thread count: against the angle weights, then the v weights and
+    its u weight, before ``f`` is called for the next.  The result is a ``float``, or a
+    ``complex`` when its imaginary part is more than rounding.
     """
-    value = complex(tensor_sum(_core_axes(d, spec),
-                               lambda *box: f(*_box_to_z(d, *box))))
-    return _real_unless_complex(value)
+    (u, wu), (v, wv), (theta, wtheta), _ = _core_axes(d, spec)
+    w_angles = np.multiply.outer(wtheta, wtheta).ravel()
+    shape = (v.size, theta.size, theta.size)
+    total = 0.0
+    for a in range(u.size):
+        vals = f(*_box_to_z(d, u[a], v[:, None, None], theta[:, None], theta))
+        sums = np.einsum("ij,j->i", np.broadcast_to(vals, shape).reshape(v.size, -1), w_angles)
+        total += wu[a] * np.einsum("i,i->", sums, wv)
+    return _real_unless_complex(complex(total))
 
 
 def _real_unless_complex(value: complex) -> complex | float:

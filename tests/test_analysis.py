@@ -251,8 +251,9 @@ class TestDivergenceScan:
         assert rep.parameters["p_critical_empirical"] == pytest.approx(pc, rel=0.02)
 
     def test_offsets_must_shrink_by_one_ratio(self):
-        with pytest.raises(ValueError, match=r"one ratio, got \[0.01, 0.001, 1e-05, 1e-06\]"):
-            divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3, 1e-5, 1e-6])
+        with pytest.raises(ValueError,
+                           match=r"one ratio, got \[0.01, 0.001, 0.0001, 1e-06, 1e-07\]"):
+            divergence_scan(DomainSpec(1), [3.0], [1e-2, 1e-3, 1e-4, 1e-6, 1e-7])
 
     def test_needs_enough_deltas(self):
         with pytest.raises(ValueError):
@@ -461,38 +462,40 @@ class TestVerifySchur:
     # at k = 1-3 (25, 8 and 3 v nodes at the inner point).  At k = 4 the
     # chunk is 2 v nodes, which divides every v axis (a multiple of
     # _U_ORDER nodes), so the off-axis cases take 3-node chunks there.
-    # "multirow" puts 3-4 v nodes in a block, so chunks end inside blocks
-    # at k = 1, 2; at k = 3, 4 each chunk is one block of 4 v nodes
+    # "multirow" puts 3 v nodes in a block at k = 1, 2, and a chunk is cut
+    # down to whole blocks, 24 and 6 v nodes; at k = 3, 4 each chunk is one
+    # block of 4 v nodes
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["inner", "axis", "multirow"])
     def test_chunked_blocks_equal_each_v_node_alone(self, monkeypatch, k, case):
         d = DomainSpec(k)
         z = Point2(0j, 0.6 + 0j) if case == "axis" else Point2(0.3 + 0.1j, 0.5 - 0.2j)
         if case == "multirow":
-            monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 3 << 16)
+            monkeypatch.setattr(analysis, "_SCHUR_BLOCK_ENTRIES", 3 << 16)
         if case != "axis" and k == 4:  # 3 nodes of the 16 x 32 x 32 factor
             monkeypatch.setattr(analysis, "_THETA1_CHUNK_ENTRIES", 3 * 16 * 32 * 32)
-        sums, blocks = [], []
+        calls = {}
+        for name in ("_v_axis", "_polar_w1_factor", "_polar_phases", "kernel_abs_polar"):
+            def recorded(*args, real=getattr(analysis, name), name=name, **kwargs):
+                out = real(*args, **kwargs)
+                calls.setdefault(name, []).append(
+                    (args, out.copy() if name == "kernel_abs_polar" else out))
+                return out
 
-        def recording_sum(axes, f):
-            sums.append(axes)
-
-            def recorded(v, *rest):
-                block = f(v, *rest)
-                blocks.append((v.ravel().copy(), block.copy()))
-                return block
-
-            return quadrature.tensor_sum(axes, recorded)
-
-        monkeypatch.setattr(analysis, "tensor_sum", recording_sum)
+            monkeypatch.setattr(analysis, name, recorded)
         _schur_value(d, z, 0.75, _edge_exponent(k, 0.75), 1e-6)
-        (((v, _), (psi, _), (u, _), (theta1, _)),) = sums
+        ((_, (v, _)),) = calls["_v_axis"]
+        (((*_, psi, u), _),) = calls["_polar_w1_factor"]
+        (((_, _, theta1), _),) = calls["_polar_phases"]
+        blocks = [block for _, block in calls["kernel_abs_polar"]]
         chunk = max(1, analysis._THETA1_CHUNK_ENTRIES // (k * k * psi.size * theta1.size))
         assert v.size % chunk != 0
         if case == "multirow":
-            assert len(blocks[0][0]) > 1
-        assert np.array_equal(np.concatenate([nodes for nodes, _ in blocks]), v)
-        got = np.concatenate([block for _, block in blocks])
+            assert len(blocks[0]) > 1
+        assert sum(len(block) for block in blocks) == v.size
+        # a chunk holds whole blocks, so every block but the last is full
+        assert {len(block) for block in blocks[:-1]} <= {len(blocks[0])}
+        got = np.concatenate(blocks)
         x, y = abs(z.z1), abs(z.z2)
         w1_factor = _polar_w1_factor(d, x, y, psi, u)
         phases = _polar_phases(k, psi, theta1)

@@ -81,7 +81,7 @@ class TestDivergenceCommand:
 
     def test_offsets_that_are_not_geometric_are_a_usage_error(self, tmp_path, capsys):
         # the growth exponent needs one ratio between neighbouring offsets
-        assert run(["divergence", "--k", "1", "--deltas", "1e-2,1e-3,1e-5,1e-6"], tmp_path) == 1
+        assert run(["divergence", "--k", "1", "--deltas", "1e-2,1e-3,1e-4,1e-6,1e-7"], tmp_path) == 1
         assert not (tmp_path / "divergence_report.json").exists()
         err = capsys.readouterr().err
         assert "argument --deltas: offsets must shrink by one ratio, got [0.01, 0.001" in err
@@ -138,8 +138,8 @@ EVERY_COMMAND = [
     ["range", "--k", "2"],
     ["kernel-check", "--k", "2", "--grid", "2"],
     ["schur", "--k", "2", "--eps", "1.1"],
-    ["calculus1", "--eps", "0.5", "--levels", "4"],
-    ["disc-log", "--levels", "4"],
+    ["calculus1", "--eps", "0.5", "--levels", "5"],
+    ["disc-log", "--levels", "5"],
     ["divergence", "--k", "1"],
     ["probe", "--k", "2", "--p", "3"],
     ["project", "--k", "1", "--radial-nodes", "4", "--angular-nodes", "8"],
@@ -221,9 +221,9 @@ class TestExitCodes:
         (["schur", "--k", "2", "--eps", "0.75", "--levels", "1"], "must be at least 2"),
         (["schur", "--k", "2", "--eps", "0.75", "--tolerance", "0.9"],
          "unrecognized arguments: --tolerance"),
-        (["calculus1", "--eps", "0.5", "--levels", "1"], "must be at least 4"),
-        (["disc-log", "--levels", "1"], "must be at least 4"),
-        (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 4 deltas, got 1"),
+        (["calculus1", "--eps", "0.5", "--levels", "1"], "must be at least 5"),
+        (["disc-log", "--levels", "1"], "must be at least 5"),
+        (["divergence", "--k", "1", "--deltas", "1e-2"], "need at least 5 deltas, got 1"),
         (["divergence", "--k", "1", "--deltas", "0.5,1,2,3"], "must lie in (0, 1)"),
         (["divergence", "--k", "1", "--deltas", "1e-2..0"],
          "argument --deltas: expected a decade range 'lo..hi' with finite positive ends "
@@ -271,9 +271,9 @@ class TestExitCodes:
          "argument --boundary-offset: must lie in (0, 0.25), got 0.3"),
         # 1 - 2^-54 rounds to 1, and the disc ladder exited 2
         (["calculus1", "--eps", "0.5", "--levels", "54"],
-         "argument --levels: must be at least 4 and at most 53, got 54"),
+         "argument --levels: must be at least 5 and at most 53, got 54"),
         (["disc-log", "--levels", "54"],
-         "argument --levels: must be at least 4 and at most 53, got 54"),
+         "argument --levels: must be at least 5 and at most 53, got 54"),
     ])
     def test_bad_flag_value_is_usage_error_with_message(self, argv, message, tmp_path,
                                                         capsys):

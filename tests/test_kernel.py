@@ -36,7 +36,7 @@ from fathartogs.kernel import (
     q_base_coefficients,
     q_shift_coefficients,
 )
-from fathartogs.quadrature import QuadratureSpec, _core_axes, _TENSOR_BLOCK_ENTRIES, angle_rule
+from fathartogs.quadrature import QuadratureSpec, _core_axes, angle_rule
 
 
 def interior_invariants(k, n, seed):
@@ -283,12 +283,13 @@ class TestKernelClosedPairForm:
             assert np.array_equal(got, pins["check3"])
 
 
-def core_blocks(d, z, spec):
-    """Blocks of u rows of the domain core's tensor grid: per block, the
-    pair invariants (s, t) on the full block and the zero-angle invariants
+def core_blocks(d, z, spec, entries=1 << 16):
+    """Blocks of u rows of the domain core's tensor grid, of at most
+    ``entries`` grid entries (one u row at least): per block, the pair
+    invariants (s, t) on the full block and the zero-angle invariants
     (s0, t0) from which the factor tables are formed."""
     (u, _), (v, _), (theta, _), _ = _core_axes(d, spec)
-    rows = max(1, _TENSOR_BLOCK_ENTRIES // (v.size * theta.size**2))
+    rows = max(1, entries // (v.size * theta.size**2))
     for lo in range(0, u.size, rows):
         w1, w2 = _box_to_z(d, u[lo:lo + rows, None, None, None], v[None, :, None, None],
                            theta[None, None, :, None], theta[None, None, None, :])

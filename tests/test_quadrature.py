@@ -15,6 +15,8 @@ from scipy import special as sp_special
 
 from fathartogs import analysis, quadrature
 from fathartogs.geometry import DomainSpec, Point2, boundary_ladder
+from fathartogs.kernel import (_polar_phases, _polar_theta1_factor, _polar_w1_factor,
+                               kernel_abs_polar)
 from fathartogs.projection import project_numeric
 from fathartogs.quadrature import (
     DivergentIntegralError,
@@ -23,13 +25,11 @@ from fathartogs.quadrature import (
     QuadratureSpec,
     angle_rule,
     disc_kernel_moment,
-    gauss_rule,
     graded_breaks,
     graded_rule,
     integrate,
     panel_rule,
     radial_moment,
-    tensor_sum,
 )
 
 
@@ -160,72 +160,121 @@ class TestTensorIntegrate:
 
 
 class TestTensorSum:
-    AXES = (gauss_rule(0.0, 1.0, 7), gauss_rule(0.5, 2.0, 5), angle_rule(6))
+    """Each 4-d integral sums its tensor grid in its own loop: the Schur
+    value in blocks of v nodes, each contracted against the (u, theta1),
+    psi and v weights in turn, and ``integrate`` one u slice at a time.
+    The Schur cases run at small orders, so that their full grid is small."""
 
-    @staticmethod
-    def f(x, y, t):
-        return np.exp(1j * t) * np.cos(x * y) + x / y
+    Z, EPS, V0 = Point2(0.3 + 0.1j, 0.5 - 0.2j), 0.75, 1e-2
 
-    def test_blocks_agree_with_one_block(self, monkeypatch):
-        sizes = [x.size for x, _ in self.AXES]
-        rest = math.prod(sizes[1:])
+    @pytest.fixture
+    def small_orders(self, monkeypatch):
+        for name, n in (("_U_ORDER", 4), ("_PSI_ORDER", 4), ("_N_THETA1", 8)):
+            monkeypatch.setattr(analysis, name, n)
+
+    def schur_value(self, d):
+        delta = analysis._edge_exponent(d.k_int(), self.EPS)
+        return analysis._schur_value(d, self.Z, self.EPS, delta, self.V0)
+
+    def schur_grid(self, d):
+        """The Schur value's weights, psi's doubled, and its full kernel_abs_polar grid."""
+        k = d.k_int()
+        x, y = abs(self.Z.z1), abs(self.Z.z2)
+        delta = analysis._edge_exponent(k, self.EPS)
+        scale = 1.0 - x**k / y
+        v, wv = analysis._v_axis(k, self.EPS, delta, y, self.V0)
+        psi, wpsi = quadrature._aligned_angle_rule(scale, analysis._PSI_ORDER)
+        u, wu = analysis._u_rule(k, delta, floor=max(scale / 16.0, quadrature._FINEST_PANEL))
+        theta1, wt = angle_rule(analysis._N_THETA1)
+        grid = kernel_abs_polar(_polar_w1_factor(d, x, y, psi, u),
+                                _polar_theta1_factor(d, x, y, v, _polar_phases(k, psi, theta1)))
+        return (wv, 2.0 * wpsi, wu, wt), grid
+
+    def test_blocks_agree_with_one_block(self, monkeypatch, small_orders):
+        d = DomainSpec(2)
+        (wv, *_), grid = self.schur_grid(d)
         calls = []
 
-        def counted(*nodes):
-            calls.append(nodes[0].size)
-            return self.f(*nodes)
+        def counted(w1_factor, theta1_factor, out=None):
+            calls.append(len(theta1_factor))
+            return kernel_abs_polar(w1_factor, theta1_factor, out=out)
 
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 10**9)
-        whole = tensor_sum(self.AXES, self.f)
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 2 * rest)
-        blocked = tensor_sum(self.AXES, counted)
-        assert calls == [2] * (sizes[0] // 2) + [1] * (sizes[0] % 2)
+        monkeypatch.setattr(analysis, "kernel_abs_polar", counted)
+        monkeypatch.setattr(analysis, "_SCHUR_BLOCK_ENTRIES", 10**9)
+        whole = self.schur_value(d)
+        assert calls == [wv.size]
+        calls.clear()
+        monkeypatch.setattr(analysis, "_SCHUR_BLOCK_ENTRIES", 2 * grid[0].size)
+        blocked = self.schur_value(d)
+        assert calls == [2] * (wv.size // 2) + [1] * (wv.size % 2)
         assert abs(blocked - whole) <= 1e-15 * abs(whole)
 
-    def test_one_block_is_the_plain_weighted_sum(self, monkeypatch):
-        (x, wx), (y, wy), (t, wt) = self.AXES
-        grid = self.f(x[:, None, None], y[None, :, None], t[None, None, :])
-        # the contraction written out: each (x, y) row summed against the
-        # weights past axis 1 (here wt alone), then against wy and wx
-        sums = np.einsum("ijk,k->ij", grid, wt.astype(complex))
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 10**9)
-        got = tensor_sum(self.AXES, self.f)
-        assert got == 0.0 + np.einsum("i,i->", wx, np.einsum("ij,j->i", sums, wy))
+    def test_one_block_is_the_plain_weighted_sum(self, monkeypatch, small_orders):
+        d = DomainSpec(2)
+        (wv, wpsi, wu, wt), grid = self.schur_grid(d)
+        # the contraction written out: each (v, psi) row summed against the
+        # (u, theta1) weights, then against the psi weights and the v weights
+        sums = np.einsum("ijk,k->ij", grid.reshape(grid.shape[:2] + (-1,)),
+                         np.multiply.outer(wu, wt).ravel())
+        monkeypatch.setattr(analysis, "_SCHUR_BLOCK_ENTRIES", 10**9)
+        got = self.schur_value(d)
+        assert got == 0.0 + np.einsum("i,i->", wv, np.einsum("ij,j->i", sums, wpsi))
         # and it is the plain weighted sum up to rounding
-        terms = grid * np.multiply.outer(np.outer(wx, wy), wt)
+        terms = grid * np.multiply.outer(np.multiply.outer(np.outer(wv, wpsi), wu), wt)
         assert abs(got - np.sum(terms)) <= 4 * np.finfo(float).eps * np.sum(np.abs(terms))
 
-    @pytest.mark.parametrize("entries", [10**9, 6], ids=["one_block", "node_blocks"])
-    def test_integrands_of_some_axes_broadcast(self, entries, monkeypatch):
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", entries)
-        (x, wx), (y, wy), (t, wt) = self.AXES
-        sx, sy, st = wx.sum(), wy.sum(), wt.sum()
-        sx1, sy1 = wx @ x, wy @ y
+    @pytest.mark.parametrize("u_nodes", [1, None], ids=["one_block", "node_blocks"])
+    def test_integrands_of_some_axes_broadcast(self, u_nodes, monkeypatch):
+        # one_block: a u rule of one node, so that one call of f covers the
+        # whole grid; node_blocks: the full u rule, one call per u node
+        core_axes = quadrature._core_axes
+
+        def cut(d, spec):
+            (u, wu), *rest = core_axes(d, spec)
+            return ((u[:u_nodes], wu[:u_nodes]), *rest)
+
+        monkeypatch.setattr(quadrature, "_core_axes", cut)
+        d = DomainSpec(2)
+        spec = QuadratureSpec(radial_nodes=4, angular_nodes=6)
+        (u, wu), (v, wv), (_, wt), _ = quadrature._core_axes(d, spec)
+        assert (u.size == 1) == (u_nodes == 1)
+        su, sv, s_angles = wu.sum(), wv.sum(), wt.sum() ** 2
+        su1, sv1 = wu @ u, wv @ v
         cases = [
-            (lambda x, y, t: x, sx1 * sy * st),
-            (lambda x, y, t: 3, 3 * sx * sy * st),  # 0-d and integer
-            (lambda x, y, t: x * y, sx1 * sy1 * st),
-            (lambda x, y, t: x + 1j * y, (sx1 * sy + 1j * sx * sy1) * st),
+            (lambda z1, z2: np.abs(z2), su * sv1 * s_angles),  # no theta1 axis
+            (lambda z1, z2: 3, 3 * su * sv * s_angles),  # 0-d and integer
+            # |z1| = u v^(1/k)
+            (lambda z1, z2: np.abs(z1 * z2), su1 * (wv @ v**1.5) * s_angles),
+            (lambda z1, z2: np.abs(z1) + 1j * np.abs(z2),
+             (su1 * (wv @ v**0.5) + 1j * su * sv1) * s_angles),
         ]
         for f, want in cases:
-            got = tensor_sum(self.AXES, f)
+            calls = []
+
+            def counted(z1, z2, f=f):
+                calls.append(None)
+                return f(z1, z2)
+
+            got = integrate(d, counted, spec)
+            assert len(calls) == u.size
             assert abs(got - want) <= 1e-14 * abs(want)
             assert isinstance(got, complex) == isinstance(want, complex)
 
-    def test_integrand_errors_reach_the_caller_unchanged(self, monkeypatch):
-        x = self.AXES[0][0]
-        rest = self.AXES[1][0].size * self.AXES[2][0].size
-        monkeypatch.setattr(quadrature, "_TENSOR_BLOCK_ENTRIES", 2 * rest)
+    def test_integrand_errors_reach_the_caller_unchanged(self):
+        spec = QuadratureSpec(radial_nodes=4, angular_nodes=4)
         err = FloatingPointError("boom")
+        calls = []
 
-        def bad(xx, y, t):
-            if np.any(xx == x[4]):
+        def bad(z1, z2):
+            calls.append(z1.shape)
+            if len(calls) == 5:
                 raise err
-            return self.f(xx, y, t)
+            return z1 * z2
 
         with pytest.raises(FloatingPointError) as got:
-            tensor_sum(self.AXES, bad)
+            integrate(DomainSpec(2), bad, spec)
         assert got.value is err and got.value.__context__ is None
+        assert len(calls) == 5
 
     def test_sums_do_not_depend_on_the_blas_thread_count(self):
         # a BLAS contraction over the flattened block (vals @ rest) moved
@@ -281,8 +330,9 @@ def _traced_peak_mib(call) -> float:
 
 
 class TestTensorBlockMemory:
-    """Both 4-d integrals hold one block of their grid at a time; blocks
-    of 3-4 M entries peaked at 86-117 MiB in these calls."""
+    """The projection holds one u slice of its grid at a time, and the
+    Schur value one block of v nodes in one reused buffer; blocks of 3-4 M
+    entries peaked at 86-117 MiB in these calls."""
 
     LIMIT_MIB = 16.0
 

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from fathartogs import analysis, cli, projection, quadrature
+from fathartogs import analysis, cli, projection
 from fathartogs.geometry import DomainSpec, Point2
+from fathartogs.kernel import kernel_abs_polar
 from fathartogs.quadrature import QuadratureSpec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -75,13 +76,14 @@ def test_project_command_records_one_numeric_span(tracing, tmp_path):
 @pytest.mark.parametrize("z", [Point2(0.3 + 0.1j, 0.5 - 0.2j), Point2(0j, 0.6 + 0j)],
                          ids=["inner", "axis"])
 def test_schur_value_records_one_polar_span_per_v_block(tracing, monkeypatch, z):
-    sums = []
+    blocks = []
 
-    def recording_sum(axes, f):
-        sums.append([x.size for x, _ in axes])
-        return quadrature.tensor_sum(axes, f)
+    def recording_polar(*args, **kwargs):
+        block = kernel_abs_polar(*args, **kwargs)
+        blocks.append(block.shape)
+        return block
 
-    monkeypatch.setattr(analysis, "tensor_sum", recording_sum)
+    monkeypatch.setattr(analysis, "kernel_abs_polar", recording_polar)
     tracer = tracing.Tracer()
     tracer.op = "schur"
     tracer.install()
@@ -89,11 +91,12 @@ def test_schur_value_records_one_polar_span_per_v_block(tracing, monkeypatch, z)
         analysis._schur_value(DomainSpec(2), z, 0.75, 0.75, 1e-3)
     finally:
         tracer.uninstall()
-    ((n_v, *rest),) = sums
+    n_v = analysis._v_axis(2, 0.75, 0.75, abs(z.z2), 1e-3)[0].size
+    rest = list(blocks[0][1:])
     if z.z1 == 0:
         assert rest[1:] == [1, 1]
     per_node = math.prod(rest)
-    rows = max(1, quadrature._TENSOR_BLOCK_ENTRIES // per_node)
+    rows = max(1, analysis._SCHUR_BLOCK_ENTRIES // per_node)
     blocks = [min(rows, n_v - lo) * per_node for lo in range(0, n_v, rows)]
     polar = [s for s in tracer.spans if s.name == "kernel.abs_polar"]
     assert [s.counts["evals"] for s in polar] == blocks
